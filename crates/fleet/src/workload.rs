@@ -8,11 +8,11 @@
 //! nothing fails) and replays just the activities against each sampled
 //! simulator.
 //!
-//! Replay is exact, not approximate: [`replay`] mirrors the engine's
-//! commit/retry protocol instruction for instruction — blocking
-//! reads/writes/CPU work retry internally inside the simulator, accelerator
-//! jobs loop `read → job → recover(recovery_bytes)` until they commit, and
-//! the same retry cap guards against livelock. The
+//! Replay is exact, not approximate: [`replay`] runs each recorded job
+//! through the engine's own commit/retry protocol
+//! ([`iprune_hawaii::exec::commit_job`]: `read → job → recover` until the
+//! job commits, under the engine's retry cap), and blocking
+//! reads/writes/CPU work retry internally inside the simulator. The
 //! `replay_matches_full_engine_*` tests pin bit-identical latency and
 //! `SimStats` against [`infer`] under failing supplies.
 //!
@@ -23,21 +23,16 @@
 //! from the committed `cpu_s` through the recorder's [`TimingModel`]
 //! (exact: the committed time is `cycles · cpu_cycle_s`).
 
-use iprune_device::sim::{Commit, DeviceSim, JobCost, SimError};
+use iprune_device::sim::{DeviceSim, JobCost};
 use iprune_device::timing::TimingModel;
 use iprune_device::trace::SimStats;
 use iprune_device::PowerStrength;
 use iprune_faults::RunOutcome;
 use iprune_hawaii::deploy::DeployedModel;
-use iprune_hawaii::exec::{infer, EngineError, ExecMode};
+use iprune_hawaii::exec::{commit_job, infer, EngineError, ExecMode};
 use iprune_models::GraphOp;
 use iprune_obs::{drain_shared, MemorySink, TraceEvent};
 use iprune_tensor::Tensor;
-
-/// Mirror of the engine's per-job retry cap (`MAX_RETRIES_PER_JOB` in
-/// `iprune_hawaii::exec`): a job that fails this often can never commit
-/// under a periodic failure pattern and is reported as a livelock.
-pub const MAX_RETRIES_PER_JOB: u32 = 10_000;
 
 /// One recorded device activity.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -193,8 +188,8 @@ fn events_to_activities(
     acts
 }
 
-/// Replays a recorded workload on `sim`, mirroring the engine's
-/// commit/retry protocol exactly.
+/// Replays a recorded workload on `sim`, committing each job through the
+/// engine's [`commit_job`].
 ///
 /// # Errors
 ///
@@ -206,32 +201,14 @@ pub fn replay(w: &Workload, sim: &mut DeviceSim) -> Result<ReplayOutcome, RunOut
     let mut retries = 0u64;
     for act in &w.activities {
         match *act {
-            Activity::Read { bytes } => sim.run_read(bytes).map_err(sim_outcome)?,
-            Activity::Write { bytes } => sim.run_write(bytes).map_err(sim_outcome)?,
-            Activity::Cpu { cycles } => sim.run_cpu(cycles).map_err(sim_outcome)?,
+            Activity::Read { bytes } => sim.run_read(bytes).map_err(EngineError::Sim),
+            Activity::Write { bytes } => sim.run_write(bytes).map_err(EngineError::Sim),
+            Activity::Cpu { cycles } => sim.run_cpu(cycles).map_err(EngineError::Sim),
             Activity::Job { read_bytes, cost, recovery_bytes, layer } => {
-                let mut job_retries = 0u32;
-                loop {
-                    sim.run_read(read_bytes).map_err(sim_outcome)?;
-                    match sim.run_job(cost).map_err(sim_outcome)? {
-                        Commit::Committed => break,
-                        Commit::PowerFailed => {
-                            sim.recover(recovery_bytes).map_err(sim_outcome)?;
-                            retries += 1;
-                            job_retries += 1;
-                            if job_retries > MAX_RETRIES_PER_JOB {
-                                // job-granular commit: the atomic span is one job
-                                return Err(RunOutcome::Livelock {
-                                    layer,
-                                    tile_jobs: 1,
-                                    cut_period: None,
-                                });
-                            }
-                        }
-                    }
-                }
+                commit_job(sim, read_bytes, cost, recovery_bytes, layer, &mut retries)
             }
         }
+        .map_err(|e| RunOutcome::from_engine_error(&e, None))?;
     }
     let stats = sim.stats().clone();
     Ok(ReplayOutcome {
@@ -242,11 +219,6 @@ pub fn replay(w: &Workload, sim: &mut DeviceSim) -> Result<ReplayOutcome, RunOut
         max_stall_s: sim.max_stall_s(),
         stats,
     })
-}
-
-/// Maps a simulator error onto the shared campaign outcome vocabulary.
-fn sim_outcome(e: SimError) -> RunOutcome {
-    RunOutcome::from_engine_error(&EngineError::Sim(e), None)
 }
 
 #[cfg(test)]

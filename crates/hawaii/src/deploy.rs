@@ -3,17 +3,20 @@
 //! Mirrors the paper's deployment flow (Section IV-A): model parameters are
 //! quantized from 32-bit float to a 16-bit fixed-point representation and
 //! packed, layer by layer, into the BSR format at the accelerator-operation
-//! block granularity chosen by the tile planner. Activation formats are
-//! calibrated by running the float reference executor over a handful of
-//! samples.
+//! block granularity chosen by the tile planner. Quantization and
+//! activation-format calibration are the host Q15 engine's own
+//! ([`QuantizedModel::quantize`]), so the device and the host evaluator run
+//! one model.
 
 use crate::bsr::BsrMatrix;
-use crate::graph_exec::run_graph;
 use crate::plan::LayerPlan;
 use iprune_datasets::Dataset;
-use iprune_models::arch::{GraphOp, ModelInfo};
-use iprune_models::{LayerWeights, Model};
-use iprune_tensor::quant::{QFormat, QTensor};
+use iprune_models::arch::ModelInfo;
+use iprune_models::qeval::QuantizedModel;
+use iprune_models::Model;
+use iprune_tensor::quant::QFormat;
+
+pub use iprune_models::qeval::DEFAULT_CALIBRATION;
 
 /// One deployed (quantized, BSR-packed) prunable layer.
 #[derive(Debug, Clone)]
@@ -82,92 +85,36 @@ impl DeployedModel {
     }
 }
 
-/// Default number of calibration samples.
-pub const DEFAULT_CALIBRATION: usize = 8;
-
-/// Deploys a trained model: calibrates activation formats on up to
-/// `n_calib` samples of `calib`, quantizes weights and biases to 16-bit
-/// fixed point, and packs each layer into BSR at its planned block shape.
+/// Deploys a trained model: quantizes it with the host Q15 quantizer
+/// (activation formats calibrated on up to `n_calib` samples of `calib`)
+/// and packs each layer into BSR at its planned block shape.
 ///
 /// # Panics
 ///
 /// Panics if `calib` is empty or its sample shape differs from the model
 /// input.
 pub fn deploy(model: &mut Model, calib: &Dataset, n_calib: usize) -> DeployedModel {
-    assert!(!calib.is_empty(), "calibration set must not be empty");
-    let weights = model.extract_weights();
-    let info = model.info.clone();
-
-    // --- calibrate per-buffer ranges with the float reference ---
-    let mut max_abs = vec![0.0f32; info.buffers.len()];
-    for i in 0..n_calib.min(calib.len()) {
-        let bufs = run_graph(&info, &weights, &calib.sample(i));
-        for (m, buf) in max_abs.iter_mut().zip(bufs.iter()) {
-            for &v in buf {
-                *m = m.max(v.abs());
-            }
-        }
-    }
-    let mut buf_fmts: Vec<QFormat> =
-        max_abs.iter().map(|&m| QFormat::for_max_abs(m * 1.1 + 1e-6)).collect();
-    // Shape-preserving ops must keep their input format so the quantized
-    // engine can copy/compare values without requantization.
-    for op in &info.graph {
-        match op {
-            GraphOp::MaxPool { src, dst, .. }
-            | GraphOp::GlobalAvgPool { src, dst }
-            | GraphOp::Flatten { src, dst } => buf_fmts[*dst] = buf_fmts[*src],
-            _ => {}
-        }
-    }
-
-    // --- quantize and pack each prunable layer ---
-    let layers: Vec<DeployedLayer> = weights
+    let qm = QuantizedModel::quantize(model, calib, n_calib);
+    let info = qm.info();
+    let layers = qm
+        .layers()
         .iter()
-        .map(|lw: &LayerWeights| {
-            let p = &info.prunables[lw.layer_id];
-            let plan = LayerPlan::for_layer(p);
-            let qw = QTensor::quantize(&lw.w);
-            let bsr = BsrMatrix::from_dense(
-                qw.data(),
-                plan.m,
-                plan.k,
-                plan.tile.br,
-                plan.tile.bc,
-                qw.format(),
-            );
-            // Bias is added in the (in_frac + w_frac)-bit accumulator; its
-            // format must not exceed that depth.
-            let in_fmt = input_fmt_of_layer(&info, lw.layer_id, &buf_fmts);
-            let acc_frac = in_fmt.frac_bits() + qw.format().frac_bits();
-            let natural = QFormat::for_max_abs(lw.b.max_abs().max(1e-6));
-            let bias_fmt = QFormat::new(natural.frac_bits().min(acc_frac).min(15));
-            let bias: Vec<i16> = lw.b.data().iter().map(|&v| bias_fmt.quantize(v)).collect();
-            DeployedLayer { layer_id: lw.layer_id, plan, bsr, bias, bias_fmt }
+        .enumerate()
+        .map(|(layer_id, ql)| {
+            let plan = LayerPlan::for_layer(&info.prunables[layer_id]);
+            let (br, bc) = (plan.tile.br, plan.tile.bc);
+            let bsr = BsrMatrix::from_dense(&ql.w, plan.m, plan.k, br, bc, QFormat::new(ql.w_frac));
+            let bias_fmt = QFormat::new(ql.bias_frac);
+            DeployedLayer { layer_id, plan, bsr, bias: ql.bias.clone(), bias_fmt }
         })
         .collect();
-
-    DeployedModel { info, layers, buf_fmts }
-}
-
-/// The activation format of the buffer a prunable layer reads.
-fn input_fmt_of_layer(info: &ModelInfo, layer_id: usize, fmts: &[QFormat]) -> QFormat {
-    for op in &info.graph {
-        match op {
-            GraphOp::Conv { layer_id: l, src, .. } | GraphOp::Fc { layer_id: l, src, .. }
-                if *l == layer_id =>
-            {
-                return fmts[*src];
-            }
-            _ => {}
-        }
-    }
-    panic!("layer {layer_id} not found in graph");
+    DeployedModel { info: info.clone(), layers, buf_fmts: qm.buf_fmts().to_vec() }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iprune_models::arch::GraphOp;
     use iprune_models::zoo::App;
 
     #[test]

@@ -28,7 +28,9 @@ use crate::deploy::{DeployedLayer, DeployedModel};
 use iprune_device::sim::{Commit, DeviceSim, JobCost, SimError};
 use iprune_device::trace::SimStats;
 use iprune_models::arch::{GraphOp, PrunableKind};
+use iprune_models::graphref::{flatten, global_avg_pool, max_pool, LayerOp};
 use iprune_obs::TraceEvent;
+use iprune_tensor::metrics::argmax;
 use iprune_tensor::quant::{requantize, QFormat};
 use iprune_tensor::Tensor;
 use std::error::Error;
@@ -114,6 +116,8 @@ impl From<SimError> for EngineError {
     }
 }
 
+/// Failed attempts after which one job (or task-atomic tile) is reported
+/// as [`EngineError::NoProgress`].
 const MAX_RETRIES_PER_JOB: u32 = 10_000;
 /// Footprint (job counter) bytes preserved with every job.
 const FOOTPRINT_BYTES: usize = 4;
@@ -167,11 +171,7 @@ impl TileCursor {
 #[derive(Debug, Clone, PartialEq, Hash)]
 struct GemmCursor {
     op_idx: usize,
-    layer_id: usize,
-    src: usize,
-    dst: usize,
-    dst_c_off: usize,
-    relu: bool,
+    op: LayerOp,
     geom: Geometry,
     bias_shift: u32,
     in_frac: u8,
@@ -198,12 +198,16 @@ enum Cursor {
 }
 
 /// Outcome of one phase advance inside a GEMM op.
-enum GemmAdvance {
-    /// A job committed; `op_done` marks the op's last tile written back.
-    Committed { op_done: bool },
-    /// No commit (scope entry, tile-atomic retry reset, continuous
-    /// write-back); keep advancing.
-    NoCommit { op_done: bool },
+struct GemmAdvance {
+    /// A job committed. Scope entry, a tile-atomic restart and a
+    /// continuous write-back commit nothing; the engine keeps advancing.
+    committed: bool,
+    /// The op's last tile was written back.
+    op_done: bool,
+}
+
+impl GemmAdvance {
+    const NO_COMMIT: GemmAdvance = GemmAdvance { committed: false, op_done: false };
 }
 
 /// A resumable, cloneable inference execution.
@@ -347,96 +351,36 @@ impl<'m> Engine<'m> {
                         op: op_idx as u32,
                         label: op_label(op),
                     });
-                    match op {
+                    let layer = match *op {
                         GraphOp::Conv { layer_id, src, dst, dst_c_off, relu } => {
-                            match GemmCursor::begin(
-                                dm, op_idx, *layer_id, *src, *dst, *dst_c_off, *relu, bufs,
-                            ) {
-                                Some(gc) => *cursor = Cursor::Gemm(Box::new(gc)),
-                                None => {
-                                    sim.emit_scope(|| TraceEvent::LayerEnd {
-                                        t: sim.now(),
-                                        op: op_idx as u32,
-                                    });
-                                    *cursor = Cursor::Op(op_idx + 1);
-                                }
-                            }
+                            Some(LayerOp { layer_id, src, dst, dst_c_off, relu })
                         }
                         GraphOp::Fc { layer_id, src, dst, relu } => {
-                            match GemmCursor::begin(
-                                dm, op_idx, *layer_id, *src, *dst, 0, *relu, bufs,
-                            ) {
-                                Some(gc) => *cursor = Cursor::Gemm(Box::new(gc)),
-                                None => {
-                                    sim.emit_scope(|| TraceEvent::LayerEnd {
-                                        t: sim.now(),
-                                        op: op_idx as u32,
-                                    });
-                                    *cursor = Cursor::Op(op_idx + 1);
-                                }
-                            }
+                            Some(LayerOp { layer_id, src, dst, dst_c_off: 0, relu })
                         }
                         GraphOp::MaxPool { src, dst, kh, kw } => {
-                            let sdims = dm.info.buffers[*src].dims.clone();
-                            let ddims = dm.info.buffers[*dst].dims.clone();
-                            let (src_buf, dst_buf) = split_bufs(bufs, *src, *dst);
-                            let (c, ih, iw) = (sdims[0], sdims[1], sdims[2]);
-                            let (oh, ow) = (ddims[1], ddims[2]);
-                            for ch in 0..c {
-                                for oy in 0..oh {
-                                    for ox in 0..ow {
-                                        let mut best = i16::MIN;
-                                        for ky in 0..*kh {
-                                            for kx in 0..*kw {
-                                                let v = src_buf
-                                                    [(ch * ih + oy * kh + ky) * iw + ox * kw + kx];
-                                                best = best.max(v);
-                                            }
-                                        }
-                                        dst_buf[(ch * oh + oy) * ow + ox] = best;
-                                    }
-                                }
-                            }
-                            sim.run_read(src_buf.len() * 2)?;
-                            sim.run_cpu(src_buf.len() * 2)?;
-                            sim.run_write(dst_buf.len() * 2)?;
-                            sim.emit_scope(|| TraceEvent::LayerEnd {
-                                t: sim.now(),
-                                op: op_idx as u32,
-                            });
-                            *cursor = Cursor::Op(op_idx + 1);
+                            max_pool(&dm.info, bufs, src, dst, kh, kw);
+                            sim.run_read(bufs[src].len() * 2)?;
+                            sim.run_cpu(bufs[src].len() * 2)?;
+                            sim.run_write(bufs[dst].len() * 2)?;
+                            None
                         }
                         GraphOp::GlobalAvgPool { src, dst } => {
-                            let sdims = dm.info.buffers[*src].dims.clone();
-                            let (src_buf, dst_buf) = split_bufs(bufs, *src, *dst);
-                            let (c, h, w) = (sdims[0], sdims[1], sdims[2]);
-                            let hw = (h * w) as i64;
-                            for ch in 0..c {
-                                let sum: i64 = src_buf[ch * h * w..(ch + 1) * h * w]
-                                    .iter()
-                                    .map(|&v| v as i64)
-                                    .sum();
-                                let rounded = if sum >= 0 {
-                                    (sum + hw / 2) / hw
-                                } else {
-                                    (sum - hw / 2) / hw
-                                };
-                                dst_buf[ch] =
-                                    rounded.clamp(i16::MIN as i64, i16::MAX as i64) as i16;
-                            }
-                            sim.run_read(src_buf.len() * 2)?;
-                            sim.run_cpu(src_buf.len())?;
-                            sim.run_write(dst_buf.len() * 2)?;
-                            sim.emit_scope(|| TraceEvent::LayerEnd {
-                                t: sim.now(),
-                                op: op_idx as u32,
-                            });
-                            *cursor = Cursor::Op(op_idx + 1);
+                            global_avg_pool(&dm.info, bufs, src, dst);
+                            sim.run_read(bufs[src].len() * 2)?;
+                            sim.run_cpu(bufs[src].len())?;
+                            sim.run_write(bufs[dst].len() * 2)?;
+                            None
                         }
                         GraphOp::Flatten { src, dst } => {
-                            let (src_buf, dst_buf) = split_bufs(bufs, *src, *dst);
-                            dst_buf.copy_from_slice(src_buf);
                             // address reinterpretation — no device work
+                            flatten(bufs, src, dst);
+                            None
+                        }
+                    };
+                    match layer.and_then(|l| GemmCursor::begin(dm, op_idx, l, bufs)) {
+                        Some(gc) => *cursor = Cursor::Gemm(Box::new(gc)),
+                        None => {
                             sim.emit_scope(|| TraceEvent::LayerEnd {
                                 t: sim.now(),
                                 op: op_idx as u32,
@@ -448,26 +392,12 @@ impl<'m> Engine<'m> {
                 Cursor::Gemm(gc) => {
                     let adv = gemm_phase(dm, mode, bufs, counters, gc, sim)?;
                     let op_idx = gc.op_idx;
-                    match adv {
-                        GemmAdvance::Committed { op_done } => {
-                            if op_done {
-                                sim.emit_scope(|| TraceEvent::LayerEnd {
-                                    t: sim.now(),
-                                    op: op_idx as u32,
-                                });
-                                *cursor = Cursor::Op(op_idx + 1);
-                            }
-                            return Ok(Step::Committed);
-                        }
-                        GemmAdvance::NoCommit { op_done } => {
-                            if op_done {
-                                sim.emit_scope(|| TraceEvent::LayerEnd {
-                                    t: sim.now(),
-                                    op: op_idx as u32,
-                                });
-                                *cursor = Cursor::Op(op_idx + 1);
-                            }
-                        }
+                    if adv.op_done {
+                        sim.emit_scope(|| TraceEvent::LayerEnd { t: sim.now(), op: op_idx as u32 });
+                        *cursor = Cursor::Op(op_idx + 1);
+                    }
+                    if adv.committed {
+                        return Ok(Step::Committed);
                     }
                 }
             }
@@ -480,15 +410,9 @@ impl<'m> Engine<'m> {
         let logits_buf = self.bufs.last().expect("at least one buffer");
         let fmt = *self.dm.buf_fmts.last().expect("formats");
         let logits: Vec<f32> = logits_buf.iter().map(|&q| fmt.dequantize(q)).collect();
-        let argmax = logits
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
         InferenceOutcome {
+            argmax: argmax(&logits),
             logits,
-            argmax,
             latency_s: sim.now(),
             power_cycles: sim.stats().power_cycles,
             jobs: self.counters.jobs,
@@ -528,38 +452,29 @@ impl GemmCursor {
     /// Builds the cursor for a GEMM op with the first strip gathered, or
     /// `None` when the op has no work (no spatial positions or a fully
     /// pruned-away weight matrix with no row blocks).
-    #[allow(clippy::too_many_arguments)]
     fn begin(
         dm: &DeployedModel,
         op_idx: usize,
-        layer_id: usize,
-        src: usize,
-        dst: usize,
-        dst_c_off: usize,
-        relu: bool,
+        op: LayerOp,
         bufs: &[Vec<i16>],
     ) -> Option<GemmCursor> {
-        let dl = &dm.layers[layer_id];
+        let dl = &dm.layers[op.layer_id];
         let plan = &dl.plan;
         if plan.n_spatial == 0 || plan.row_blocks() == 0 {
             return None;
         }
-        let geom = conv_geometry(dm, layer_id);
-        let in_fmt = dm.buf_fmts[src];
-        let out_fmt = dm.buf_fmts[dst];
+        let geom = conv_geometry(dm, op.layer_id);
+        let in_fmt = dm.buf_fmts[op.src];
+        let out_fmt = dm.buf_fmts[op.dst];
         let (in_frac, w_frac) = (in_fmt.frac_bits(), dl.bsr.format().frac_bits());
         let bias_shift = (in_frac + w_frac - dl.bias_fmt.frac_bits()) as u32;
         let strip = plan.tile.strip;
         let mut col = vec![0i16; plan.k * strip];
         let s_len = strip.min(plan.n_spatial);
-        gather_strip(&geom, &bufs[src], plan.k, 0, s_len, &mut col);
+        gather_strip(&geom, &bufs[op.src], plan.k, 0, s_len, &mut col);
         Some(GemmCursor {
             op_idx,
-            layer_id,
-            src,
-            dst,
-            dst_c_off,
-            relu,
+            op,
             geom,
             bias_shift,
             in_frac,
@@ -583,7 +498,7 @@ fn gemm_phase(
     gc: &mut GemmCursor,
     sim: &mut DeviceSim,
 ) -> Result<GemmAdvance, EngineError> {
-    let dl = &dm.layers[gc.layer_id];
+    let dl = &dm.layers[gc.op.layer_id];
     let plan = &dl.plan;
     let (br, bc) = (plan.tile.br, plan.tile.bc);
     let rows = plan.rows_in_block(gc.rb);
@@ -604,12 +519,12 @@ fn gemm_phase(
             sim.run_read(2 * rows)?; // bias fetch
             gc.tile.phase = TilePhase::Chunk;
             gc.tile.chunk_idx = 0;
-            Ok(GemmAdvance::NoCommit { op_done: false })
+            Ok(GemmAdvance::NO_COMMIT)
         }
         TilePhase::Chunk => {
             let Some((slot, cb)) = dl.bsr.row_blocks_iter(gc.rb).nth(gc.tile.chunk_idx) else {
                 gc.tile.phase = TilePhase::WriteBack;
-                return Ok(GemmAdvance::NoCommit { op_done: false });
+                return Ok(GemmAdvance::NO_COMMIT);
             };
             let block = dl.bsr.block(slot);
             let cols = bc.min(plan.k - cb * bc);
@@ -637,110 +552,73 @@ fn gemm_phase(
                         preserve_bytes: 4 * rows * s_len + FOOTPRINT_BYTES,
                         cpu_cycles: rows + 8,
                     };
-                    commit_job(dl, sim, mode, read_bytes, cost, counters)?;
-                    counters.jobs += 1;
+                    let retries = &mut counters.retries;
+                    commit_job(sim, read_bytes, cost, dl.recovery_bytes(), dl.layer_id, retries)?;
                     counters.partials += (rows * s_len) as u64;
                 }
                 ExecMode::TileAtomic | ExecMode::Continuous => {
                     sim.run_read(read_bytes)?;
                     let cost = JobCost { lea_macs: macs, preserve_bytes: 0, cpu_cycles: rows + 8 };
                     match sim.run_job(cost)? {
-                        Commit::Committed => counters.jobs += 1,
-                        Commit::PowerFailed => {
-                            if mode == ExecMode::Continuous {
-                                return Err(EngineError::PowerLostInContinuousMode);
-                            }
-                            // task-atomic: volatile accumulators are gone;
-                            // re-read the loop indices and redo the tile
-                            sim.recover(16)?;
-                            counters.retries += 1;
-                            gc.tile.retries += 1;
-                            if gc.tile.retries > MAX_RETRIES_PER_JOB {
-                                let span = dl.bsr.row_blocks_iter(gc.rb).count() as u64 + 1;
-                                return Err(EngineError::NoProgress {
-                                    layer: dl.layer_id,
-                                    tile_jobs: span,
-                                });
-                            }
-                            let keep = gc.tile.retries;
-                            gc.tile = TileCursor::enter();
-                            gc.tile.retries = keep;
-                            return Ok(GemmAdvance::NoCommit { op_done: false });
+                        Commit::Committed => {}
+                        Commit::PowerFailed if mode == ExecMode::Continuous => {
+                            return Err(EngineError::PowerLostInContinuousMode);
                         }
+                        Commit::PowerFailed => return restart_tile(dl, gc, counters, sim),
                     }
                 }
             }
+            counters.jobs += 1;
             gc.tile.scratch = work;
             gc.tile.chunk_idx += 1;
-            Ok(GemmAdvance::Committed { op_done: false })
+            Ok(GemmAdvance { committed: true, op_done: false })
         }
         TilePhase::WriteBack => {
             // write-back: requantize + ReLU + store the i16 outputs
             let mut outputs = vec![0i16; rows * s_len];
             for (i, &acc) in gc.tile.scratch.iter().enumerate() {
                 let mut v = requantize(acc, gc.in_frac, gc.w_frac, gc.out_fmt.frac_bits());
-                if gc.relu && v < 0 {
+                if gc.op.relu && v < 0 {
                     v = 0;
                 }
                 outputs[i] = v;
             }
             let out_bytes = 2 * rows * s_len;
-            let mut committed = true;
-            match mode {
+            let cost = JobCost {
+                lea_macs: 0,
+                preserve_bytes: out_bytes + FOOTPRINT_BYTES,
+                cpu_cycles: 2 * rows * s_len,
+            };
+            let committed = match mode {
                 ExecMode::Intermittent => {
-                    let cost = JobCost {
-                        lea_macs: 0,
-                        preserve_bytes: out_bytes + FOOTPRINT_BYTES,
-                        cpu_cycles: 2 * rows * s_len,
-                    };
-                    commit_job(dl, sim, mode, 0, cost, counters)?;
-                    counters.jobs += 1;
+                    let retries = &mut counters.retries;
+                    commit_job(sim, 0, cost, dl.recovery_bytes(), dl.layer_id, retries)?;
+                    true
                 }
-                ExecMode::TileAtomic => {
-                    let cost = JobCost {
-                        lea_macs: 0,
-                        preserve_bytes: out_bytes + FOOTPRINT_BYTES,
-                        cpu_cycles: 2 * rows * s_len,
-                    };
-                    match sim.run_job(cost)? {
-                        Commit::Committed => counters.jobs += 1,
-                        Commit::PowerFailed => {
-                            sim.recover(16)?;
-                            counters.retries += 1;
-                            gc.tile.retries += 1;
-                            if gc.tile.retries > MAX_RETRIES_PER_JOB {
-                                let span = dl.bsr.row_blocks_iter(gc.rb).count() as u64 + 1;
-                                return Err(EngineError::NoProgress {
-                                    layer: dl.layer_id,
-                                    tile_jobs: span,
-                                });
-                            }
-                            let keep = gc.tile.retries;
-                            gc.tile = TileCursor::enter();
-                            gc.tile.retries = keep;
-                            return Ok(GemmAdvance::NoCommit { op_done: false });
-                        }
-                    }
-                }
+                ExecMode::TileAtomic => match sim.run_job(cost)? {
+                    Commit::Committed => true,
+                    Commit::PowerFailed => return restart_tile(dl, gc, counters, sim),
+                },
                 ExecMode::Continuous => {
                     sim.run_cpu(2 * rows * s_len)?;
                     sim.run_write(out_bytes)?;
-                    committed = false;
+                    false
                 }
-            }
+            };
+            counters.jobs += committed as u64;
             let (rb, strip_start) = (gc.rb, gc.strip_start);
             sim.emit_scope(|| TraceEvent::TileCommit {
                 t: sim.now(),
                 rb: rb as u32,
                 strip: strip_start as u32,
             });
-            let dst = bufs[gc.dst].as_mut_slice();
+            let dst = bufs[gc.op.dst].as_mut_slice();
             for r in 0..rows {
                 for s in 0..s_len {
                     write_output(
                         &gc.geom,
                         dst,
-                        gc.dst_c_off,
+                        gc.op.dst_c_off,
                         gc.rb * br + r,
                         gc.strip_start + s,
                         outputs[r * s_len + s],
@@ -760,7 +638,7 @@ fn gemm_phase(
                     gc.s_len = plan.tile.strip.min(plan.n_spatial - gc.strip_start);
                     gather_strip(
                         &gc.geom,
-                        &bufs[gc.src],
+                        &bufs[gc.op.src],
                         plan.k,
                         gc.strip_start,
                         gc.s_len,
@@ -771,13 +649,28 @@ fn gemm_phase(
                     false
                 }
             };
-            if committed {
-                Ok(GemmAdvance::Committed { op_done })
-            } else {
-                Ok(GemmAdvance::NoCommit { op_done })
-            }
+            Ok(GemmAdvance { committed, op_done })
         }
     }
+}
+
+/// Task-atomic restart after a power failure: the volatile accumulators
+/// are gone, so re-read the loop indices and redo the whole tile.
+fn restart_tile(
+    dl: &DeployedLayer,
+    gc: &mut GemmCursor,
+    counters: &mut Counters,
+    sim: &mut DeviceSim,
+) -> Result<GemmAdvance, EngineError> {
+    sim.recover(16)?;
+    counters.retries += 1;
+    gc.tile.retries += 1;
+    if gc.tile.retries > MAX_RETRIES_PER_JOB {
+        let span = dl.bsr.row_blocks_iter(gc.rb).count() as u64 + 1;
+        return Err(EngineError::NoProgress { layer: dl.layer_id, tile_jobs: span });
+    }
+    gc.tile = TileCursor { retries: gc.tile.retries, ..TileCursor::enter() };
+    Ok(GemmAdvance::NO_COMMIT)
 }
 
 /// Human-readable label for one graph operation, used in layer scopes.
@@ -886,46 +779,40 @@ fn write_output(
     }
 }
 
-/// Issues the reads and the job, retrying through power failures in
-/// intermittent mode.
-fn commit_job(
-    dl: &DeployedLayer,
+/// Commits one job-granular accelerator job: issues its `read_bytes` input
+/// fetch and the job, and after each power failure recovers
+/// `recovery_bytes` of progress state, counts one in `retries`, and tries
+/// again. The intermittent engine and the fleet's workload replay commit
+/// every job here.
+///
+/// # Errors
+///
+/// [`EngineError::NoProgress`] for `layer` once one job has failed more
+/// than `MAX_RETRIES_PER_JOB` times; simulator errors propagate.
+#[inline]
+pub fn commit_job(
     sim: &mut DeviceSim,
-    mode: ExecMode,
     read_bytes: usize,
     cost: JobCost,
-    counters: &mut Counters,
+    recovery_bytes: usize,
+    layer: usize,
+    retries: &mut u64,
 ) -> Result<(), EngineError> {
-    let mut retries = 0u32;
+    let mut failed = 0u32;
     loop {
         sim.run_read(read_bytes)?;
         match sim.run_job(cost)? {
             Commit::Committed => return Ok(()),
             Commit::PowerFailed => {
-                if mode == ExecMode::Continuous {
-                    return Err(EngineError::PowerLostInContinuousMode);
-                }
-                sim.recover(dl.recovery_bytes())?;
-                counters.retries += 1;
-                retries += 1;
-                if retries > MAX_RETRIES_PER_JOB {
+                sim.recover(recovery_bytes)?;
+                *retries += 1;
+                failed += 1;
+                if failed > MAX_RETRIES_PER_JOB {
                     // job-granular commit: the atomic span is a single job
-                    return Err(EngineError::NoProgress { layer: dl.layer_id, tile_jobs: 1 });
+                    return Err(EngineError::NoProgress { layer, tile_jobs: 1 });
                 }
             }
         }
-    }
-}
-
-/// Borrow two distinct buffers mutably.
-fn split_bufs(bufs: &mut [Vec<i16>], src: usize, dst: usize) -> (&[i16], &mut [i16]) {
-    assert_ne!(src, dst, "graph ops must not read and write the same buffer");
-    if src < dst {
-        let (a, b) = bufs.split_at_mut(dst);
-        (&a[src], &mut b[0])
-    } else {
-        let (a, b) = bufs.split_at_mut(src);
-        (&b[0], &mut a[dst])
     }
 }
 
@@ -933,8 +820,8 @@ fn split_bufs(bufs: &mut [Vec<i16>], src: usize, dst: usize) -> (&[i16], &mut [i
 mod tests {
     use super::*;
     use crate::deploy::deploy;
-    use crate::graph_exec::run_graph_logits;
     use iprune_device::PowerStrength;
+    use iprune_models::graphref::run_graph_logits;
     use iprune_models::zoo::App;
 
     fn har_deployed() -> (DeployedModel, iprune_datasets::Dataset) {

@@ -4,26 +4,28 @@
 //! accelerator job at a time — faithful, but far too slow for sweeping
 //! accuracy over a model zoo. This module runs the *same* fixed-point
 //! arithmetic through the host integer GEMMs ([`iprune_tensor::qgemm`]):
-//! identical calibration, identical widened accumulation with the bias
-//! preloaded at accumulator scale, identical arithmetic-shift
-//! requantization, and identical integer pooling — so its logits are
-//! bit-equal to the device engine's, at the host's SIMD throughput.
+//! widened accumulation with the bias preloaded at accumulator scale,
+//! arithmetic-shift requantization, and integer pooling — so its logits
+//! are bit-equal to the device engine's, at the host's SIMD throughput.
 //!
-//! Two precisions share the flow:
+//! Two precisions share one quantizer ([`QModel::quantize`]) and one
+//! forward, a backend of the graph walk in [`crate::graphref`]:
 //!
 //! * **Q15** ([`QuantizedModel`]): i16 activations/weights, i16×i16→i64
 //!   accumulation — the format the paper's MSP430 deployment uses.
-//!   `IPRUNE_EVAL=q15` routes [`crate::train::evaluate`] through it.
+//!   `IPRUNE_EVAL=q15` routes [`crate::train::evaluate`] through it, and
+//!   `iprune-hawaii`'s `deploy` packs its layers for the device, so host
+//!   and device share calibration by construction.
 //! * **Q8** ([`Quantized8Model`]): i8 activations/weights, i8×i8→i32
 //!   wrapping accumulation with the bias preloaded as i32 at accumulator
 //!   scale (the standard int8 deployment convention). Half the memory
 //!   traffic and twice the SIMD lanes of Q15, at a larger quantization
 //!   error. `IPRUNE_EVAL=q8` routes evaluation through it.
 //!
-//! Calibration mirrors `iprune-hawaii`'s `deploy` step exactly: per-buffer
-//! ranges from the float reference executor ([`crate::graphref`]) over a
-//! handful of samples, shape-preserving ops pinned to their input format,
-//! and (for Q15) the bias format capped at the accumulator depth.
+//! Calibration takes per-buffer ranges from the float reference executor
+//! ([`crate::graphref::run_graph`]) over a handful of samples, pins
+//! shape-preserving ops to their input format, and sets each bias format
+//! by the precision's bias rule ([`Precision::bias`]).
 //!
 //! Both engines accept an [`ExecCtx`] (`forward_q15_with` /
 //! `forward_q8_with`) so hot paths — the serving loop, repeated
@@ -31,64 +33,161 @@
 //! reallocating per sample. The ctx-less entry points are thin wrappers
 //! over a throwaway context and are bitwise identical.
 
-use crate::arch::{GraphOp, ModelInfo, PrunableInfo, PrunableKind};
-use crate::graphref::run_graph;
+use crate::arch::{GraphOp, ModelInfo, PrunableKind};
+use crate::graphref::{run_graph, walk, Activation, LayerOp, Numerics};
 use crate::model::Model;
 use iprune_datasets::Dataset;
 use iprune_tensor::exec::ExecCtx;
+use iprune_tensor::metrics::argmax;
+use iprune_tensor::pack::{self, PackElem};
 use iprune_tensor::qgemm::{q15_gemm, q8_gemm};
-use iprune_tensor::quant::{Q8Format, QFormat, QTensor};
-use iprune_tensor::{pack, pool, Tensor};
+use iprune_tensor::quant::{Q8Format, QFormat};
+use iprune_tensor::Tensor;
+use std::fmt::Debug;
 
-/// Default number of calibration samples (matches the device deploy step).
+/// Default number of calibration samples (host engines and device deploy).
 pub const DEFAULT_CALIBRATION: usize = 8;
 
-/// One quantized prunable layer: dense i16 weights in GEMM row-major
-/// (`[m][k]`) plus the bias at its own format.
-#[derive(Debug, Clone)]
-struct QLayer {
-    w: Vec<i16>,
-    w_frac: u8,
-    bias: Vec<i16>,
-    bias_frac: u8,
-    m: usize,
-    k: usize,
+/// One integer precision of the host engine: its element, bias and format
+/// types, its bias rule, and its GEMM.
+pub trait Precision: Sized {
+    /// Activation and weight element.
+    type Elem: Activation + PackElem + Debug;
+    /// Bias element.
+    type Bias: Copy + Debug;
+    /// Power-of-two fixed-point format.
+    type Fmt: Copy + PartialEq + Debug;
+    /// The largest format that holds `max_abs` without saturation.
+    fn fmt(max_abs: f32) -> Self::Fmt;
+    /// Fractional bits of `fmt`.
+    fn frac(fmt: Self::Fmt) -> u8;
+    /// Quantizes one value.
+    fn quantize(fmt: Self::Fmt, v: f32) -> Self::Elem;
+    /// Dequantizes one value.
+    fn dequantize(fmt: Self::Fmt, q: Self::Elem) -> f32;
+    /// Quantizes a layer's bias for an accumulator with `acc_frac`
+    /// fractional bits; returns the values and their fractional bits.
+    fn bias(b: &Tensor, acc_frac: u8) -> (Vec<Self::Bias>, u8);
+    /// `c = requantize(w · x + bias)` over `n` columns of `x`, with
+    /// `(in_frac, out_frac)` the input and output activation formats and
+    /// an optional fused ReLU.
+    fn gemm(
+        ql: &QLayer<Self>,
+        x: &[Self::Elem],
+        c: &mut [Self::Elem],
+        n: usize,
+        fracs: (u8, u8),
+        relu: bool,
+    );
 }
 
-/// A model quantized for host Q15 inference.
+/// The 16-bit precision of the paper's device deployment.
 #[derive(Debug, Clone)]
-pub struct QuantizedModel {
-    info: ModelInfo,
-    layers: Vec<QLayer>,
-    buf_fmts: Vec<QFormat>,
-}
+pub enum Q15 {}
 
-/// The packing geometry of a conv prunable (one sample).
-fn conv_shape(p: &PrunableInfo) -> pack::ConvShape {
-    let (out_h, out_w) = p.out_hw();
-    match &p.kind {
-        PrunableKind::Conv { cin, kh, kw, stride, pad_h, pad_w, in_h, in_w, .. } => {
-            pack::ConvShape {
-                cin: *cin,
-                kh: *kh,
-                kw: *kw,
-                stride: *stride,
-                pad_h: *pad_h,
-                pad_w: *pad_w,
-                in_h: *in_h,
-                in_w: *in_w,
-                out_h,
-                out_w,
-            }
-        }
-        _ => unreachable!("conv op on non-conv layer"),
+/// The int8 deployment precision.
+#[derive(Debug, Clone)]
+pub enum Q8 {}
+
+impl Precision for Q15 {
+    type Elem = i16;
+    type Bias = i16;
+    type Fmt = QFormat;
+    fn fmt(max_abs: f32) -> QFormat {
+        QFormat::for_max_abs(max_abs)
+    }
+    fn frac(fmt: QFormat) -> u8 {
+        fmt.frac_bits()
+    }
+    fn quantize(fmt: QFormat, v: f32) -> i16 {
+        fmt.quantize(v)
+    }
+    fn dequantize(fmt: QFormat, q: i16) -> f32 {
+        fmt.dequantize(q)
+    }
+    /// The bias takes its own natural format, capped at the depth of the
+    /// accumulator it is added in.
+    fn bias(b: &Tensor, acc_frac: u8) -> (Vec<i16>, u8) {
+        let natural = QFormat::for_max_abs(b.max_abs().max(1e-6));
+        let fmt = QFormat::new(natural.frac_bits().min(acc_frac).min(15));
+        (b.data().iter().map(|&v| fmt.quantize(v)).collect(), fmt.frac_bits())
+    }
+    fn gemm(ql: &QLayer<Q15>, x: &[i16], c: &mut [i16], n: usize, fracs: (u8, u8), relu: bool) {
+        let (in_frac, out_frac) = fracs;
+        let bias_shift = (in_frac + ql.w_frac - ql.bias_frac) as u32;
+        q15_gemm(
+            &ql.w, x, &ql.bias, bias_shift, c, ql.m, ql.k, n, in_frac, ql.w_frac, out_frac, relu,
+        );
     }
 }
 
-impl QuantizedModel {
+impl Precision for Q8 {
+    type Elem = i8;
+    type Bias = i32;
+    type Fmt = Q8Format;
+    fn fmt(max_abs: f32) -> Q8Format {
+        Q8Format::for_max_abs(max_abs)
+    }
+    fn frac(fmt: Q8Format) -> u8 {
+        fmt.frac_bits()
+    }
+    fn quantize(fmt: Q8Format, v: f32) -> i8 {
+        fmt.quantize(v)
+    }
+    fn dequantize(fmt: Q8Format, q: i8) -> f32 {
+        fmt.dequantize(q)
+    }
+    /// The bias is preloaded as i32 at accumulator scale, so the GEMM adds
+    /// it without a shift.
+    fn bias(b: &Tensor, acc_frac: u8) -> (Vec<i32>, u8) {
+        let scale = (1i64 << acc_frac) as f64;
+        let q = |v: f32| (v as f64 * scale).round().clamp(i32::MIN as f64, i32::MAX as f64) as i32;
+        (b.data().iter().map(|&v| q(v)).collect(), acc_frac)
+    }
+    fn gemm(ql: &QLayer<Q8>, x: &[i8], c: &mut [i8], n: usize, fracs: (u8, u8), relu: bool) {
+        let (in_frac, out_frac) = fracs;
+        q8_gemm(&ql.w, x, &ql.bias, c, ql.m, ql.k, n, in_frac, ql.w_frac, out_frac, relu);
+    }
+}
+
+/// One quantized prunable layer: dense weights in GEMM row-major
+/// (`[m][k]`) plus the bias at its own scale.
+#[derive(Debug, Clone)]
+pub struct QLayer<P: Precision> {
+    /// Weights, `m × k` row-major.
+    pub w: Vec<P::Elem>,
+    /// Fractional bits of the weights.
+    pub w_frac: u8,
+    /// One bias per output feature.
+    pub bias: Vec<P::Bias>,
+    /// Fractional bits of the biases.
+    pub bias_frac: u8,
+    /// GEMM rows (output features).
+    pub m: usize,
+    /// GEMM depth (inputs per output).
+    pub k: usize,
+}
+
+/// A model quantized at precision `P` for host inference.
+#[derive(Debug, Clone)]
+pub struct QModel<P: Precision> {
+    info: ModelInfo,
+    layers: Vec<QLayer<P>>,
+    buf_fmts: Vec<P::Fmt>,
+}
+
+/// A model quantized for host Q15 inference.
+pub type QuantizedModel = QModel<Q15>;
+
+/// A model quantized for host int8 inference.
+pub type Quantized8Model = QModel<Q8>;
+
+impl<P: Precision> QModel<P> {
     /// Quantizes `model`, calibrating activation formats on up to `n_calib`
-    /// samples of `calib` — the same procedure as the device deployment, so
-    /// formats (and therefore logits) agree bitwise with the simulator.
+    /// samples of `calib`: per-buffer float-reference ranges, widened by
+    /// 10% headroom, with shape-preserving ops pinned to their input's
+    /// format so the engines copy and compare values without
+    /// requantization.
     ///
     /// # Panics
     ///
@@ -98,421 +197,169 @@ impl QuantizedModel {
         assert!(!calib.is_empty(), "calibration set must not be empty");
         let weights = model.extract_weights();
         let info = model.info.clone();
-        let buf_fmts = calibrate(&info, &weights, calib, n_calib, QFormat::for_max_abs);
+        let mut max_abs = vec![0.0f32; info.buffers.len()];
+        for i in 0..n_calib.min(calib.len()) {
+            for (m, buf) in max_abs.iter_mut().zip(run_graph(&info, &weights, &calib.sample(i))) {
+                for v in buf {
+                    *m = m.max(v.abs());
+                }
+            }
+        }
+        let mut buf_fmts: Vec<P::Fmt> = max_abs.iter().map(|&m| P::fmt(m * 1.1 + 1e-6)).collect();
+        // the buffer each prunable layer reads
+        let mut layer_src = vec![None; weights.len()];
+        for op in &info.graph {
+            match *op {
+                GraphOp::MaxPool { src, dst, .. }
+                | GraphOp::GlobalAvgPool { src, dst }
+                | GraphOp::Flatten { src, dst } => buf_fmts[dst] = buf_fmts[src],
+                GraphOp::Conv { layer_id, src, .. } | GraphOp::Fc { layer_id, src, .. } => {
+                    layer_src[layer_id] = Some(src)
+                }
+            }
+        }
 
-        let layers: Vec<QLayer> = weights
+        let layers = weights
             .iter()
             .map(|lw| {
-                let (m, k) = gemm_dims(&info.prunables[lw.layer_id]);
-                let qw = QTensor::quantize(&lw.w);
-                let in_fmt = input_fmt_of_layer(&info, lw.layer_id, &buf_fmts);
-                let acc_frac = in_fmt.frac_bits() + qw.format().frac_bits();
-                let natural = QFormat::for_max_abs(lw.b.max_abs().max(1e-6));
-                let bias_fmt = QFormat::new(natural.frac_bits().min(acc_frac).min(15));
-                let bias: Vec<i16> = lw.b.data().iter().map(|&v| bias_fmt.quantize(v)).collect();
+                let src = layer_src[lw.layer_id].expect("every prunable layer runs in the graph");
+                let w_fmt = P::fmt(lw.w.max_abs());
+                let w_frac = P::frac(w_fmt);
+                let (bias, bias_frac) = P::bias(&lw.b, P::frac(buf_fmts[src]) + w_frac);
+                let k = info.prunables[lw.layer_id].k_len();
                 QLayer {
-                    w: qw.data().to_vec(),
-                    w_frac: qw.format().frac_bits(),
+                    w: lw.w.data().iter().map(|&v| P::quantize(w_fmt, v)).collect(),
+                    w_frac,
                     bias,
-                    bias_frac: bias_fmt.frac_bits(),
-                    m,
+                    bias_frac,
+                    m: lw.w.numel() / k,
                     k,
                 }
             })
             .collect();
-
-        QuantizedModel { info, layers, buf_fmts }
+        QModel { info, layers, buf_fmts }
     }
 
     /// Fixed-point format of each activation buffer.
-    pub fn buf_fmts(&self) -> &[QFormat] {
+    pub fn buf_fmts(&self) -> &[P::Fmt] {
         &self.buf_fmts
     }
 
+    /// The structural description the model was quantized from.
+    pub fn info(&self) -> &ModelInfo {
+        &self.info
+    }
+
+    /// Quantized layers, indexed by layer id.
+    pub fn layers(&self) -> &[QLayer<P>] {
+        &self.layers
+    }
+
+    /// Runs one `[c, h, w]` sample, loaning scratch from `ctx`; returns
+    /// dequantized logits.
+    fn forward(&self, input: &Tensor, ctx: &mut ExecCtx) -> Vec<f32> {
+        let bufs = walk(&self.info, self, input, ctx);
+        let fmt = *self.buf_fmts.last().expect("formats");
+        let logits = bufs.last().expect("at least one buffer");
+        let logits = logits.iter().map(|&q| P::dequantize(fmt, q)).collect();
+        for buf in bufs {
+            P::Elem::put(ctx, buf);
+        }
+        logits
+    }
+
+    /// Top-1 accuracy on `ds`.
+    fn evaluate(&self, ds: &Dataset) -> f64 {
+        if ds.is_empty() {
+            return 0.0;
+        }
+        let mut ctx = ExecCtx::new();
+        let correct = (0..ds.len())
+            .filter(|&i| argmax(&self.forward(&ds.sample(i), &mut ctx)) == ds.labels()[i])
+            .count();
+        correct as f64 / ds.len() as f64
+    }
+}
+
+impl<P: Precision> Numerics for QModel<P> {
+    type Elem = P::Elem;
+
+    fn load_input(&self, input: &[f32], dst: &mut [P::Elem]) {
+        let fmt = self.buf_fmts[0];
+        for (d, &v) in dst.iter_mut().zip(input) {
+            *d = P::quantize(fmt, v);
+        }
+    }
+
+    fn layer(&self, op: &LayerOp, src: &[P::Elem], dst: &mut [P::Elem], ctx: &mut ExecCtx) {
+        let ql = &self.layers[op.layer_id];
+        let fracs = (P::frac(self.buf_fmts[op.src]), P::frac(self.buf_fmts[op.dst]));
+        let p = &self.info.prunables[op.layer_id];
+        match p.kind {
+            PrunableKind::Fc { .. } => {
+                P::gemm(ql, &src[..ql.k], &mut dst[..ql.m], 1, fracs, op.relu);
+            }
+            PrunableKind::Conv { cin, kh, kw, stride, pad_h, pad_w, in_h, in_w, .. } => {
+                let (out_h, out_w) = p.out_hw();
+                let s =
+                    pack::ConvShape { cin, kh, kw, stride, pad_h, pad_w, in_h, in_w, out_h, out_w };
+                let n = s.out_hw();
+                // transposed im2col: one k-contiguous patch per output
+                // position, zero-filled where the kernel hangs over the
+                // padding — identical to the device's gathered strips
+                let mut col = P::Elem::take(ctx, s.col_len());
+                pack::im2col_patches(&src[..s.in_len()], &s, &mut col);
+                // the destination rows are contiguous at the channel
+                // offset, so the GEMM writes the buffer slice directly
+                let c = &mut dst[op.dst_c_off * n..(op.dst_c_off + ql.m) * n];
+                P::gemm(ql, &col, c, n, fracs, op.relu);
+                P::Elem::put(ctx, col);
+            }
+        }
+    }
+}
+
+impl QModel<Q15> {
     /// Runs one `[c, h, w]` sample in device numerics; returns dequantized
     /// logits. Allocates a throwaway scratch context — prefer
     /// [`forward_q15_with`](Self::forward_q15_with) on hot paths.
     pub fn forward_q15(&self, input: &Tensor) -> Vec<f32> {
-        self.forward_q15_with(input, &mut ExecCtx::new())
+        self.forward(input, &mut ExecCtx::new())
     }
 
     /// Runs one sample, loaning activation and im2col scratch from `ctx`.
     /// Bitwise identical to [`forward_q15`](Self::forward_q15) with any
     /// context, fresh or recycled.
     pub fn forward_q15_with(&self, input: &Tensor, ctx: &mut ExecCtx) -> Vec<f32> {
-        let mut bufs: Vec<Vec<i16>> =
-            self.info.buffers.iter().map(|b| ctx.take_i16(b.numel())).collect();
-        assert_eq!(input.numel(), bufs[0].len(), "input size vs model input buffer");
-        let in_fmt = self.buf_fmts[0];
-        for (dst, &v) in bufs[0].iter_mut().zip(input.data()) {
-            *dst = in_fmt.quantize(v);
-        }
-
-        for op in &self.info.graph {
-            match op {
-                GraphOp::Conv { layer_id, src, dst, dst_c_off, relu } => {
-                    let ql = &self.layers[*layer_id];
-                    let s = conv_shape(&self.info.prunables[*layer_id]);
-                    let n = s.out_hw();
-                    let (src_buf, dst_buf) = split_bufs(&mut bufs, *src, *dst);
-                    // transposed im2col: one k-contiguous patch per output
-                    // position, zero-filled where the kernel hangs over the
-                    // padding — identical to the device's gathered strips.
-                    let mut col = ctx.take_i16(s.col_len());
-                    pack::im2col_patches(&src_buf[..s.in_len()], &s, &mut col);
-                    let (in_frac, out_frac) =
-                        (self.buf_fmts[*src].frac_bits(), self.buf_fmts[*dst].frac_bits());
-                    let bias_shift = (in_frac + ql.w_frac - ql.bias_frac) as u32;
-                    // the destination rows are contiguous at the channel
-                    // offset, so the GEMM writes the buffer slice directly
-                    let c_out = &mut dst_buf[dst_c_off * n..(dst_c_off + ql.m) * n];
-                    q15_gemm(
-                        &ql.w, &col, &ql.bias, bias_shift, c_out, ql.m, ql.k, n, in_frac,
-                        ql.w_frac, out_frac, *relu,
-                    );
-                    ctx.put_i16(col);
-                }
-                GraphOp::Fc { layer_id, src, dst, relu } => {
-                    let ql = &self.layers[*layer_id];
-                    let (src_buf, dst_buf) = split_bufs(&mut bufs, *src, *dst);
-                    let (in_frac, out_frac) =
-                        (self.buf_fmts[*src].frac_bits(), self.buf_fmts[*dst].frac_bits());
-                    let bias_shift = (in_frac + ql.w_frac - ql.bias_frac) as u32;
-                    q15_gemm(
-                        &ql.w,
-                        &src_buf[..ql.k],
-                        &ql.bias,
-                        bias_shift,
-                        &mut dst_buf[..ql.m],
-                        ql.m,
-                        ql.k,
-                        1,
-                        in_frac,
-                        ql.w_frac,
-                        out_frac,
-                        *relu,
-                    );
-                }
-                GraphOp::MaxPool { src, dst, kh, kw } => {
-                    let sdims = self.info.buffers[*src].dims.clone();
-                    let ddims = self.info.buffers[*dst].dims.clone();
-                    let (src_buf, dst_buf) = split_bufs(&mut bufs, *src, *dst);
-                    let (c, ih, iw) = (sdims[0], sdims[1], sdims[2]);
-                    let (oh, ow) = (ddims[1], ddims[2]);
-                    for ch in 0..c {
-                        pool::maxpool2d_i16(
-                            &src_buf[ch * ih * iw..(ch + 1) * ih * iw],
-                            ih,
-                            iw,
-                            *kh,
-                            *kw,
-                            &mut dst_buf[ch * oh * ow..(ch + 1) * oh * ow],
-                        );
-                    }
-                }
-                GraphOp::GlobalAvgPool { src, dst } => {
-                    let sdims = self.info.buffers[*src].dims.clone();
-                    let (src_buf, dst_buf) = split_bufs(&mut bufs, *src, *dst);
-                    let (c, h, w) = (sdims[0], sdims[1], sdims[2]);
-                    let hw = (h * w) as i64;
-                    for ch in 0..c {
-                        let sum: i64 =
-                            src_buf[ch * h * w..(ch + 1) * h * w].iter().map(|&v| v as i64).sum();
-                        let rounded =
-                            if sum >= 0 { (sum + hw / 2) / hw } else { (sum - hw / 2) / hw };
-                        dst_buf[ch] = rounded.clamp(i16::MIN as i64, i16::MAX as i64) as i16;
-                    }
-                }
-                GraphOp::Flatten { src, dst } => {
-                    let (src_buf, dst_buf) = split_bufs(&mut bufs, *src, *dst);
-                    dst_buf.copy_from_slice(src_buf);
-                }
-            }
-        }
-
-        let fmt = *self.buf_fmts.last().expect("formats");
-        let logits: Vec<f32> =
-            bufs.last().expect("at least one buffer").iter().map(|&q| fmt.dequantize(q)).collect();
-        for buf in bufs {
-            ctx.put_i16(buf);
-        }
-        logits
+        self.forward(input, ctx)
     }
 
     /// Top-1 accuracy of the Q15 engine on `ds` (same argmax tie-breaking
     /// as the float evaluator).
     pub fn evaluate_q15(&self, ds: &Dataset) -> f64 {
-        let mut ctx = ExecCtx::new();
-        evaluate_with(ds, |x| self.forward_q15_with(x, &mut ctx))
+        self.evaluate(ds)
     }
 }
 
-/// One int8 prunable layer: dense i8 weights in GEMM row-major (`[m][k]`)
-/// plus the bias preloaded as i32 at accumulator scale
-/// (`in_frac + w_frac` fractional bits) — the standard int8 deployment
-/// convention, so the GEMM adds it without a shift.
-#[derive(Debug, Clone)]
-struct Q8Layer {
-    w: Vec<i8>,
-    w_frac: u8,
-    bias: Vec<i32>,
-    m: usize,
-    k: usize,
-}
-
-/// A model quantized for host int8 inference.
-#[derive(Debug, Clone)]
-pub struct Quantized8Model {
-    info: ModelInfo,
-    layers: Vec<Q8Layer>,
-    buf_fmts: Vec<Q8Format>,
-}
-
-impl Quantized8Model {
-    /// Quantizes `model` to int8, calibrating activation formats on up to
-    /// `n_calib` samples of `calib` — the same flow as the Q15 deploy
-    /// (float reference ranges, shape-preserving ops pinned to their input
-    /// format), at i8 precision.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `calib` is empty or its sample shape differs from the
-    /// model input.
-    pub fn quantize(model: &mut Model, calib: &Dataset, n_calib: usize) -> Self {
-        assert!(!calib.is_empty(), "calibration set must not be empty");
-        let weights = model.extract_weights();
-        let info = model.info.clone();
-        let buf_fmts = calibrate(&info, &weights, calib, n_calib, Q8Format::for_max_abs);
-
-        let layers: Vec<Q8Layer> = weights
-            .iter()
-            .map(|lw| {
-                let (m, k) = gemm_dims(&info.prunables[lw.layer_id]);
-                let w_fmt = Q8Format::for_max_abs(lw.w.max_abs().max(1e-6));
-                let w: Vec<i8> = lw.w.data().iter().map(|&v| w_fmt.quantize(v)).collect();
-                let in_fmt = input_fmt_of_layer(&info, lw.layer_id, &buf_fmts);
-                let acc_frac = in_fmt.frac_bits() + w_fmt.frac_bits();
-                let scale = (1i64 << acc_frac) as f64;
-                let bias: Vec<i32> = lw
-                    .b
-                    .data()
-                    .iter()
-                    .map(|&v| {
-                        (v as f64 * scale).round().clamp(i32::MIN as f64, i32::MAX as f64) as i32
-                    })
-                    .collect();
-                Q8Layer { w, w_frac: w_fmt.frac_bits(), bias, m, k }
-            })
-            .collect();
-
-        Quantized8Model { info, layers, buf_fmts }
-    }
-
-    /// Fixed-point format of each activation buffer.
-    pub fn buf_fmts(&self) -> &[Q8Format] {
-        &self.buf_fmts
-    }
-
+impl QModel<Q8> {
     /// Runs one `[c, h, w]` sample in int8 numerics; returns dequantized
     /// logits. Allocates a throwaway scratch context — prefer
     /// [`forward_q8_with`](Self::forward_q8_with) on hot paths.
     pub fn forward_q8(&self, input: &Tensor) -> Vec<f32> {
-        self.forward_q8_with(input, &mut ExecCtx::new())
+        self.forward(input, &mut ExecCtx::new())
     }
 
     /// Runs one sample, loaning activation and im2col scratch from `ctx`.
     /// Bitwise identical to [`forward_q8`](Self::forward_q8) with any
     /// context, fresh or recycled.
     pub fn forward_q8_with(&self, input: &Tensor, ctx: &mut ExecCtx) -> Vec<f32> {
-        let mut bufs: Vec<Vec<i8>> =
-            self.info.buffers.iter().map(|b| ctx.take_i8(b.numel())).collect();
-        assert_eq!(input.numel(), bufs[0].len(), "input size vs model input buffer");
-        let in_fmt = self.buf_fmts[0];
-        for (dst, &v) in bufs[0].iter_mut().zip(input.data()) {
-            *dst = in_fmt.quantize(v);
-        }
-
-        for op in &self.info.graph {
-            match op {
-                GraphOp::Conv { layer_id, src, dst, dst_c_off, relu } => {
-                    let ql = &self.layers[*layer_id];
-                    let s = conv_shape(&self.info.prunables[*layer_id]);
-                    let n = s.out_hw();
-                    let (src_buf, dst_buf) = split_bufs(&mut bufs, *src, *dst);
-                    let mut col = ctx.take_i8(s.col_len());
-                    pack::im2col_patches(&src_buf[..s.in_len()], &s, &mut col);
-                    let (in_frac, out_frac) =
-                        (self.buf_fmts[*src].frac_bits(), self.buf_fmts[*dst].frac_bits());
-                    let c_out = &mut dst_buf[dst_c_off * n..(dst_c_off + ql.m) * n];
-                    q8_gemm(
-                        &ql.w, &col, &ql.bias, c_out, ql.m, ql.k, n, in_frac, ql.w_frac, out_frac,
-                        *relu,
-                    );
-                    ctx.put_i8(col);
-                }
-                GraphOp::Fc { layer_id, src, dst, relu } => {
-                    let ql = &self.layers[*layer_id];
-                    let (src_buf, dst_buf) = split_bufs(&mut bufs, *src, *dst);
-                    let (in_frac, out_frac) =
-                        (self.buf_fmts[*src].frac_bits(), self.buf_fmts[*dst].frac_bits());
-                    q8_gemm(
-                        &ql.w,
-                        &src_buf[..ql.k],
-                        &ql.bias,
-                        &mut dst_buf[..ql.m],
-                        ql.m,
-                        ql.k,
-                        1,
-                        in_frac,
-                        ql.w_frac,
-                        out_frac,
-                        *relu,
-                    );
-                }
-                GraphOp::MaxPool { src, dst, kh, kw } => {
-                    let sdims = self.info.buffers[*src].dims.clone();
-                    let ddims = self.info.buffers[*dst].dims.clone();
-                    let (src_buf, dst_buf) = split_bufs(&mut bufs, *src, *dst);
-                    let (c, ih, iw) = (sdims[0], sdims[1], sdims[2]);
-                    let (oh, ow) = (ddims[1], ddims[2]);
-                    for ch in 0..c {
-                        pool::maxpool2d_i8(
-                            &src_buf[ch * ih * iw..(ch + 1) * ih * iw],
-                            ih,
-                            iw,
-                            *kh,
-                            *kw,
-                            &mut dst_buf[ch * oh * ow..(ch + 1) * oh * ow],
-                        );
-                    }
-                }
-                GraphOp::GlobalAvgPool { src, dst } => {
-                    let sdims = self.info.buffers[*src].dims.clone();
-                    let (src_buf, dst_buf) = split_bufs(&mut bufs, *src, *dst);
-                    let (c, h, w) = (sdims[0], sdims[1], sdims[2]);
-                    let hw = (h * w) as i64;
-                    for ch in 0..c {
-                        let sum: i64 =
-                            src_buf[ch * h * w..(ch + 1) * h * w].iter().map(|&v| v as i64).sum();
-                        let rounded =
-                            if sum >= 0 { (sum + hw / 2) / hw } else { (sum - hw / 2) / hw };
-                        dst_buf[ch] = rounded.clamp(i8::MIN as i64, i8::MAX as i64) as i8;
-                    }
-                }
-                GraphOp::Flatten { src, dst } => {
-                    let (src_buf, dst_buf) = split_bufs(&mut bufs, *src, *dst);
-                    dst_buf.copy_from_slice(src_buf);
-                }
-            }
-        }
-
-        let fmt = *self.buf_fmts.last().expect("formats");
-        let logits: Vec<f32> =
-            bufs.last().expect("at least one buffer").iter().map(|&q| fmt.dequantize(q)).collect();
-        for buf in bufs {
-            ctx.put_i8(buf);
-        }
-        logits
+        self.forward(input, ctx)
     }
 
     /// Top-1 accuracy of the int8 engine on `ds` (same argmax tie-breaking
     /// as the float evaluator).
     pub fn evaluate_q8(&self, ds: &Dataset) -> f64 {
-        let mut ctx = ExecCtx::new();
-        evaluate_with(ds, |x| self.forward_q8_with(x, &mut ctx))
-    }
-}
-
-/// Per-buffer activation formats from float-reference ranges: `fmt_for`
-/// maps each buffer's calibrated `max_abs * 1.1 + 1e-6` to a format, then
-/// shape-preserving ops are pinned to their input's format.
-fn calibrate<F, Fmt: Copy>(
-    info: &ModelInfo,
-    weights: &[crate::model::LayerWeights],
-    calib: &Dataset,
-    n_calib: usize,
-    fmt_for: F,
-) -> Vec<Fmt>
-where
-    F: Fn(f32) -> Fmt,
-{
-    let mut max_abs = vec![0.0f32; info.buffers.len()];
-    for i in 0..n_calib.min(calib.len()) {
-        let bufs = run_graph(info, weights, &calib.sample(i));
-        for (m, buf) in max_abs.iter_mut().zip(bufs.iter()) {
-            for &v in buf {
-                *m = m.max(v.abs());
-            }
-        }
-    }
-    let mut buf_fmts: Vec<Fmt> = max_abs.iter().map(|&m| fmt_for(m * 1.1 + 1e-6)).collect();
-    for op in &info.graph {
-        match op {
-            GraphOp::MaxPool { src, dst, .. }
-            | GraphOp::GlobalAvgPool { src, dst }
-            | GraphOp::Flatten { src, dst } => buf_fmts[*dst] = buf_fmts[*src],
-            _ => {}
-        }
-    }
-    buf_fmts
-}
-
-/// GEMM dims `(m, k)` of a prunable layer.
-fn gemm_dims(p: &PrunableInfo) -> (usize, usize) {
-    match &p.kind {
-        PrunableKind::Conv { cin, cout, kh, kw, .. } => (*cout, cin * kh * kw),
-        PrunableKind::Fc { din, dout } => (*dout, *din),
-    }
-}
-
-/// Top-1 accuracy with the float evaluator's argmax tie-breaking.
-fn evaluate_with<F>(ds: &Dataset, mut forward: F) -> f64
-where
-    F: FnMut(&Tensor) -> Vec<f32>,
-{
-    if ds.is_empty() {
-        return 0.0;
-    }
-    let mut correct = 0usize;
-    for i in 0..ds.len() {
-        let logits = forward(&ds.sample(i));
-        let pred = logits
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(j, _)| j)
-            .unwrap_or(0);
-        if pred == ds.labels()[i] {
-            correct += 1;
-        }
-    }
-    correct as f64 / ds.len() as f64
-}
-
-/// The activation format of the buffer a prunable layer reads.
-fn input_fmt_of_layer<Fmt: Copy>(info: &ModelInfo, layer_id: usize, fmts: &[Fmt]) -> Fmt {
-    for op in &info.graph {
-        match op {
-            GraphOp::Conv { layer_id: l, src, .. } | GraphOp::Fc { layer_id: l, src, .. }
-                if *l == layer_id =>
-            {
-                return fmts[*src];
-            }
-            _ => {}
-        }
-    }
-    panic!("layer {layer_id} not found in graph");
-}
-
-/// Borrow two distinct buffers mutably.
-fn split_bufs<T>(bufs: &mut [Vec<T>], src: usize, dst: usize) -> (&[T], &mut [T]) {
-    assert_ne!(src, dst, "graph ops must not read and write the same buffer");
-    if src < dst {
-        let (a, b) = bufs.split_at_mut(dst);
-        (&a[src], &mut b[0])
-    } else {
-        let (a, b) = bufs.split_at_mut(src);
-        (&b[0], &mut a[dst])
+        self.evaluate(ds)
     }
 }
 

@@ -9,9 +9,10 @@
 //!    loads one immutable [`registry::LoadedVariant`] per
 //!    [`registry::VariantKey`] — `Arc`-shared weights + mask
 //!    `SparseIndex` strips, a cached integer [`registry::DispatchPlan`],
-//!    and Q15 calibration tables. Requests execute against the shared
-//!    state through per-request [`iprune_tensor::exec::ExecCtx`] scratch:
-//!    zero weight clones per request.
+//!    and Q15 calibration tables built on first Q15 use. Requests execute
+//!    against the shared state through per-request
+//!    [`iprune_tensor::exec::ExecCtx`] scratch: zero weight clones per
+//!    request.
 //! 2. **Front end** ([`server`]): a [`server::Server`] admits by deadline
 //!    (estimate = cached plan cost ⊔ rolling [`iprune_obs::agg::LogHist`]
 //!    p99, plus the round's queue backlog), walks the degrade ladder to a

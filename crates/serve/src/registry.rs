@@ -3,11 +3,11 @@
 //!
 //! A variant is built deterministically on first request: the app's model is
 //! constructed from its seeded initializer, pruned to the key's target
-//! density with per-layer magnitude masks, its layer dispatch plan (GEMM
-//! shapes, sparse-dispatch decisions, integer MAC costs) is cached, and the
-//! Q15 calibration tables are built once for device-numerics serving. After
-//! that the variant is immutable: any number of in-flight requests execute
-//! against the same weights through per-request
+//! density with per-layer magnitude masks, and its layer dispatch plan (GEMM
+//! shapes, sparse-dispatch decisions, integer MAC costs) is cached. Its Q15
+//! twin for device-numerics serving is calibrated on the first Q15 request
+//! only. After that the variant is immutable: any number of in-flight
+//! requests execute against the same weights through per-request
 //! [`iprune_tensor::exec::ExecCtx`] scratch — zero weight clones per
 //! request, which `tests/serving_determinism.rs` pins against the
 //! `tensor.weight_clones` counter.
@@ -204,35 +204,36 @@ impl DispatchPlan {
 }
 
 /// A loaded, immutable variant: `Arc`-shared model (params + mask
-/// `SparseIndex` strips), cached dispatch plan, and Q15 calibration tables.
+/// `SparseIndex` strips), cached dispatch plan, and a lazily built Q15 twin.
 pub struct LoadedVariant {
     /// The registry key this variant serves.
     pub key: VariantKey,
     /// The shared model; all requests execute against this one copy.
     pub model: Arc<Model>,
-    /// Q15-quantized twin (calibration tables + i16 weights) for
-    /// device-numerics serving, built once at load.
-    pub qmodel: Option<Arc<QuantizedModel>>,
     /// Cached execution plan.
     pub plan: DispatchPlan,
+    qmodel: OnceLock<QuantizedModel>,
 }
 
-/// Registry configuration.
-#[derive(Debug, Clone)]
-pub struct RegistryConfig {
-    /// Build the Q15 tables at load (costs one small calibration run).
-    pub quantize: bool,
-    /// Calibration samples for the Q15 tables.
-    pub calib_samples: usize,
-    /// Seed for the deterministic calibration subset.
-    pub calib_seed: u64,
-}
+/// Seed of the deterministic Q15 calibration subset.
+const CALIB_SEED: u64 = 0xCA_11B;
 
-impl Default for RegistryConfig {
-    fn default() -> Self {
-        Self { quantize: true, calib_samples: DEFAULT_CALIBRATION, calib_seed: 0xCA_11B }
+impl LoadedVariant {
+    /// The Q15-quantized twin (calibration tables + i16 weights) for
+    /// device-numerics serving. The first call calibrates it from one
+    /// clone of the shared model; f32 serving never builds it.
+    pub fn qmodel(&self) -> &QuantizedModel {
+        self.qmodel.get_or_init(|| {
+            let calib = self.key.app.dataset(DEFAULT_CALIBRATION, CALIB_SEED);
+            QuantizedModel::quantize(&mut Model::clone(&self.model), &calib, DEFAULT_CALIBRATION)
+        })
     }
 }
+
+/// Registry configuration. It has no settings: Q15 twins are built on
+/// first use.
+#[derive(Debug, Clone, Default)]
+pub struct RegistryConfig {}
 
 /// Lazily-loading registry of pruned model variants.
 ///
@@ -241,8 +242,13 @@ impl Default for RegistryConfig {
 /// (seeded initializers + magnitude masks), so two processes loading the
 /// same key hold bitwise-identical weights.
 pub struct ModelRegistry {
-    cfg: RegistryConfig,
-    slots: Mutex<HashMap<VariantKey, Arc<LoadedVariant>>>,
+    slots: Mutex<Slots>,
+}
+
+#[derive(Default)]
+struct Slots {
+    variants: HashMap<VariantKey, Arc<LoadedVariant>>,
+    loads: u64,
 }
 
 fn load_counter() -> &'static Arc<Counter> {
@@ -263,32 +269,38 @@ impl Default for ModelRegistry {
 
 impl ModelRegistry {
     /// Creates an empty registry.
-    pub fn new(cfg: RegistryConfig) -> Self {
-        Self { cfg, slots: Mutex::new(HashMap::new()) }
+    pub fn new(_cfg: RegistryConfig) -> Self {
+        Self { slots: Mutex::default() }
     }
 
     /// Returns the variant for `key`, building it on first use.
     pub fn get_or_load(&self, key: VariantKey) -> Arc<LoadedVariant> {
         let mut slots = self.slots.lock().expect("registry lock");
-        if let Some(v) = slots.get(&key) {
+        if let Some(v) = slots.variants.get(&key) {
             hit_counter().inc();
             return Arc::clone(v);
         }
         load_counter().inc();
-        let v = Arc::new(self.build(key));
-        slots.insert(key, Arc::clone(&v));
+        slots.loads += 1;
+        let v = Arc::new(Self::build(key));
+        slots.variants.insert(key, Arc::clone(&v));
         v
+    }
+
+    /// Variants this registry has built (each key at most once).
+    pub fn loads(&self) -> u64 {
+        self.slots.lock().expect("registry lock").loads
     }
 
     /// All loaded variants, sorted by key (deterministic report order).
     pub fn loaded(&self) -> Vec<Arc<LoadedVariant>> {
         let slots = self.slots.lock().expect("registry lock");
-        let mut out: Vec<Arc<LoadedVariant>> = slots.values().cloned().collect();
+        let mut out: Vec<Arc<LoadedVariant>> = slots.variants.values().cloned().collect();
         out.sort_by_key(|v| v.key.sort_key());
         out
     }
 
-    fn build(&self, key: VariantKey) -> LoadedVariant {
+    fn build(key: VariantKey) -> LoadedVariant {
         let mut model = key.app.build();
         let keep = key.keep_ppm();
         if keep < 1_000_000 {
@@ -297,14 +309,8 @@ impl ModelRegistry {
             let masks = model.block_magnitude_masks(keep);
             model.set_masks(&masks);
         }
-        let qmodel = if self.cfg.quantize {
-            let calib = key.app.dataset(self.cfg.calib_samples, self.cfg.calib_seed);
-            Some(Arc::new(QuantizedModel::quantize(&mut model, &calib, self.cfg.calib_samples)))
-        } else {
-            None
-        };
         let plan = DispatchPlan::of(&model);
-        LoadedVariant { key, model: Arc::new(model), qmodel, plan }
+        LoadedVariant { key, model: Arc::new(model), plan, qmodel: OnceLock::new() }
     }
 }
 
@@ -342,18 +348,33 @@ mod tests {
     fn registry_loads_once_and_shares() {
         let reg = ModelRegistry::default();
         let key = VariantKey::new(App::Har, DeviceProfile::Nominal, PowerStrength::Strong);
-        let loads0 = load_counter().get();
         let a = reg.get_or_load(key);
         let b = reg.get_or_load(key);
         assert!(Arc::ptr_eq(&a, &b), "same Arc for the same key");
-        assert_eq!(load_counter().get() - loads0, 1, "one load, then hits");
+        assert_eq!(reg.loads(), 1, "one load, then hits");
         assert!(a.plan.cost < a.plan.dense_macs, "pruned variant costs less than dense");
-        assert!(a.qmodel.is_some(), "Q15 tables built at load");
+        assert!(a.qmodel.get().is_none(), "no Q15 twin before the first Q15 use");
+        assert!(std::ptr::eq(a.qmodel(), b.qmodel()), "one Q15 twin per variant");
+    }
+
+    /// The lazily built twin is the quantizer's output on the registry's
+    /// calibration set, bit for bit.
+    #[test]
+    fn lazy_q15_twin_matches_direct_quantization() {
+        let reg = ModelRegistry::default();
+        let v =
+            reg.get_or_load(VariantKey::new(App::Cks, DeviceProfile::Nominal, PowerStrength::Weak));
+        let calib = App::Cks.dataset(DEFAULT_CALIBRATION, CALIB_SEED);
+        let mut model = Model::clone(&v.model);
+        let direct = QuantizedModel::quantize(&mut model, &calib, DEFAULT_CALIBRATION);
+        let x = calib.sample(0);
+        let bits = |l: Vec<f32>| l.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(v.qmodel().forward_q15(&x)), bits(direct.forward_q15(&x)));
     }
 
     #[test]
     fn plan_costs_follow_density() {
-        let reg = ModelRegistry::new(RegistryConfig { quantize: false, ..Default::default() });
+        let reg = ModelRegistry::default();
         let strong = reg.get_or_load(VariantKey::new(
             App::Har,
             DeviceProfile::Nominal,

@@ -14,7 +14,7 @@ use crate::registry::{LoadedVariant, ModelRegistry, VariantKey};
 use iprune_obs::agg::{LogHist, StreamStat};
 use iprune_obs::metrics::{self, Counter, Histogram};
 use iprune_tensor::exec::ExecCtx;
-use iprune_tensor::metrics::argmax_rows;
+use iprune_tensor::metrics::{argmax, argmax_rows};
 use iprune_tensor::{par, Tensor};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -92,8 +92,10 @@ pub struct ServeConfig {
     /// Walk the degrade ladder (weaker-power = sparser variant) before
     /// rejecting.
     pub degrade: bool,
-    /// Serve through the Q15 calibration tables (device numerics) instead
-    /// of the f32 path. Requires variants loaded with quantization.
+    /// Serve through each variant's Q15 twin (device numerics), built on
+    /// its first Q15 request, instead of the f32 path. That request's
+    /// batch time includes the calibration; call
+    /// [`LoadedVariant::qmodel`] beforehand to keep it out of timings.
     pub q15: bool,
 }
 
@@ -401,9 +403,8 @@ impl Server {
             let ri = adm.req_idx;
             let t0 = Instant::now();
             let (logits, pred) = if self.cfg.q15 {
-                let q = adm.variant.qmodel.as_ref().expect("q15 serving needs quantized variant");
-                let l = q.forward_q15_with(&requests[ri].input, &mut ctx);
-                let pred = argmax_slice(&l);
+                let l = adm.variant.qmodel().forward_q15_with(&requests[ri].input, &mut ctx);
+                let pred = argmax(&l);
                 (l, pred)
             } else {
                 let out = adm.variant.model.infer(&requests[ri].input, &mut ctx);
@@ -429,13 +430,13 @@ fn run_batch<'a>(
     let inputs: Vec<&Tensor> = inputs.collect();
     assert!(!inputs.is_empty(), "empty batch");
     if q15 {
-        let q = variant.qmodel.as_ref().expect("q15 serving needs quantized variant");
+        let q = variant.qmodel();
         let mut ctx = ExecCtx::new();
         let mut logits = Vec::new();
         let mut preds = Vec::new();
         for x in &inputs {
             let l = q.forward_q15_with(x, &mut ctx);
-            preds.push(argmax_slice(&l));
+            preds.push(argmax(&l));
             logits.extend_from_slice(&l);
         }
         (logits, preds)
@@ -457,20 +458,10 @@ fn run_batch<'a>(
     }
 }
 
-fn argmax_slice(v: &[f32]) -> usize {
-    let mut best = 0;
-    for (i, &x) in v.iter().enumerate() {
-        if x > v[best] {
-            best = i;
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::{DeviceProfile, RegistryConfig};
+    use crate::registry::DeviceProfile;
     use iprune_device::power::PowerStrength;
     use iprune_models::App;
 
@@ -480,7 +471,7 @@ mod tests {
     }
 
     fn test_registry() -> Arc<ModelRegistry> {
-        Arc::new(ModelRegistry::new(RegistryConfig { quantize: false, ..Default::default() }))
+        Arc::new(ModelRegistry::default())
     }
 
     #[test]

@@ -2,19 +2,21 @@
 
 use crate::Tensor;
 
+/// Index of the maximum logit; the last one among tied maxima (0 when
+/// empty). Every evaluator and server picks its prediction here, so
+/// accuracy figures and served predictions break ties alike.
+pub fn argmax(logits: &[f32]) -> usize {
+    logits
+        .iter()
+        .enumerate()
+        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+        .map_or(0, |(i, _)| i)
+}
+
 /// Index of the maximum logit per row of a `[N, classes]` tensor.
 pub fn argmax_rows(logits: &Tensor) -> Vec<usize> {
     let (n, c) = (logits.dims()[0], logits.dims()[1]);
-    (0..n)
-        .map(|s| {
-            let row = &logits.data()[s * c..(s + 1) * c];
-            row.iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                .map(|(i, _)| i)
-                .unwrap_or(0)
-        })
-        .collect()
+    (0..n).map(|s| argmax(&logits.data()[s * c..(s + 1) * c])).collect()
 }
 
 /// Fraction of rows whose argmax equals the target label.
@@ -158,6 +160,14 @@ mod tests {
     fn argmax_picks_largest() {
         let t = Tensor::from_vec(&[2, 3], vec![0.1, 0.9, 0.0, 5.0, -1.0, 2.0]);
         assert_eq!(argmax_rows(&t), vec![1, 0]);
+    }
+
+    #[test]
+    fn argmax_breaks_ties_toward_the_last_maximum() {
+        assert_eq!(argmax(&[0.5, 1.0, 1.0, 0.25]), 2);
+        let t = Tensor::from_vec(&[1, 4], vec![0.5, 1.0, 1.0, 0.25]);
+        assert_eq!(argmax_rows(&t), vec![2]);
+        assert_eq!(argmax(&[]), 0);
     }
 
     #[test]

@@ -314,6 +314,22 @@ pub fn maxpool2d_i8(src: &[i8], h: usize, w: usize, kh: usize, kw: usize, dst: &
     }
 }
 
+/// Integer global average of one plane: the i64 sum divided by the plane
+/// length, rounded half away from zero. The rounded mean of values of one
+/// integer type always lies within that type's range, so the narrowing
+/// cannot fail. The host Q15/Q8 engines and the device engine all pool
+/// through this function.
+///
+/// # Panics
+///
+/// Panics if `plane` is empty.
+pub fn global_avg_int<T: Copy + Into<i64> + TryFrom<i64>>(plane: &[T]) -> T {
+    let hw = plane.len() as i64;
+    let sum: i64 = plane.iter().map(|&v| v.into()).sum();
+    let rounded = if sum >= 0 { (sum + hw / 2) / hw } else { (sum - hw / 2) / hw };
+    T::try_from(rounded).ok().expect("a plane mean fits its element type")
+}
+
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     //! AVX2 pooling bodies. Every `unsafe fn` requires `avx2` (checked by
@@ -653,5 +669,15 @@ mod tests {
                 assert_eq!(db[j], expect, "{kh}x{kw} at {j}");
             }
         }
+    }
+
+    #[test]
+    fn global_avg_rounds_half_away_from_zero_within_range() {
+        assert_eq!(global_avg_int(&[1i16, 2]), 2);
+        assert_eq!(global_avg_int(&[-1i16, -2]), -2);
+        assert_eq!(global_avg_int(&[1i16, 1, 2]), 1);
+        assert_eq!(global_avg_int(&[i16::MAX; 3]), i16::MAX);
+        assert_eq!(global_avg_int(&[i16::MIN; 3]), i16::MIN);
+        assert_eq!(global_avg_int(&[i8::MIN, i8::MIN, i8::MAX]), -43);
     }
 }

@@ -79,8 +79,8 @@ fn bench_entries(
 /// the CI smoke entry point.
 fn run_serve(args: &[String]) -> ExitCode {
     use iprune_repro::serve::{
-        DeviceProfile, ExecMode as ServeMode, ModelRegistry, RegistryConfig, Request, ServeConfig,
-        Server, VariantKey,
+        DeviceProfile, ExecMode as ServeMode, ModelRegistry, Request, ServeConfig, Server,
+        VariantKey,
     };
     use std::sync::Arc;
 
@@ -133,8 +133,7 @@ fn run_serve(args: &[String]) -> ExitCode {
     }
     let q15 = has_flag(args, "--q15");
 
-    let registry =
-        Arc::new(ModelRegistry::new(RegistryConfig { quantize: q15, ..Default::default() }));
+    let registry = Arc::new(ModelRegistry::default());
     let keys: Vec<VariantKey> = match app {
         Some(app) => vec![VariantKey::new(app, profile, power)],
         None => {
@@ -147,11 +146,15 @@ fn run_serve(args: &[String]) -> ExitCode {
             keys
         }
     };
-    // warm every degrade rung so timings measure serving, not lazy builds
+    // warm every degrade rung (and its Q15 twin when serving Q15) so
+    // timings measure serving, not lazy builds
     for &key in &keys {
         let mut rung = Some(key);
         while let Some(k) = rung {
-            registry.get_or_load(k);
+            let v = registry.get_or_load(k);
+            if q15 {
+                v.qmodel();
+            }
             rung = k.degraded();
         }
     }

@@ -25,7 +25,7 @@ fn splitmix(mut z: u64) -> u64 {
 }
 
 fn registry() -> Arc<ModelRegistry> {
-    Arc::new(ModelRegistry::new(RegistryConfig { quantize: false, ..Default::default() }))
+    Arc::new(ModelRegistry::new(RegistryConfig::default()))
 }
 
 /// A small mixed workload with enough deadline pressure to exercise all
