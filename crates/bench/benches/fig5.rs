@@ -11,6 +11,7 @@
 //! Reuses `table3`'s cached checkpoints when present (run table3 first for
 //! identical models); otherwise it runs the pipelines itself.
 
+use iprune_bench::cache::cache_dir;
 use iprune_bench::{run_all_apps, sweep_supplies, Scale};
 use iprune_device::power::Supply;
 use iprune_device::DeviceSim;
@@ -40,7 +41,7 @@ fn main() {
     println!("Figure 5 — Intermittent inference latency (seconds; {})", scale.describe_run());
     println!("================================================================");
     // the three app pipelines run concurrently; rows print in app order
-    for results in run_all_apps(&scale, true) {
+    for results in run_all_apps(&scale, true, &cache_dir()) {
         let app = results.app;
         let x = results.val.sample(0);
         println!();

@@ -736,14 +736,12 @@ struct PipelineRow {
 /// same work.
 fn time_pipeline(workers: usize) -> f64 {
     let dir = std::env::temp_dir().join(format!("iprune_perf_{}_{}", std::process::id(), workers));
-    std::env::set_var("IPRUNE_CACHE_DIR", &dir);
     par::set_threads(workers);
     let t0 = Instant::now();
-    let results = run_app_pipelines(App::Har, &SMOKE, false);
+    let results = run_app_pipelines(App::Har, &SMOKE, false, &dir);
     let wall_s = t0.elapsed().as_secs_f64();
     assert_eq!(results.variants.len(), 3);
     par::set_threads(0);
-    std::env::remove_var("IPRUNE_CACHE_DIR");
     let _ = std::fs::remove_dir_all(dir);
     wall_s
 }

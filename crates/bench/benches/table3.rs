@@ -7,6 +7,7 @@
 //! `target/iprune_cache/`.
 
 use iprune::report::quantized_accuracy;
+use iprune_bench::cache::cache_dir;
 use iprune_bench::{run_all_apps, Scale, Variant};
 use iprune_models::zoo::App;
 
@@ -34,7 +35,7 @@ fn main() {
         "App", "Model", "Acc(f32)", "Acc(q15)", "Size", "MACs", "Acc.Outputs"
     );
     // the three app pipelines run concurrently; rows print in app order
-    for results in run_all_apps(&scale, true) {
+    for results in run_all_apps(&scale, true, &cache_dir()) {
         let app = results.app;
         for vr in &results.variants {
             let qacc = quantized_accuracy(&vr.deployed, &results.val, scale.quant_eval);

@@ -3,7 +3,9 @@
 //! `table3` performs the expensive train → iteratively-prune pipelines;
 //! `fig5` (and re-runs) can reload the resulting weights instead of
 //! repeating them. The format is a minimal little-endian binary checkpoint
-//! (no extra dependencies), keyed by app, variant, and scale.
+//! (no extra dependencies), keyed by app, variant, and scale. Every
+//! function takes the cache directory explicitly: the bench entry points
+//! read [`cache_dir`] once, and tests pass their own directories.
 
 use iprune_models::{LayerWeights, Model};
 use iprune_tensor::Tensor;
@@ -30,7 +32,8 @@ pub fn workspace_root() -> PathBuf {
     manifest.to_path_buf()
 }
 
-/// Directory where checkpoints live.
+/// The default checkpoint directory: `IPRUNE_CACHE_DIR` when set, else
+/// `target/iprune_cache` under the workspace root.
 pub fn cache_dir() -> PathBuf {
     match std::env::var("IPRUNE_CACHE_DIR") {
         Ok(dir) => PathBuf::from(dir),
@@ -38,9 +41,9 @@ pub fn cache_dir() -> PathBuf {
     }
 }
 
-/// Path of one checkpoint.
-pub fn checkpoint_path(app: &str, variant: &str, scale: &str) -> PathBuf {
-    cache_dir().join(format!("{app}_{variant}_{scale}.ckpt"))
+/// Path of one checkpoint in `dir`.
+pub fn checkpoint_path(dir: &Path, app: &str, variant: &str, scale: &str) -> PathBuf {
+    dir.join(format!("{app}_{variant}_{scale}.ckpt"))
 }
 
 fn write_tensor(w: &mut impl Write, t: &Tensor) -> io::Result<()> {
@@ -76,14 +79,20 @@ fn read_tensor(r: &mut impl Read) -> io::Result<Tensor> {
     Ok(Tensor::from_vec(&dims, data))
 }
 
-/// Saves a model's weights to the cache.
+/// Saves a model's weights to the cache in `dir`.
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors.
-pub fn save(model: &mut Model, app: &str, variant: &str, scale: &str) -> io::Result<()> {
-    fs::create_dir_all(cache_dir())?;
-    let path = checkpoint_path(app, variant, scale);
+pub fn save(
+    dir: &Path,
+    model: &mut Model,
+    app: &str,
+    variant: &str,
+    scale: &str,
+) -> io::Result<()> {
+    fs::create_dir_all(dir)?;
+    let path = checkpoint_path(dir, app, variant, scale);
     let mut out: Vec<u8> = Vec::new();
     out.write_all(MAGIC)?;
     let weights = model.extract_weights();
@@ -96,10 +105,11 @@ pub fn save(model: &mut Model, app: &str, variant: &str, scale: &str) -> io::Res
     fs::write(path, out)
 }
 
-/// Loads cached weights into a freshly-built model. Returns `false` (and
-/// leaves the model untouched) when no valid checkpoint exists.
-pub fn load(model: &mut Model, app: &str, variant: &str, scale: &str) -> bool {
-    let path = checkpoint_path(app, variant, scale);
+/// Loads cached weights from `dir` into a freshly-built model. Returns
+/// `false` (and leaves the model untouched) when no valid checkpoint
+/// exists.
+pub fn load(dir: &Path, model: &mut Model, app: &str, variant: &str, scale: &str) -> bool {
+    let path = checkpoint_path(dir, app, variant, scale);
     let Ok(bytes) = fs::read(&path) else {
         return false;
     };
@@ -141,8 +151,6 @@ mod tests {
 
     #[test]
     fn cache_dir_defaults_under_workspace_target() {
-        // The round-trip test may have IPRUNE_CACHE_DIR set concurrently, so
-        // probe the env-free branch directly.
         let default = workspace_root().join("target").join("iprune_cache");
         assert!(default.ends_with("target/iprune_cache"));
         if std::env::var("IPRUNE_CACHE_DIR").is_err() {
@@ -153,7 +161,6 @@ mod tests {
     #[test]
     fn save_load_roundtrip() {
         let dir = std::env::temp_dir().join(format!("iprune_cache_test_{}", std::process::id()));
-        std::env::set_var("IPRUNE_CACHE_DIR", &dir);
         let mut m = App::Har.build();
         // mutate a weight so the roundtrip is meaningful
         use iprune_tensor::layer::Layer;
@@ -163,9 +170,10 @@ mod tests {
                 p.value.data_mut()[1] = 0.0;
             }
         });
-        save(&mut m, "HAR", "test", "smoke").unwrap();
+        save(&dir, &mut m, "HAR", "test", "smoke").unwrap();
+        assert!(checkpoint_path(&dir, "HAR", "test", "smoke").is_file());
         let mut fresh = App::Har.build();
-        assert!(load(&mut fresh, "HAR", "test", "smoke"));
+        assert!(load(&dir, &mut fresh, "HAR", "test", "smoke"));
         let a = m.extract_weights();
         let b = fresh.extract_weights();
         for (x, y) in a.iter().zip(b.iter()) {
@@ -174,8 +182,7 @@ mod tests {
         }
         // zero weights stay pruned after load
         assert!(fresh.extract_weights()[0].w.data()[1] == 0.0);
-        assert!(!load(&mut fresh, "HAR", "missing", "smoke"));
+        assert!(!load(&dir, &mut fresh, "HAR", "missing", "smoke"));
         let _ = std::fs::remove_dir_all(dir);
-        std::env::remove_var("IPRUNE_CACHE_DIR");
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! For each app: train the model, run the iPrune and ePrune iterative
 //! pruning pipelines, characterize all three variants (plus the deployed
-//! quantized models), and checkpoint the weights for reuse.
+//! quantized models), and checkpoint the weights for reuse in a cache
+//! directory the caller names.
 
 use crate::cache;
 use crate::scale::Scale;
@@ -15,6 +16,7 @@ use iprune_models::train::train_sgd;
 use iprune_models::zoo::App;
 use iprune_models::Model;
 use iprune_obs::log_info;
+use std::path::Path;
 
 /// The three model variants of the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,12 +82,17 @@ fn prune_config(app: App, variant: Variant, scale: &Scale) -> PruneConfig {
     }
 }
 
-/// Trains the base model (or loads it from the cache).
-pub fn trained_model(app: App, scale: &Scale, log: bool) -> (Model, Dataset, Dataset) {
+/// Trains the base model (or loads it from the cache in `cache_dir`).
+pub fn trained_model(
+    app: App,
+    scale: &Scale,
+    log: bool,
+    cache_dir: &Path,
+) -> (Model, Dataset, Dataset) {
     let train = app.dataset(scale.train_for(app), 1000 + app_seed(app));
     let val = app.dataset(scale.val_n, 2000 + app_seed(app));
     let mut model = app.build();
-    if cache::load(&mut model, app.name(), "base", scale.name) {
+    if cache::load(cache_dir, &mut model, app.name(), "base", scale.name) {
         if log {
             log_info!(app.name(), "loaded cached base model");
         }
@@ -102,7 +109,7 @@ pub fn trained_model(app: App, scale: &Scale, log: bool) -> (Model, Dataset, Dat
         );
     }
     train_sgd(&mut model, &train, &recipe);
-    let _ = cache::save(&mut model, app.name(), "base", scale.name);
+    let _ = cache::save(cache_dir, &mut model, app.name(), "base", scale.name);
     (model, train, val)
 }
 
@@ -114,10 +121,10 @@ fn app_seed(app: App) -> u64 {
     }
 }
 
-/// Runs (or reloads) the full pipeline for one app: base training plus both
-/// pruning frameworks, characterizing every variant.
-pub fn run_app_pipelines(app: App, scale: &Scale, log: bool) -> AppResults {
-    let (mut base, train, val) = trained_model(app, scale, log);
+/// Runs (or reloads from `cache_dir`) the full pipeline for one app: base
+/// training plus both pruning frameworks, characterizing every variant.
+pub fn run_app_pipelines(app: App, scale: &Scale, log: bool, cache_dir: &Path) -> AppResults {
+    let (mut base, train, val) = trained_model(app, scale, log, cache_dir);
     let mut variants = Vec::new();
 
     for variant in Variant::all() {
@@ -129,7 +136,7 @@ pub fn run_app_pipelines(app: App, scale: &Scale, log: bool) -> AppResults {
             }
             _ => {
                 let vname = variant.label();
-                if cache::load(&mut model, app.name(), vname, scale.name) {
+                if cache::load(cache_dir, &mut model, app.name(), vname, scale.name) {
                     if log {
                         log_info!(app.name(), "loaded cached {} model", vname);
                     }
@@ -160,7 +167,7 @@ pub fn run_app_pipelines(app: App, scale: &Scale, log: bool) -> AppResults {
                             report.baseline_accuracy
                         );
                     }
-                    let _ = cache::save(&mut model, app.name(), vname, scale.name);
+                    let _ = cache::save(cache_dir, &mut model, app.name(), vname, scale.name);
                     Some(report)
                 }
             }
@@ -180,9 +187,9 @@ pub fn run_app_pipelines(app: App, scale: &Scale, log: bool) -> AppResults {
 /// [`App::all`] order and each app's pipeline is identical to a standalone
 /// [`run_app_pipelines`] call (apps share nothing but the cache directory,
 /// and each app writes distinct checkpoint files).
-pub fn run_all_apps(scale: &Scale, log: bool) -> Vec<AppResults> {
+pub fn run_all_apps(scale: &Scale, log: bool, cache_dir: &Path) -> Vec<AppResults> {
     let apps = App::all();
-    iprune_tensor::par::par_map(apps.len(), |i| run_app_pipelines(apps[i], scale, log))
+    iprune_tensor::par::par_map(apps.len(), |i| run_app_pipelines(apps[i], scale, log, cache_dir))
 }
 
 #[cfg(test)]
@@ -193,17 +200,19 @@ mod tests {
     #[test]
     fn smoke_pipeline_runs_har_end_to_end() {
         let dir = std::env::temp_dir().join(format!("iprune_pipe_test_{}", std::process::id()));
-        std::env::set_var("IPRUNE_CACHE_DIR", &dir);
-        let results = run_app_pipelines(App::Har, &SMOKE, false);
+        let results = run_app_pipelines(App::Har, &SMOKE, false, &dir);
         assert_eq!(results.variants.len(), 3);
         let unpruned = &results.variants[0];
         let ipr = &results.variants[2];
         assert!(ipr.ch.acc_outputs <= unpruned.ch.acc_outputs);
         assert!(ipr.ch.size_bytes <= unpruned.ch.size_bytes);
+        // the checkpoints land in the test's own directory
+        for variant in ["base", "ePrune", "iPrune"] {
+            assert!(crate::cache::checkpoint_path(&dir, "HAR", variant, SMOKE.name).is_file());
+        }
         // cache hit on second run
-        let again = run_app_pipelines(App::Har, &SMOKE, false);
+        let again = run_app_pipelines(App::Har, &SMOKE, false, &dir);
         assert_eq!(again.variants[2].ch.acc_outputs, ipr.ch.acc_outputs);
         let _ = std::fs::remove_dir_all(dir);
-        std::env::remove_var("IPRUNE_CACHE_DIR");
     }
 }

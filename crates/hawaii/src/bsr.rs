@@ -134,6 +134,14 @@ impl BsrMatrix {
             .map(move |s| (s as usize, self.col_idx[s as usize] as usize))
     }
 
+    /// The `i`-th stored block of block-row `rb` as `(slot, block_col)`, or
+    /// `None` past the row's end. O(1): the same pair as
+    /// `row_blocks_iter(rb).nth(i)` without walking the row.
+    pub fn row_block(&self, rb: usize, i: usize) -> Option<(usize, usize)> {
+        let slot = self.row_ptr[rb] as usize + i;
+        (slot < self.row_ptr[rb + 1] as usize).then(|| (slot, self.col_idx[slot] as usize))
+    }
+
     /// The values of stored block `slot` (`br*bc`, row-major).
     pub fn block(&self, slot: usize) -> &[i16] {
         &self.blocks[slot * self.br * self.bc..(slot + 1) * self.br * self.bc]
@@ -250,6 +258,29 @@ mod tests {
                 .collect();
             let bsr = BsrMatrix::from_dense(&dense, rows, cols, br, bc, fmt());
             prop_assert_eq!(bsr.to_dense(), dense);
+        }
+
+        #[test]
+        fn row_block_matches_row_iteration(
+            rows in 1usize..12,
+            cols in 1usize..12,
+            br in 1usize..4,
+            bc in 1usize..4,
+            seed in 0u64..1000,
+        ) {
+            let dense: Vec<i16> = (0..rows * cols)
+                .map(|i| {
+                    let h = (i as u64).wrapping_mul(0x9E37_79B9).wrapping_add(seed);
+                    if h % 3 == 0 { ((h >> 8) % 50) as i16 + 1 } else { 0 }
+                })
+                .collect();
+            let bsr = BsrMatrix::from_dense(&dense, rows, cols, br, bc, fmt());
+            for rb in 0..bsr.block_rows() {
+                // every stored block, then one past the end
+                for i in 0..=bsr.row_nnz(rb) {
+                    prop_assert_eq!(bsr.row_block(rb, i), bsr.row_blocks_iter(rb).nth(i));
+                }
+            }
         }
 
         #[test]

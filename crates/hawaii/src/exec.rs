@@ -31,6 +31,8 @@ use iprune_models::arch::{GraphOp, PrunableKind};
 use iprune_models::graphref::{flatten, global_avg_pool, max_pool, LayerOp};
 use iprune_obs::TraceEvent;
 use iprune_tensor::metrics::argmax;
+use iprune_tensor::pack::valid_range;
+use iprune_tensor::qgemm::q15_block_acc;
 use iprune_tensor::quant::{requantize, QFormat};
 use iprune_tensor::Tensor;
 use std::error::Error;
@@ -155,7 +157,8 @@ struct TileCursor {
     phase: TilePhase,
     /// Index into the row block's non-zero chunk sequence.
     chunk_idx: usize,
-    /// i64 accumulators (bias + committed chunks so far).
+    /// i64 accumulators (bias + committed chunks so far); empty at
+    /// [`TilePhase::Enter`].
     scratch: Vec<i64>,
     /// Tile re-execution count (task-atomic livelock guard).
     retries: u32,
@@ -164,6 +167,15 @@ struct TileCursor {
 impl TileCursor {
     fn enter() -> Self {
         TileCursor { phase: TilePhase::Enter, chunk_idx: 0, scratch: Vec::new(), retries: 0 }
+    }
+
+    /// Back to [`TilePhase::Enter`] with `retries`, keeping the accumulator
+    /// allocation for the next tile.
+    fn reenter(&mut self, retries: u32) {
+        self.phase = TilePhase::Enter;
+        self.chunk_idx = 0;
+        self.scratch.clear();
+        self.retries = retries;
     }
 }
 
@@ -513,36 +525,21 @@ fn gemm_phase(
                 strip: strip_start as u32,
             });
             // bias goes into the accumulators before the first chunk
-            gc.tile.scratch = (0..rows * s_len)
-                .map(|i| (dl.bias[gc.rb * br + i / s_len] as i64) << gc.bias_shift)
-                .collect();
+            for &b in &dl.bias[gc.rb * br..gc.rb * br + rows] {
+                let preload = (b as i64) << gc.bias_shift;
+                gc.tile.scratch.extend(std::iter::repeat_n(preload, s_len));
+            }
             sim.run_read(2 * rows)?; // bias fetch
             gc.tile.phase = TilePhase::Chunk;
             gc.tile.chunk_idx = 0;
             Ok(GemmAdvance::NO_COMMIT)
         }
         TilePhase::Chunk => {
-            let Some((slot, cb)) = dl.bsr.row_blocks_iter(gc.rb).nth(gc.tile.chunk_idx) else {
+            let Some((slot, cb)) = dl.bsr.row_block(gc.rb, gc.tile.chunk_idx) else {
                 gc.tile.phase = TilePhase::WriteBack;
                 return Ok(GemmAdvance::NO_COMMIT);
             };
-            let block = dl.bsr.block(slot);
             let cols = bc.min(plan.k - cb * bc);
-            // functional compute (identical on every retry)
-            let mut work = gc.tile.scratch.clone();
-            for r in 0..rows {
-                let wrow = &block[r * bc..r * bc + cols];
-                for (c, &wv) in wrow.iter().enumerate() {
-                    if wv == 0 {
-                        continue;
-                    }
-                    let xrow = &gc.col[(cb * bc + c) * s_len..(cb * bc + c) * s_len + s_len];
-                    let acc = &mut work[r * s_len..(r + 1) * s_len];
-                    for (a, &xv) in acc.iter_mut().zip(xrow.iter()) {
-                        *a += (wv as i64) * (xv as i64);
-                    }
-                }
-            }
             let read_bytes = 2 * br * bc + 4 + 2 * cols * s_len;
             let macs = rows * bc * s_len;
             match mode {
@@ -569,20 +566,17 @@ fn gemm_phase(
                 }
             }
             counters.jobs += 1;
-            gc.tile.scratch = work;
+            // The accumulators change only once the job has committed: a
+            // restart or an error returned above with `scratch` untouched,
+            // and the arithmetic is deterministic, so computing after the
+            // commit gives the same bits as computing before it.
+            let x = &gc.col[cb * bc * s_len..(cb * bc + cols) * s_len];
+            let block = dl.bsr.block(slot);
+            q15_block_acc(block, x, &mut gc.tile.scratch, rows, cols, s_len, bc);
             gc.tile.chunk_idx += 1;
             Ok(GemmAdvance { committed: true, op_done: false })
         }
         TilePhase::WriteBack => {
-            // write-back: requantize + ReLU + store the i16 outputs
-            let mut outputs = vec![0i16; rows * s_len];
-            for (i, &acc) in gc.tile.scratch.iter().enumerate() {
-                let mut v = requantize(acc, gc.in_frac, gc.w_frac, gc.out_fmt.frac_bits());
-                if gc.op.relu && v < 0 {
-                    v = 0;
-                }
-                outputs[i] = v;
-            }
             let out_bytes = 2 * rows * s_len;
             let cost = JobCost {
                 lea_macs: 0,
@@ -612,23 +606,21 @@ fn gemm_phase(
                 rb: rb as u32,
                 strip: strip_start as u32,
             });
+            // requantize + ReLU each output row into its contiguous run of
+            // the destination: `[dst_c_off + row][strip_start..][..s_len]`
+            let out_frac = gc.out_fmt.frac_bits();
             let dst = bufs[gc.op.dst].as_mut_slice();
-            for r in 0..rows {
-                for s in 0..s_len {
-                    write_output(
-                        &gc.geom,
-                        dst,
-                        gc.op.dst_c_off,
-                        gc.rb * br + r,
-                        gc.strip_start + s,
-                        outputs[r * s_len + s],
-                    );
+            for (r, accs) in gc.tile.scratch.chunks_exact(s_len).enumerate() {
+                let start = (gc.op.dst_c_off + gc.rb * br + r) * plan.n_spatial + gc.strip_start;
+                for (out, &acc) in dst[start..start + s_len].iter_mut().zip(accs) {
+                    let v = requantize(acc, gc.in_frac, gc.w_frac, out_frac);
+                    *out = if gc.op.relu && v < 0 { 0 } else { v };
                 }
             }
             // advance: next row block, else next strip, else op done
             gc.rb += 1;
             let op_done = if gc.rb < plan.row_blocks() {
-                gc.tile = TileCursor::enter();
+                gc.tile.reenter(0);
                 false
             } else {
                 gc.strip_start += gc.s_len;
@@ -645,7 +637,7 @@ fn gemm_phase(
                         &mut gc.col,
                     );
                     gc.rb = 0;
-                    gc.tile = TileCursor::enter();
+                    gc.tile.reenter(0);
                     false
                 }
             };
@@ -664,12 +656,12 @@ fn restart_tile(
 ) -> Result<GemmAdvance, EngineError> {
     sim.recover(16)?;
     counters.retries += 1;
-    gc.tile.retries += 1;
-    if gc.tile.retries > MAX_RETRIES_PER_JOB {
-        let span = dl.bsr.row_blocks_iter(gc.rb).count() as u64 + 1;
+    let retries = gc.tile.retries + 1;
+    if retries > MAX_RETRIES_PER_JOB {
+        let span = dl.bsr.row_nnz(gc.rb) as u64 + 1;
         return Err(EngineError::NoProgress { layer: dl.layer_id, tile_jobs: span });
     }
-    gc.tile = TileCursor { retries: gc.tile.retries, ..TileCursor::enter() };
+    gc.tile.reenter(retries);
     Ok(GemmAdvance::NO_COMMIT)
 }
 
@@ -723,7 +715,10 @@ fn conv_geometry(dm: &DeployedModel, layer_id: usize) -> Geometry {
 }
 
 /// Builds the im2col strip `[k][s_len]` for positions
-/// `[strip_start, strip_start + s_len)`.
+/// `[strip_start, strip_start + s_len)`, one strip row per `(c, ky, kx)`.
+/// The strip starts as zero padding. Each row is then walked by output-row
+/// runs; a run copies in the input values of the positions that
+/// `tensor::pack`'s [`valid_range`] brackets on both axes, `stride` apart.
 fn gather_strip(
     geom: &Geometry,
     src: &[i16],
@@ -732,49 +727,36 @@ fn gather_strip(
     s_len: usize,
     out: &mut [i16],
 ) {
-    match geom {
-        Geometry::Fc => {
-            debug_assert_eq!(s_len, 1);
-            out[..k].copy_from_slice(&src[..k]);
-        }
-        Geometry::Conv { kh, kw, stride, pad_h, pad_w, in_h, in_w, oh: _, ow } => {
-            let khw = kh * kw;
-            for ki in 0..k {
-                let c = ki / khw;
-                let rem = ki % khw;
-                let ky = rem / kw;
-                let kx = rem % kw;
-                for s in 0..s_len {
-                    let pos = strip_start + s;
-                    let oy = pos / ow;
-                    let ox = pos % ow;
-                    let iy = (oy * stride + ky) as isize - *pad_h as isize;
-                    let ix = (ox * stride + kx) as isize - *pad_w as isize;
-                    out[ki * s_len + s] =
-                        if iy < 0 || iy >= *in_h as isize || ix < 0 || ix >= *in_w as isize {
-                            0
-                        } else {
-                            src[(c * in_h + iy as usize) * in_w + ix as usize]
-                        };
+    let Geometry::Conv { kh, kw, stride, pad_h, pad_w, in_h, in_w, oh, ow } = *geom else {
+        debug_assert_eq!(s_len, 1);
+        out[..k].copy_from_slice(&src[..k]);
+        return;
+    };
+    let khw = kh * kw;
+    let strip = &mut out[..k * s_len];
+    strip.fill(0);
+    for (ki, row) in strip.chunks_exact_mut(s_len).enumerate() {
+        let (c, ky, kx) = (ki / khw, ki % khw / kw, ki % kw);
+        let (ylo, yhi) = valid_range(oh, stride, ky, pad_h, in_h);
+        let (xlo, xhi) = valid_range(ow, stride, kx, pad_w, in_w);
+        // the run covers output columns [ox0, ox0 + len) of output row oy,
+        // of which [a, b) read inside the input
+        let (mut oy, mut ox0, mut done) = (strip_start / ow, strip_start % ow, 0);
+        while done < s_len {
+            let len = (ow - ox0).min(s_len - done);
+            let (a, b) = (xlo.clamp(ox0, ox0 + len), xhi.clamp(ox0, ox0 + len));
+            if (ylo..yhi).contains(&oy) && a < b {
+                let i0 = (c * in_h + oy * stride + ky - pad_h) * in_w + a * stride + kx - pad_w;
+                let inside = &mut row[done + a - ox0..done + b - ox0];
+                if stride == 1 {
+                    inside.copy_from_slice(&src[i0..i0 + (b - a)]);
+                } else {
+                    for (d, &v) in inside.iter_mut().zip(src[i0..].iter().step_by(stride)) {
+                        *d = v;
+                    }
                 }
             }
-        }
-    }
-}
-
-/// Writes one output value to the destination buffer.
-fn write_output(
-    geom: &Geometry,
-    dst: &mut [i16],
-    dst_c_off: usize,
-    m_index: usize,
-    pos: usize,
-    value: i16,
-) {
-    match geom {
-        Geometry::Fc => dst[m_index] = value,
-        Geometry::Conv { oh, ow, .. } => {
-            dst[(dst_c_off + m_index) * oh * ow + pos] = value;
+            (oy, ox0, done) = (oy + 1, 0, done + len);
         }
     }
 }

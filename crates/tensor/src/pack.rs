@@ -159,9 +159,10 @@ fn im2col_f32_scalar_body(src: &[f32], s: &ConvShape, col: &mut [f32]) {
 
 /// The valid output-position range `[lo, hi)` along one axis: positions `o`
 /// with `0 <= o*stride + koff - pad < extent`. Pure integer arithmetic —
-/// this is the run decomposition that replaces the per-element checks.
+/// this is the run decomposition that replaces the per-element checks (in
+/// this module's bodies and in the device engine's strip gather).
 #[inline]
-fn valid_range(
+pub fn valid_range(
     out: usize,
     stride: usize,
     koff: usize,

@@ -25,6 +25,12 @@
 //! `i16::MIN`, so the precondition holds structurally on the evaluation
 //! path; the dispatched entry debug-asserts it.
 //!
+//! The device engine's accelerator jobs run on [`q15_block_acc`], which
+//! accumulates one BSR weight block into a strip of i64 accumulators. Its
+//! scalar spec ([`q15_block_acc_scalar`]) is the engine's per-job loop; its
+//! AVX2 body pairs two reduction columns per `_mm256_madd_epi16` and is
+//! bitwise equal to the spec under the same precondition on the block.
+//!
 //! The int8 deployment tier ([`q8_gemm`]) shares the operand layout but
 //! accumulates i8×i8 products in a *wrapping* i32 with the bias preloaded
 //! at accumulator scale; its SIMD body is bitwise-equal to the scalar spec
@@ -121,6 +127,114 @@ fn q15_gemm_body(
                 v = 0;
             }
             c[i * n + j] = v;
+        }
+    }
+}
+
+/// Q15 block accumulate dispatched on the process SIMD level: the
+/// arithmetic of one device-engine accelerator job,
+///
+/// `acc[r*s_len + s] += Σ_{c<cols} block[r*bc + c] * x[c*s_len + s]`
+///
+/// for `r < rows`, `s < s_len`, every product widened to i64. `block` is
+/// one stored BSR weight block, row-major with row stride `bc`, of which
+/// the first `cols <= bc` columns are used; `x` is the block's `cols` rows
+/// of the im2col strip (`[cols][s_len]`); `acc` holds the tile's
+/// accumulators (`[rows][s_len]`). The engine accumulates job by job
+/// because its accumulators are preserved partial state between jobs.
+///
+/// Bitwise equal to [`q15_block_acc_scalar`] under [`q15_gemm`]'s
+/// precondition: the block holds no `i16::MIN` (see module docs).
+///
+/// # Panics
+///
+/// Panics if `cols > bc` or the slice lengths are inconsistent with
+/// `(rows, cols, s_len, bc)`. Debug builds additionally assert the
+/// no-`i16::MIN` precondition on `block`.
+pub fn q15_block_acc(
+    block: &[i16],
+    x: &[i16],
+    acc: &mut [i64],
+    rows: usize,
+    cols: usize,
+    s_len: usize,
+    bc: usize,
+) {
+    debug_assert!(
+        !block.contains(&i16::MIN),
+        "q15_block_acc block contains i16::MIN; SIMD madd exactness not guaranteed"
+    );
+    let use_avx2 = simd::simd_level() == SimdLevel::Avx2;
+    q15_block_acc_body(block, x, acc, rows, cols, s_len, bc, use_avx2);
+}
+
+/// Scalar-spec Q15 block accumulate: the device engine's per-job loop,
+/// one i64 product per nonzero weight and position, identical at any SIMD
+/// dispatch level.
+///
+/// # Panics
+///
+/// Panics if `cols > bc` or the slice lengths are inconsistent with
+/// `(rows, cols, s_len, bc)`.
+pub fn q15_block_acc_scalar(
+    block: &[i16],
+    x: &[i16],
+    acc: &mut [i64],
+    rows: usize,
+    cols: usize,
+    s_len: usize,
+    bc: usize,
+) {
+    q15_block_acc_body(block, x, acc, rows, cols, s_len, bc, false);
+}
+
+#[allow(clippy::too_many_arguments)]
+fn q15_block_acc_body(
+    block: &[i16],
+    x: &[i16],
+    acc: &mut [i64],
+    rows: usize,
+    cols: usize,
+    s_len: usize,
+    bc: usize,
+    use_avx2: bool,
+) {
+    assert!(cols <= bc, "block columns exceed the block width");
+    assert!(rows == 0 || block.len() >= (rows - 1) * bc + cols, "block length");
+    assert_eq!(x.len(), cols * s_len, "strip length");
+    assert_eq!(acc.len(), rows * s_len, "accumulator length");
+    #[cfg(target_arch = "x86_64")]
+    {
+        if use_avx2 {
+            // SAFETY: the dispatch level only reports Avx2 on CPUs with
+            // avx2; the slice geometry is asserted above.
+            unsafe {
+                simd::avx2::q15_block_acc(
+                    block.as_ptr(),
+                    x.as_ptr(),
+                    acc.as_mut_ptr(),
+                    rows,
+                    cols,
+                    s_len,
+                    bc,
+                );
+            }
+            return;
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = use_avx2;
+    for r in 0..rows {
+        let wrow = &block[r * bc..r * bc + cols];
+        let acc_row = &mut acc[r * s_len..(r + 1) * s_len];
+        for (c, &wv) in wrow.iter().enumerate() {
+            if wv == 0 {
+                continue;
+            }
+            let xrow = &x[c * s_len..(c + 1) * s_len];
+            for (a, &xv) in acc_row.iter_mut().zip(xrow.iter()) {
+                *a += (wv as i64) * (xv as i64);
+            }
         }
     }
 }
@@ -325,6 +439,42 @@ mod tests {
             q15_gemm_body(&a, &b, &bias, 7, &mut c_ref, m, k, n, 13, 14, 12, true, false);
             q15_gemm_body(&a, &b, &bias, 7, &mut c_simd, m, k, n, 13, 14, 12, true, true);
             assert_eq!(c_ref, c_simd, "{m}x{k}x{n}");
+        }
+    }
+
+    #[test]
+    fn block_acc_matches_naive_triple_loop() {
+        let mut next = xorshift(0x0b10_cacc);
+        for &(rows, cols, bc, s_len) in &[
+            (1usize, 1usize, 1usize, 1usize),
+            (8, 3, 4, 9),
+            (16, 2, 2, 1),
+            (5, 4, 5, 64),
+            (3, 1, 3, 17),
+        ] {
+            let mut block = weights(rows * bc, &mut next);
+            block[0] = 0;
+            let x: Vec<i16> = (0..cols * s_len).map(|_| next() as i16).collect();
+            let start: Vec<i64> = (0..rows * s_len).map(|_| (next() as i64) >> 20).collect();
+            let mut expect = start.clone();
+            for r in 0..rows {
+                for s in 0..s_len {
+                    for c in 0..cols {
+                        expect[r * s_len + s] += block[r * bc + c] as i64 * x[c * s_len + s] as i64;
+                    }
+                }
+            }
+            let mut spec = start.clone();
+            q15_block_acc_scalar(&block, &x, &mut spec, rows, cols, s_len, bc);
+            assert_eq!(spec, expect, "spec {rows}x{cols} bc {bc} s_len {s_len}");
+            let mut got = start.clone();
+            q15_block_acc(&block, &x, &mut got, rows, cols, s_len, bc);
+            assert_eq!(got, expect, "dispatched {rows}x{cols} bc {bc} s_len {s_len}");
+            if simd::avx2_supported() {
+                let mut simd = start;
+                q15_block_acc_body(&block, &x, &mut simd, rows, cols, s_len, bc, true);
+                assert_eq!(simd, expect, "avx2 {rows}x{cols} bc {bc} s_len {s_len}");
+            }
         }
     }
 

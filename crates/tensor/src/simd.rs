@@ -55,6 +55,9 @@
 //! scalar spec provided one operand never holds `i16::MIN` (then no i32
 //! pair can wrap); quantized weights produced by
 //! [`crate::quant::QFormat::for_max_abs`] satisfy this by construction.
+//! The device engine's block kernel ([`crate::qgemm::q15_block_acc`]) uses
+//! the same pair sum over two reduction columns of one weight block, under
+//! the same precondition on the block.
 //!
 //! # Q8 integer GEMM
 //!
@@ -538,6 +541,92 @@ pub(crate) mod avx2 {
             acc += (*a.add(q) as i32 * *b.add(q) as i32) as i64;
         }
         acc
+    }
+
+    /// Two weights `(w0, w1)` as the i32 lane pattern `_mm256_madd_epi16`
+    /// pairs against interleaved `(x0[s], x1[s])` activations.
+    #[inline]
+    fn weight_pair(w0: i16, w1: i16) -> i32 {
+        (w0 as u16 as u32 | (w1 as u16 as u32) << 16) as i32
+    }
+
+    /// Q15 block accumulate, one device-engine accelerator job:
+    /// `acc[r*s_len + s] += Σ_{c<cols} block[r*bc + c] * x[c*s_len + s]`.
+    /// Reduction columns go in pairs: the two weights broadcast as one i32
+    /// lane pattern, the two `x` rows interleaved by `unpack{lo,hi}_epi16`,
+    /// so one `_mm256_madd_epi16` yields `w0*x0[s] + w1*x1[s]` per position,
+    /// which is exact in i32 when the block holds no `i16::MIN` (see module
+    /// docs). Each pair sum is widened to i64 and added to sixteen
+    /// register-resident accumulators per row; an odd last column pairs
+    /// with a zero weight, and an all-zero pair is skipped. Positions past
+    /// the last multiple of 16 take the scalar tail.
+    /// Exactly equal to `qgemm::q15_block_acc_scalar` under that
+    /// precondition: every product lands in the same i64 sum.
+    ///
+    /// # Safety
+    ///
+    /// Requires avx2; `block` must hold `(rows - 1) * bc + cols` elements,
+    /// `x` `cols * s_len`, and `acc` `rows * s_len`.
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn q15_block_acc(
+        block: *const i16,
+        x: *const i16,
+        acc: *mut i64,
+        rows: usize,
+        cols: usize,
+        s_len: usize,
+        bc: usize,
+    ) {
+        let s16 = s_len & !15;
+        for r in 0..rows {
+            let w = block.add(r * bc);
+            let a = acc.add(r * s_len);
+            // column pairs (c, c + 1); an odd last column pairs with itself
+            // under a zero second weight
+            let pair = |c: usize| {
+                let c1 = if c + 1 < cols { c + 1 } else { c };
+                let w1 = if c + 1 < cols { *w.add(c + 1) } else { 0 };
+                (*w.add(c), w1, x.add(c * s_len), x.add(c1 * s_len))
+            };
+            for s in (0..s16).step_by(16) {
+                let mut v = [
+                    _mm256_loadu_si256(a.add(s) as *const __m256i),
+                    _mm256_loadu_si256(a.add(s + 4) as *const __m256i),
+                    _mm256_loadu_si256(a.add(s + 8) as *const __m256i),
+                    _mm256_loadu_si256(a.add(s + 12) as *const __m256i),
+                ];
+                for c in (0..cols).step_by(2) {
+                    let (w0, w1, x0, x1) = pair(c);
+                    if w0 == 0 && w1 == 0 {
+                        continue;
+                    }
+                    let wp = _mm256_set1_epi32(weight_pair(w0, w1));
+                    let xa = _mm256_loadu_si256(x0.add(s) as *const __m256i);
+                    let xb = _mm256_loadu_si256(x1.add(s) as *const __m256i);
+                    // i32 sums: lo = s0..3 | s8..11, hi = s4..7 | s12..15
+                    let lo = _mm256_madd_epi16(_mm256_unpacklo_epi16(xa, xb), wp);
+                    let hi = _mm256_madd_epi16(_mm256_unpackhi_epi16(xa, xb), wp);
+                    let (lo_a, lo_b) =
+                        (_mm256_castsi256_si128(lo), _mm256_extracti128_si256(lo, 1));
+                    let (hi_a, hi_b) =
+                        (_mm256_castsi256_si128(hi), _mm256_extracti128_si256(hi, 1));
+                    v[0] = _mm256_add_epi64(v[0], _mm256_cvtepi32_epi64(lo_a));
+                    v[1] = _mm256_add_epi64(v[1], _mm256_cvtepi32_epi64(hi_a));
+                    v[2] = _mm256_add_epi64(v[2], _mm256_cvtepi32_epi64(lo_b));
+                    v[3] = _mm256_add_epi64(v[3], _mm256_cvtepi32_epi64(hi_b));
+                }
+                for (q, &vq) in v.iter().enumerate() {
+                    _mm256_storeu_si256(a.add(s + 4 * q) as *mut __m256i, vq);
+                }
+            }
+            for s in s16..s_len {
+                let mut t = *a.add(s);
+                for c in 0..cols {
+                    t += *w.add(c) as i64 * *x.add(c * s_len + s) as i64;
+                }
+                *a.add(s) = t;
+            }
+        }
     }
 
     // -----------------------------------------------------------------

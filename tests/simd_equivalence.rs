@@ -4,8 +4,9 @@
 //! spec and the AVX2 bodies (FMA fuses roundings, so bitwise equality is
 //! not expected); the sparse AVX2 bodies promise *bitwise* agreement with
 //! the dense AVX2 bodies on mask-pruned operands (shared per-element
-//! operation schedule); and the Q15 GEMM promises *bitwise* agreement
-//! between its scalar and `madd`-based bodies. Each property is exercised
+//! operation schedule); and the Q15 GEMM and the device engine's Q15 block
+//! kernel promise *bitwise* agreement between their scalar and
+//! `madd`-based bodies. Each property is exercised
 //! by forcing the process dispatch level both ways; on hosts without AVX2
 //! every test degrades to a scalar self-check and the forced-AVX2 legs are
 //! skipped.
@@ -24,7 +25,7 @@ use iprune_repro::tensor::pool::{
     maxpool2d_f32, maxpool2d_f32_argmax, maxpool2d_f32_argmax_scalar, maxpool2d_f32_scalar,
     maxpool2d_i16, maxpool2d_i16_scalar, maxpool2d_i8,
 };
-use iprune_repro::tensor::qgemm::{q15_gemm, q8_gemm};
+use iprune_repro::tensor::qgemm::{q15_block_acc, q15_block_acc_scalar, q15_gemm, q8_gemm};
 use iprune_repro::tensor::simd::{avx2_supported, set_simd_level, simd_level, SimdLevel};
 use iprune_repro::tensor::sparse::{
     matmul_a_bt_sparse_out, matmul_a_bt_sparse_rhs, matmul_acc_sparse_lhs, matmul_acc_sparse_rhs,
@@ -483,5 +484,68 @@ fn q15_gemm_simd_is_bitwise_exact_vs_scalar() {
         set_simd_level(SimdLevel::Avx2);
         q15_gemm(&a, &b, &bias, 6, &mut c_simd, m, k, n, 12, 14, 13, true);
         assert_eq!(c_scalar, c_simd, "{m}x{k}x{n}");
+    }
+}
+
+#[test]
+fn q15_block_acc_simd_is_bitwise_exact_vs_scalar() {
+    let _g = hold_level();
+    let mut s = 0xb10c_u64;
+    let mut next = move || {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        s
+    };
+    for rows in 1..=16usize {
+        for cols in 1..=4usize {
+            // a wider stride leaves padding columns the kernel must skip
+            let bc = cols + rows % 2;
+            // 25 runs one 16-wide step and a scalar tail in the same row
+            for s_len in [1usize, 7, 8, 9, 16, 25, 64] {
+                // weights in [-i16::MAX, i16::MAX] (the for_max_abs
+                // guarantee), ~1/4 zeros, and an all-zero column pair in
+                // every other row
+                let mut block: Vec<i16> = (0..rows * bc)
+                    .map(|_| if next() % 4 == 0 { 0 } else { (next() as i16).max(-i16::MAX) })
+                    .collect();
+                for r in (0..rows).step_by(2) {
+                    block[r * bc..r * bc + cols.min(2)].fill(0);
+                }
+                // activations over the full i16 range, extremes included
+                let mut x: Vec<i16> = (0..cols * s_len).map(|_| next() as i16).collect();
+                x[0] = i16::MIN;
+                x[cols * s_len - 1] = i16::MAX;
+                let start: Vec<i64> = (0..rows * s_len).map(|_| (next() as i64) >> 16).collect();
+                let mut spec = start.clone();
+                q15_block_acc_scalar(&block, &x, &mut spec, rows, cols, s_len, bc);
+                for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+                    if level == SimdLevel::Avx2 && !avx2_supported() {
+                        continue;
+                    }
+                    set_simd_level(level);
+                    let mut got = start.clone();
+                    q15_block_acc(&block, &x, &mut got, rows, cols, s_len, bc);
+                    assert_eq!(
+                        got, spec,
+                        "{level:?} rows {rows} cols {cols} bc {bc} s_len {s_len}"
+                    );
+                }
+            }
+        }
+    }
+    // the pair-sum bound itself: |w0·x0 + w1·x1| = 2·32767·32768 < 2^31
+    for w in [i16::MAX, -i16::MAX] {
+        let block = vec![w; 4 * 4];
+        let x = vec![i16::MIN; 4 * 64];
+        let mut spec = vec![0i64; 4 * 64];
+        q15_block_acc_scalar(&block, &x, &mut spec, 4, 4, 64, 4);
+        assert_eq!(spec[0], 4 * w as i64 * i16::MIN as i64);
+        if avx2_supported() {
+            set_simd_level(SimdLevel::Avx2);
+            let mut got = vec![0i64; 4 * 64];
+            q15_block_acc(&block, &x, &mut got, 4, 4, 64, 4);
+            assert_eq!(got, spec, "extremes, w = {w}");
+        }
     }
 }
