@@ -334,35 +334,6 @@ impl Conv2d {
         let base = n * s.in_len();
         pack::im2col_f32(&x.data()[base..base + s.in_len()], &s, col);
     }
-
-    /// Scatter-adds a `[cin*kh*kw, ho*wo]` gradient matrix back to one
-    /// sample's `[cin, h, w]` input-gradient slice (the adjoint of
-    /// [`Self::im2col`]).
-    fn col2im(&self, grad_col: &[f32], gx_s: &mut [f32], h: usize, w: usize, ho: usize, wo: usize) {
-        let khw = self.kh * self.kw;
-        let hw_out = ho * wo;
-        for c in 0..self.cin {
-            for ky in 0..self.kh {
-                for kx in 0..self.kw {
-                    let row = (c * khw + ky * self.kw + kx) * hw_out;
-                    for oy in 0..ho {
-                        let iy = (oy * self.stride + ky) as isize - self.pad_h as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for ox in 0..wo {
-                            let ix = (ox * self.stride + kx) as isize - self.pad_w as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            let off = c * h * w + iy as usize * w + ix as usize;
-                            gx_s[off] += grad_col[row + oy * wo + ox];
-                        }
-                    }
-                }
-            }
-        }
-    }
 }
 
 impl Layer for Conv2d {
@@ -503,7 +474,7 @@ impl Layer for Conv2d {
                 *dbm = g_slice[m * hw_out..(m + 1) * hw_out].iter().sum();
             }
             // dcol = W^T (K x M) * dY (M x HW), scattered into this
-            // sample's gx slice
+            // sample's gx slice by the im2col adjoint
             let mut grad_col = vec![0.0f32; k * hw_out];
             match w_sparse {
                 Some(idx) => sparse::matmul_at_b_sparse_lhs(
@@ -519,7 +490,7 @@ impl Layer for Conv2d {
                     matmul_at_b(this.w.value.data(), g_slice, &mut grad_col, k, this.cout, hw_out)
                 }
             }
-            this.col2im(&grad_col, gx_s, h, w, ho, wo);
+            pack::col2im_f32(&grad_col, &this.conv_shape(h, w, ho, wo), gx_s);
             (dw, db)
         });
         for (dw, db) in &partials {
@@ -910,6 +881,18 @@ impl Relu {
     pub fn new() -> Self {
         Self { mask: Vec::new() }
     }
+
+    /// `max(x, 0)` per element as a select, not a branch: activation signs
+    /// are unpredictable, and the select compiles to a branchless vector
+    /// blend. Negatives (subnormals included) become +0.0; -0.0 and NaN keep
+    /// their bits, exactly as `if *v < 0.0 { *v = 0.0 }` leaves them.
+    fn apply(x: &Tensor) -> Tensor {
+        let mut out = x.clone();
+        for v in out.data_mut() {
+            *v = if *v < 0.0 { 0.0 } else { *v };
+        }
+        out
+    }
 }
 
 impl Default for Relu {
@@ -920,35 +903,22 @@ impl Default for Relu {
 
 impl Layer for Relu {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let mut out = x.clone();
         if train {
             self.mask = x.data().iter().map(|&v| v > 0.0).collect();
         }
-        for v in out.data_mut() {
-            if *v < 0.0 {
-                *v = 0.0;
-            }
-        }
-        out
+        Self::apply(x)
     }
 
     fn infer(&self, x: &Tensor, _ctx: &mut ExecCtx) -> Tensor {
-        let mut out = x.clone();
-        for v in out.data_mut() {
-            if *v < 0.0 {
-                *v = 0.0;
-            }
-        }
-        out
+        Self::apply(x)
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
         assert_eq!(grad.numel(), self.mask.len(), "Relu::backward before forward(train)");
         let mut gx = grad.clone();
+        // a select, not a branch, for the reason given on `Relu::apply`
         for (v, &keep) in gx.data_mut().iter_mut().zip(self.mask.iter()) {
-            if !keep {
-                *v = 0.0;
-            }
+            *v = if keep { *v } else { 0.0 };
         }
         gx
     }
@@ -1236,6 +1206,24 @@ mod tests {
         assert_eq!(y.data(), &[0.0, 2.0, 0.0, 4.0]);
         let gx = relu.backward(&Tensor::full(&[4], 1.0));
         assert_eq!(gx.data(), &[0.0, 1.0, 0.0, 1.0]);
+
+        // signed zeros, NaN and subnormals: forward keeps -0.0's and the
+        // NaN's bits and maps every negative to +0.0; backward zeroes
+        // exactly the positions whose input was not > 0
+        let nan = f32::from_bits(0x7FC0_1234);
+        let sub = -f32::from_bits(1);
+        let x = Tensor::from_vec(&[6], vec![-0.0, nan, sub, 0.0, -2.5, 1.5]);
+        let want = [(-0.0f32).to_bits(), nan.to_bits(), 0, 0, 0, 1.5f32.to_bits()];
+        let y = relu.forward(&x, true);
+        let bits: Vec<u32> = y.data().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(bits, want);
+        let y_infer = relu.infer(&x, &mut ExecCtx::new());
+        let bits: Vec<u32> = y_infer.data().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(bits, want);
+        let g = Tensor::from_vec(&[6], vec![3.0, -4.0, 5.0, 6.0, 7.0, -8.0]);
+        let gx = relu.backward(&g);
+        let bits: Vec<u32> = gx.data().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(bits, [0, 0, 0, 0, 0, (-8.0f32).to_bits()]);
     }
 
     #[test]

@@ -1,24 +1,34 @@
-//! im2col packing kernels behind the runtime SIMD dispatch level.
+//! im2col packing kernels (and the f32 col2im adjoint) behind the runtime
+//! SIMD dispatch level.
 //!
 //! Convolution on this host is im2col + GEMM, in two layouts:
 //!
 //! * **row-major** (`[cin*kh*kw, ho*wo]`, f32) — the training/inference
 //!   path in [`crate::layer::Conv2d`], consumed by the axpy-family GEMMs;
+//!   [`col2im_f32`] scatter-adds a gradient in this layout back onto the
+//!   input (Conv2d's backward pass);
 //! * **patch-major** (`[ho*wo, cin*kh*kw]`, any element type) — one
 //!   k-contiguous patch per output position, the transposed layout the
 //!   dot-form Q15/Q8 integer GEMMs ([`crate::qgemm`]) consume.
 //!
 //! Packing is pure data movement, so unlike the f32 GEMMs there is no
 //! rounding question: the optimized bodies are **bitwise equal to the
-//! scalar specs for every input**, at every dispatch level. The specs
-//! ([`im2col_f32_scalar`], [`im2col_patches_scalar`]) are the original
-//! per-element loops (bounds check per element; the patch-major spec
-//! recovers `(c, ky, kx)` by div/mod) and remain the executable reference.
-//! The dispatched bodies decompose each row into its three runs —
-//! left padding, a contiguous (row-major, stride 1) or constant-offset
-//! in-bounds run, right padding — eliminating the per-element branches
-//! and divisions; the row-major f32 body copies the in-bounds run with
-//! explicit 8-lane AVX2 loads/stores at [`SimdLevel::Avx2`].
+//! scalar specs for every input**, at every dispatch level. col2im does
+//! add, but each input element receives its contributions in the spec's
+//! `(c, ky, kx)` row order — one per row — so it is bitwise too. The specs
+//! ([`im2col_f32_scalar`], [`col2im_f32_scalar`], [`im2col_patches_scalar`])
+//! are the original per-element loops (bounds check per element; the
+//! patch-major spec recovers `(c, ky, kx)` by div/mod) and remain the
+//! executable reference. The dispatched bodies decompose each row into its
+//! three runs — left padding, a contiguous (stride 1) or constant-offset
+//! in-bounds run, right padding — eliminating the per-element branches and
+//! divisions. At stride 1 with `out_w == in_w` (every "same"-width conv:
+//! 3×3 pad 1, 1×1, HAR's 3×1) a row-major row is one *shifted copy of the
+//! whole input plane*, so im2col makes one copy per `(c, ky, kx)` row and
+//! then zeroes the padded rows and the columns that wrapped in from the
+//! neighbouring input row; col2im adds such a row as one run when no
+//! column wraps. The row-major f32 bodies move data with explicit 8-lane
+//! AVX2 loads/stores at [`SimdLevel::Avx2`].
 //!
 //! Keeping both layouts behind [`crate::simd::simd_level`] means the
 //! end-to-end cost of packing is measurable as scalar-vs-AVX2 in the perf
@@ -71,6 +81,14 @@ impl ConvShape {
     pub fn in_len(&self) -> usize {
         self.cin * self.in_h * self.in_w
     }
+
+    /// Whether each row-major row is a shifted copy of an input plane:
+    /// at stride 1 with `out_w == in_w`, output position `oy*out_w + ox`
+    /// of row `(c, ky, kx)` reads input position
+    /// `oy*in_w + ox + (ky - pad_h)*in_w + (kx - pad_w)` of plane `c`.
+    fn rows_shift_planes(&self) -> bool {
+        self.stride == 1 && self.out_w == self.in_w
+    }
 }
 
 /// Element types the packing kernels move. Packing never does arithmetic on
@@ -90,8 +108,8 @@ impl PackElem for i8 {
     const ZERO: Self = 0;
 }
 
-fn assert_geometry<T>(src: &[T], s: &ConvShape, col: &[T]) {
-    assert_eq!(src.len(), s.in_len(), "im2col src length");
+fn assert_geometry<T>(img: &[T], s: &ConvShape, col: &[T]) {
+    assert_eq!(img.len(), s.in_len(), "im2col src length");
     assert_eq!(col.len(), s.col_len(), "im2col col length");
     assert!(s.stride > 0, "im2col stride");
     assert_eq!(s.out_h, (s.in_h + 2 * s.pad_h - s.kh) / s.stride + 1, "im2col out_h");
@@ -113,6 +131,9 @@ pub fn im2col_f32(src: &[f32], s: &ConvShape, col: &mut [f32]) {
     assert_geometry(src, s, col);
     match simd::simd_level() {
         SimdLevel::Scalar => im2col_f32_scalar_body(src, s, col),
+        SimdLevel::Avx2 if s.rows_shift_planes() => {
+            im2col_shifted_planes(src, s, col, copy_run_f32_avx2)
+        }
         SimdLevel::Avx2 => im2col_rows_runs(src, s, col, copy_run_f32_avx2),
     }
 }
@@ -175,11 +196,11 @@ pub fn valid_range(
     (lo, hi.max(lo))
 }
 
-/// Row-major body shared by both dispatch levels' fast path: per
-/// `(c, ky, kx)` row, each output row is left-pad zeros, one in-bounds run,
-/// right-pad zeros. At stride 1 the in-bounds run is a contiguous copy
-/// (performed by `copy_run`); larger strides gather with a precomputed
-/// offset and no per-element branch.
+/// Row-major fast body for every geometry that is not a
+/// [`ConvShape::rows_shift_planes`] one: per `(c, ky, kx)` row, each output
+/// row is left-pad zeros, one in-bounds run, right-pad zeros. At stride 1
+/// the in-bounds run is a contiguous copy (performed by `copy_run`); larger
+/// strides gather with a precomputed offset and no per-element branch.
 fn im2col_rows_runs(src: &[f32], s: &ConvShape, col: &mut [f32], copy_run: fn(&[f32], &mut [f32])) {
     let khw = s.kh * s.kw;
     let hw_out = s.out_hw();
@@ -192,7 +213,9 @@ fn im2col_rows_runs(src: &[f32], s: &ConvShape, col: &mut [f32], copy_run: fn(&[
                     let iy = (oy * s.stride + ky) as isize - s.pad_h as isize;
                     let base = row + oy * s.out_w;
                     let dst = &mut col[base..base + s.out_w];
-                    if iy < 0 || iy >= s.in_h as isize {
+                    // an empty run has no first input column: a kernel
+                    // column can lie in the padding for every output
+                    if iy < 0 || iy >= s.in_h as isize || lo == hi {
                         dst.fill(0.0);
                         continue;
                     }
@@ -207,6 +230,48 @@ fn im2col_rows_runs(src: &[f32], s: &ConvShape, col: &mut [f32], copy_run: fn(&[
                         for (d, ox) in dst[lo..hi].iter_mut().zip(lo..) {
                             *d = src[src_row + ix0 + (ox - lo) * s.stride];
                         }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Row-major body for [`ConvShape::rows_shift_planes`] geometries: each
+/// `(c, ky, kx)` row is one `copy_run` of input plane `c`, shifted by
+/// `(ky - pad_h)*in_w + (kx - pad_w)`, from its first to its last in-bounds
+/// position; then the padded rows before and after, and the `|kx - pad_w|`
+/// columns between consecutive output rows that the flat copy took from
+/// the neighbouring input row, are zeroed.
+fn im2col_shifted_planes(
+    src: &[f32],
+    s: &ConvShape,
+    col: &mut [f32],
+    copy_run: fn(&[f32], &mut [f32]),
+) {
+    let w = s.in_w;
+    let plane = s.in_h * w;
+    let mut rows = col.chunks_exact_mut(s.out_hw());
+    for c in 0..s.cin {
+        let src_plane = &src[c * plane..(c + 1) * plane];
+        for ky in 0..s.kh {
+            let (ylo, yhi) = valid_range(s.out_h, 1, ky, s.pad_h, s.in_h);
+            for kx in 0..s.kw {
+                let dst = rows.next().expect("one col row per (c, ky, kx)");
+                let (xlo, xhi) = valid_range(w, 1, kx, s.pad_w, w);
+                if ylo == yhi || xlo == xhi {
+                    dst.fill(0.0);
+                    continue;
+                }
+                let first = ylo * w + xlo;
+                let last = (yhi - 1) * w + xhi;
+                let src_first = (ylo + ky - s.pad_h) * w + xlo + kx - s.pad_w;
+                dst[..first].fill(0.0);
+                copy_run(&src_plane[src_first..src_first + (last - first)], &mut dst[first..last]);
+                dst[last..].fill(0.0);
+                if xhi - xlo < w {
+                    for oy in ylo..yhi - 1 {
+                        dst[oy * w + xhi..(oy + 1) * w + xlo].fill(0.0);
                     }
                 }
             }
@@ -244,6 +309,143 @@ unsafe fn copy_f32_lanes(src: &[f32], dst: &mut [f32]) {
     }
     for j in n8..n {
         *dp.add(j) = *sp.add(j);
+    }
+}
+
+/// Row-major f32 col2im for one sample: scatter-adds the `[cin*kh*kw,
+/// out_h*out_w]` matrix `col` onto the `[cin, in_h, in_w]` slice `dst` —
+/// the adjoint of [`im2col_f32`], used by the conv backward pass —
+/// dispatched on the process SIMD level. Padding positions are dropped.
+/// Bitwise equal to [`col2im_f32_scalar`] for every input, including a
+/// nonzero starting `dst`.
+///
+/// # Panics
+///
+/// Panics if slice lengths or the output size disagree with `s`.
+pub fn col2im_f32(col: &[f32], s: &ConvShape, dst: &mut [f32]) {
+    assert_geometry(dst, s, col);
+    match simd::simd_level() {
+        SimdLevel::Scalar => col2im_f32_scalar_body(col, s, dst),
+        SimdLevel::Avx2 => col2im_rows_runs(col, s, dst, add_run_f32_avx2),
+    }
+}
+
+/// The col2im scalar spec: the original per-element scatter-add loop with a
+/// bounds check per element, kept as the executable reference.
+///
+/// # Panics
+///
+/// Panics if slice lengths or the output size disagree with `s`.
+pub fn col2im_f32_scalar(col: &[f32], s: &ConvShape, dst: &mut [f32]) {
+    assert_geometry(dst, s, col);
+    col2im_f32_scalar_body(col, s, dst);
+}
+
+fn col2im_f32_scalar_body(col: &[f32], s: &ConvShape, dst: &mut [f32]) {
+    let khw = s.kh * s.kw;
+    let hw_out = s.out_hw();
+    for c in 0..s.cin {
+        for ky in 0..s.kh {
+            for kx in 0..s.kw {
+                let row = (c * khw + ky * s.kw + kx) * hw_out;
+                for oy in 0..s.out_h {
+                    let iy = (oy * s.stride + ky) as isize - s.pad_h as isize;
+                    if iy < 0 || iy >= s.in_h as isize {
+                        continue;
+                    }
+                    for ox in 0..s.out_w {
+                        let ix = (ox * s.stride + kx) as isize - s.pad_w as isize;
+                        if ix < 0 || ix >= s.in_w as isize {
+                            continue;
+                        }
+                        let off = (c * s.in_h + iy as usize) * s.in_w + ix as usize;
+                        dst[off] += col[row + oy * s.out_w + ox];
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// col2im body shared by the fast path: the same row order as the spec
+/// (each input element still receives its contributions in `(c, ky, kx)`
+/// order, at most one per row), with each output row's in-bounds run added
+/// by `add_run` at stride 1 or by a constant-offset scatter otherwise. For
+/// [`ConvShape::rows_shift_planes`] geometries, a row whose runs span the
+/// full width (no column wraps: `kx == pad_w`) is one run over all its
+/// in-bounds output rows.
+fn col2im_rows_runs(col: &[f32], s: &ConvShape, dst: &mut [f32], add_run: fn(&[f32], &mut [f32])) {
+    let plane = s.in_h * s.in_w;
+    let mut rows = col.chunks_exact(s.out_hw());
+    for c in 0..s.cin {
+        let dst_plane = &mut dst[c * plane..(c + 1) * plane];
+        for ky in 0..s.kh {
+            let (ylo, yhi) = valid_range(s.out_h, s.stride, ky, s.pad_h, s.in_h);
+            for kx in 0..s.kw {
+                let row = rows.next().expect("one col row per (c, ky, kx)");
+                let (xlo, xhi) = valid_range(s.out_w, s.stride, kx, s.pad_w, s.in_w);
+                if ylo == yhi || xlo == xhi {
+                    continue;
+                }
+                // first in-bounds input row/column of this (ky, kx) row
+                let iy0 = ylo * s.stride + ky - s.pad_h;
+                let ix0 = xlo * s.stride + kx - s.pad_w;
+                if s.rows_shift_planes() && xhi - xlo == s.in_w {
+                    let n = (yhi - ylo) * s.in_w;
+                    add_run(&row[ylo * s.out_w..][..n], &mut dst_plane[iy0 * s.in_w..][..n]);
+                    continue;
+                }
+                for (i, oy) in (ylo..yhi).enumerate() {
+                    let g = &row[oy * s.out_w + xlo..oy * s.out_w + xhi];
+                    let d = &mut dst_plane[(iy0 + i * s.stride) * s.in_w + ix0..];
+                    if s.stride == 1 {
+                        add_run(g, &mut d[..g.len()]);
+                    } else {
+                        for (j, &v) in g.iter().enumerate() {
+                            d[j * s.stride] += v;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Contiguous-run accumulate `dst += src` with explicit 8-lane AVX2 adds
+/// (scalar tail); each lane is the same IEEE add as the scalar `+=`.
+/// Falls back to a scalar loop off x86-64.
+fn add_run_f32_avx2(src: &[f32], dst: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        // SAFETY: dispatch only selects this body when avx2 is present;
+        // both slices have equal length (callers pass matched runs).
+        unsafe { add_f32_lanes(src, dst) }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    for (d, &v) in dst.iter_mut().zip(src) {
+        *d += v;
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn add_f32_lanes(src: &[f32], dst: &mut [f32]) {
+    use core::arch::x86_64::*;
+    debug_assert_eq!(src.len(), dst.len());
+    let n = src.len();
+    let n8 = n & !7;
+    let sp = src.as_ptr();
+    let dp = dst.as_mut_ptr();
+    let mut i = 0;
+    while i < n8 {
+        _mm256_storeu_ps(
+            dp.add(i),
+            _mm256_add_ps(_mm256_loadu_ps(dp.add(i)), _mm256_loadu_ps(sp.add(i))),
+        );
+        i += 8;
+    }
+    for j in n8..n {
+        *dp.add(j) += *sp.add(j);
     }
 }
 
@@ -370,8 +572,10 @@ mod tests {
         (0..n).map(|i| (i as i16).wrapping_mul(31).wrapping_add(7)).collect()
     }
 
-    /// Geometry zoo covering stride >1, asymmetric pads, 1-D kernels, and
-    /// kernels wider than the input (fully padded rows).
+    /// Geometry zoo covering stride >1, asymmetric pads, 1-D kernels,
+    /// kernels wider than the input (fully padded rows), and same-width
+    /// stride-1 shapes (shifted planes) with 1-wide planes, and kernel
+    /// columns that lie in the padding for every output position.
     fn shapes() -> Vec<ConvShape> {
         vec![
             shape(1, (1, 1), 1, (0, 0), (1, 1)),
@@ -381,6 +585,10 @@ mod tests {
             shape(1, (3, 3), 2, (1, 1), (7, 5)),
             shape(2, (5, 5), 1, (2, 2), (4, 3)),
             shape(1, (1, 3), 3, (0, 2), (2, 8)),
+            shape(2, (3, 3), 1, (1, 1), (6, 1)),
+            shape(2, (5, 3), 1, (0, 1), (7, 4)),
+            shape(1, (3, 5), 1, (3, 2), (2, 1)),
+            shape(1, (2, 6), 1, (0, 3), (3, 1)),
         ]
     }
 
@@ -401,10 +609,29 @@ mod tests {
         for s in shapes() {
             let src: Vec<f32> = filled(s.in_len()).iter().map(|&v| v as f32).collect();
             let mut a = vec![0f32; s.col_len()];
-            let mut b = vec![0f32; s.col_len()];
+            let mut b = vec![1f32; s.col_len()];
             im2col_f32_scalar_body(&src, &s, &mut a);
             im2col_rows_runs(&src, &s, &mut b, |r, d| d.copy_from_slice(r));
             assert_eq!(a, b, "{s:?}");
+            if s.rows_shift_planes() {
+                let mut c = vec![2f32; s.col_len()];
+                im2col_shifted_planes(&src, &s, &mut c, |r, d| d.copy_from_slice(r));
+                assert_eq!(a, c, "{s:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn col2im_runs_body_matches_spec_on_geometry_zoo() {
+        let add = |r: &[f32], d: &mut [f32]| d.iter_mut().zip(r).for_each(|(d, &v)| *d += v);
+        for s in shapes() {
+            let col: Vec<f32> = filled(s.col_len()).iter().map(|&v| v as f32 / 7.0).collect();
+            let start: Vec<f32> = filled(s.in_len()).iter().map(|&v| v as f32 / 3.0).collect();
+            let (mut a, mut b) = (start.clone(), start);
+            col2im_f32_scalar_body(&col, &s, &mut a);
+            col2im_rows_runs(&col, &s, &mut b, add);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a), bits(&b), "{s:?}");
         }
     }
 

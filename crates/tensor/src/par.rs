@@ -81,22 +81,31 @@ pub fn num_threads() -> usize {
     host_cores()
 }
 
-/// Overrides the detected physical core count (process-wide, `0` clears).
-/// Tests use this to exercise real fan-out on single-core CI machines and
-/// to pin benchmark configurations.
+/// Overrides the detected core count (process-wide, `0` clears, bringing
+/// back the probed value). Tests use this to exercise real fan-out on
+/// single-core CI machines and to pin benchmark configurations.
 pub fn set_host_cores(n: usize) {
     CORE_OVERRIDE.store(n, Ordering::Relaxed);
 }
 
-/// Physical cores available to this process: the [`set_host_cores`]
-/// override if set, else `IPRUNE_HOST_CORES`, else
-/// `std::thread::available_parallelism()`, else a `/proc/cpuinfo` count,
-/// else 1. This is the oversubscription cap for every parallel region.
+/// Logical CPUs this process may use: the [`set_host_cores`] override if
+/// set, else the value probed on the first call — `IPRUNE_HOST_CORES`,
+/// else `std::thread::available_parallelism()`, else a `/proc/cpuinfo`
+/// count, else 1. This is the oversubscription cap for every parallel
+/// region.
+///
+/// The probe runs once per process: `available_parallelism` re-reads the
+/// cgroup CPU quota on every call (tens of µs), and regions open per GEMM.
 pub fn host_cores() -> usize {
     let o = CORE_OVERRIDE.load(Ordering::Relaxed);
     if o > 0 {
         return o;
     }
+    static PROBED: OnceLock<usize> = OnceLock::new();
+    *PROBED.get_or_init(probe_host_cores)
+}
+
+fn probe_host_cores() -> usize {
     if let Ok(v) = std::env::var("IPRUNE_HOST_CORES") {
         if let Ok(n) = v.trim().parse::<usize>() {
             if n > 0 {
@@ -130,7 +139,7 @@ pub fn active() -> bool {
 }
 
 /// Effective worker count a region of `n` independent items would use:
-/// the requested count capped at the physical core count and at `n`.
+/// the requested count capped at [`host_cores`] and at `n`.
 pub fn workers_for(n: usize) -> usize {
     if in_worker() {
         1
@@ -528,7 +537,7 @@ mod tests {
         assert_eq!(workers_for(0), 1);
         set_threads(1);
         assert_eq!(workers_for(100), 1);
-        // oversubscription: requested threads are capped at physical cores
+        // oversubscription: requested threads are capped at the host cores
         set_threads(8);
         set_host_cores(2);
         assert_eq!(workers_for(100), 2);
@@ -537,6 +546,21 @@ mod tests {
         assert!(!active());
         set_threads(0);
         set_host_cores(0);
+    }
+
+    #[test]
+    fn host_cores_is_probed_once_and_overrides_still_win() {
+        let _l = overrides_lock();
+        set_host_cores(0);
+        let probed = host_cores();
+        assert!(probed >= 1);
+        for _ in 0..3 {
+            assert_eq!(host_cores(), probed, "the probe is cached");
+        }
+        set_host_cores(probed + 5);
+        assert_eq!(host_cores(), probed + 5, "an override wins after the probe");
+        set_host_cores(0);
+        assert_eq!(host_cores(), probed, "clearing the override restores the probe");
     }
 
     #[test]

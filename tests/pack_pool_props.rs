@@ -6,7 +6,11 @@
 //! * im2col (both layouts) is pure data movement, so the dispatched kernel
 //!   is *bitwise* equal to the scalar spec at the ambient dispatch level —
 //!   including strides, asymmetric padding, and windows that only overlap
-//!   the input through the padding.
+//!   the input through the padding. Its f32 adjoint, col2im, is bitwise
+//!   equal to its spec too, accumulating onto a nonzero buffer: on every
+//!   conv of the three zoo models and on random stride-1 same-width
+//!   geometries (the shifted-plane bodies), 1-wide planes and kernels as
+//!   wide as the padded input included.
 //! * max-pooling agrees with a naive per-window reference for square and
 //!   rectangular windows, ignores odd tails (rows/columns that don't fill
 //!   a window), records first-wins argmax offsets, and routes gradients
@@ -14,8 +18,11 @@
 //! * the Q8 GEMM's dispatched body is bitwise equal to the wrapping-i32
 //!   scalar spec on full-range i8 operands.
 
+use iprune_repro::models::arch::PrunableKind;
+use iprune_repro::models::zoo::App;
 use iprune_repro::tensor::pack::{
-    im2col_f32, im2col_f32_scalar, im2col_patches, im2col_patches_scalar, ConvShape,
+    col2im_f32, col2im_f32_scalar, im2col_f32, im2col_f32_scalar, im2col_patches,
+    im2col_patches_scalar, ConvShape,
 };
 use iprune_repro::tensor::pool::{
     maxpool2d_backward_f32, maxpool2d_f32, maxpool2d_f32_argmax, maxpool2d_f32_scalar,
@@ -95,7 +102,113 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// The shape whose output size follows from the rest.
+fn conv_shape(
+    cin: usize,
+    (kh, kw): (usize, usize),
+    stride: usize,
+    (pad_h, pad_w): (usize, usize),
+    (in_h, in_w): (usize, usize),
+) -> ConvShape {
+    ConvShape {
+        cin,
+        kh,
+        kw,
+        stride,
+        pad_h,
+        pad_w,
+        in_h,
+        in_w,
+        out_h: (in_h + 2 * pad_h - kh) / stride + 1,
+        out_w: (in_w + 2 * pad_w - kw) / stride + 1,
+    }
+}
+
+/// Checks, bit for bit, that the dispatched im2col equals its scalar spec
+/// and that the dispatched col2im equals its spec when both accumulate onto
+/// the same nonzero input-gradient buffer. Every destination starts filled
+/// with a different value, so an element a body forgets to write shows.
+fn check_pack_and_unpack(s: &ConvShape, seed: u64) {
+    let src = operand(s.in_len(), seed);
+    let mut got = vec![0.125f32; s.col_len()];
+    im2col_f32(&src, s, &mut got);
+    let mut spec = vec![0.25f32; s.col_len()];
+    im2col_f32_scalar(&src, s, &mut spec);
+    assert_eq!(bits(&got), bits(&spec), "im2col {s:?}");
+
+    let grad_col = operand(s.col_len(), seed ^ 0xC0FFEE);
+    let start: Vec<f32> = operand(s.in_len(), seed ^ 0xBEEF).iter().map(|v| v + 1.0).collect();
+    let mut gx = start.clone();
+    col2im_f32(&grad_col, s, &mut gx);
+    let mut gx_spec = start;
+    col2im_f32_scalar(&grad_col, s, &mut gx_spec);
+    assert_eq!(bits(&gx), bits(&gx_spec), "col2im {s:?}");
+}
+
+/// Every conv geometry of the three zoo models. SQN's stride-2 first conv
+/// takes the per-output-row run bodies; every other conv (HAR's 3×1, the
+/// 3×3-pad-1 and 1×1 convs) is stride-1 same-width and takes the
+/// shifted-plane bodies, so both are exercised.
+#[test]
+fn zoo_conv_geometries_pack_and_unpack_bitwise() {
+    let mut shapes = Vec::new();
+    for app in App::all() {
+        for p in &app.build().info.prunables {
+            if let PrunableKind::Conv { cin, kh, kw, stride, pad_h, pad_w, in_h, in_w, .. } = p.kind
+            {
+                shapes.push(conv_shape(cin, (kh, kw), stride, (pad_h, pad_w), (in_h, in_w)));
+            }
+        }
+    }
+    assert_eq!(shapes.len(), 11 + 3 + 2, "SQN, HAR and CKS convs");
+    let same_width = shapes.iter().filter(|s| s.stride == 1 && s.out_w == s.in_w).count();
+    assert_eq!(same_width, shapes.len() - 1, "only SQN's stride-2 conv1 is not same-width");
+    for (i, s) in shapes.iter().enumerate() {
+        check_pack_and_unpack(s, 0x5EED + i as u64);
+    }
+}
+
 proptest! {
+    // Random stride-1 same-width geometries (`kw = 2*pad_w + 1`), the
+    // shifted-plane case: 1-wide planes, kernels as wide or tall as the
+    // padded input, rows and columns entirely in the padding.
+    #[test]
+    fn same_width_stride1_pack_and_unpack_bitwise(
+        cin in 1usize..4,
+        kh in 1usize..6,
+        pad_h in 0usize..4,
+        pad_w in 0usize..3,
+        extra_h in 0usize..7,
+        in_w in 1usize..10,
+        seed in 0u64..1 << 32,
+    ) {
+        let kw = 2 * pad_w + 1;
+        let in_h = (kh.saturating_sub(2 * pad_h)).max(1) + extra_h;
+        let s = conv_shape(cin, (kh, kw), 1, (pad_h, pad_w), (in_h, in_w));
+        prop_assert_eq!(s.out_w, s.in_w);
+        check_pack_and_unpack(&s, seed);
+    }
+
+    // col2im matches its spec bitwise over arbitrary conv geometry, strided
+    // and asymmetric included (the per-output-row run bodies).
+    #[test]
+    fn col2im_matches_scalar_spec(
+        cin in 1usize..4,
+        kh in 1usize..6,
+        kw in 1usize..6,
+        stride in 1usize..4,
+        pad_h in 0usize..3,
+        pad_w in 0usize..3,
+        extra_h in 0usize..8,
+        extra_w in 0usize..8,
+        seed in 0u64..1 << 32,
+    ) {
+        let in_h = (kh.saturating_sub(2 * pad_h)).max(1) + extra_h;
+        let in_w = (kw.saturating_sub(2 * pad_w)).max(1) + extra_w;
+        let s = conv_shape(cin, (kh, kw), stride, (pad_h, pad_w), (in_h, in_w));
+        check_pack_and_unpack(&s, seed);
+    }
+
     // Both im2col layouts match their naive references bitwise at the
     // ambient dispatch level, over arbitrary conv geometry.
     #[test]
