@@ -39,6 +39,7 @@ use iprune_models::qeval::{Quantized8Model, QuantizedModel};
 use iprune_models::train::{evaluate, train_sgd, TrainConfig};
 use iprune_models::zoo::App;
 use iprune_tensor::exec::ExecCtx;
+use iprune_tensor::matmul::SparseOperand::{self, Lhs, Rhs};
 use iprune_tensor::matmul::{
     matmul_a_bt, matmul_a_bt_ref, matmul_a_bt_scalar, matmul_acc, matmul_acc_ref,
     matmul_acc_scalar, matmul_at_b, matmul_at_b_ref, matmul_at_b_scalar,
@@ -94,8 +95,11 @@ struct KernelRow {
     tiled_gflops: f64,
 }
 
-/// A GEMM kernel entry point: `(a, b, c, m, k, n)`.
+/// A reference GEMM: `(a, b, c, m, k, n)`.
 type GemmFn = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
+
+/// A GEMM entry point: `(a, b, c, m, k, n, sparse)`.
+type Gemm = fn(&[f32], &[f32], &mut [f32], usize, usize, usize, Option<SparseOperand>);
 
 /// Benchmarks one kernel shape at one requested thread count. The
 /// reference kernel is always serial; the tiled kernel fans rows out over
@@ -107,7 +111,7 @@ fn bench_kernel(
     k: usize,
     n: usize,
     threads: usize,
-    tiled: GemmFn,
+    tiled: Gemm,
     reference: GemmFn,
     a_len: usize,
     b_len: usize,
@@ -122,7 +126,7 @@ fn bench_kernel(
     let t_ref = time_median(reps, || reference(&a, &b, &mut c, m, k, n));
     par::set_threads(threads);
     let workers = par::workers_for(m.max(n));
-    let t_tiled = time_median(reps, || tiled(&a, &b, &mut c, m, k, n));
+    let t_tiled = time_median(reps, || tiled(&a, &b, &mut c, m, k, n, None));
     par::set_threads(0);
 
     KernelRow {
@@ -154,7 +158,7 @@ fn bench_simd_kernels() -> Vec<SimdRow> {
     let reps = 7;
     let mut rows = Vec::new();
     par::set_threads(1);
-    type Pair = (&'static str, usize, usize, usize, GemmFn, GemmFn, usize, usize);
+    type Pair = (&'static str, usize, usize, usize, Gemm, Gemm, usize, usize);
     let cases: [Pair; 3] = [
         ("matmul_acc", 64, 576, 169, matmul_acc, matmul_acc_scalar, 64 * 576, 576 * 169),
         ("matmul_at_b", 576, 64, 169, matmul_at_b, matmul_at_b_scalar, 64 * 576, 64 * 169),
@@ -165,8 +169,8 @@ fn bench_simd_kernels() -> Vec<SimdRow> {
         let b = fill(0.7, b_len);
         let mut c = vec![0.0f32; m * n];
         let flops = 2.0 * m as f64 * k as f64 * n as f64;
-        let t_scalar = time_median(reps, || scalar(&a, &b, &mut c, m, k, n));
-        let t_simd = time_median(reps, || dispatched(&a, &b, &mut c, m, k, n));
+        let t_scalar = time_median(reps, || scalar(&a, &b, &mut c, m, k, n, None));
+        let t_simd = time_median(reps, || dispatched(&a, &b, &mut c, m, k, n, None));
         rows.push(SimdRow {
             kernel,
             m,
@@ -618,13 +622,16 @@ fn sparse_block_mask(rows: usize, cols: usize, sparsity: f64, seed: u64) -> Vec<
     mask
 }
 
-/// Times the three hot-loop sparse kernels against their dense
-/// counterparts on the standard bench shapes, with the weight operand
-/// masked at each target block sparsity. Dense kernels run on the same
-/// masked weights (keeping their per-element zero skip), so the measured
-/// speedup is purely the structural win of iterating alive blocks only.
-/// Serial (1 thread): the sparse/dense ratio is what's under test, not
-/// the fan-out, and serial timings are the most stable in CI.
+/// Times the three hot-loop sparse GEMM forms against the dense calls of
+/// the same operations on the standard bench shapes, with the weight
+/// operand masked at each target block sparsity. Dense calls run on the
+/// same masked weights (keeping their per-element zero skip), so the
+/// measured speedup is purely the structural win of iterating alive blocks
+/// only. Serial (1 thread): the sparse/dense ratio is what's under test,
+/// not the fan-out, and serial timings are the most stable in CI. The row
+/// labels keep the names the forms had as separate kernels
+/// (`matmul_acc_sparse_lhs`, ...), since the rows are fingerprinted in
+/// `BENCH_HISTORY.jsonl`.
 fn bench_sparse(sparsities: &[f64]) -> Vec<SparseRow> {
     let reps = 7;
     let mut rows = Vec::new();
@@ -643,9 +650,9 @@ fn bench_sparse(sparsities: &[f64]) -> Vec<SparseRow> {
             let b = fill(0.7, k * n);
             let idx = SparseIndex::from_mask(&mask, m, k);
             let mut c = vec![0.0f32; m * n];
-            let t_dense = time_median(reps, || matmul_acc(&a, &b, &mut c, m, k, n));
+            let t_dense = time_median(reps, || matmul_acc(&a, &b, &mut c, m, k, n, None));
             let t_sparse =
-                time_median(reps, || sparse::matmul_acc_sparse_lhs(&idx, &a, &b, &mut c, m, k, n));
+                time_median(reps, || matmul_acc(&a, &b, &mut c, m, k, n, Some(Lhs(&idx))));
             rows.push(SparseRow {
                 kernel: "matmul_acc_sparse_lhs",
                 m,
@@ -673,9 +680,9 @@ fn bench_sparse(sparsities: &[f64]) -> Vec<SparseRow> {
             let b = fill(0.7, k * n);
             let idx = SparseIndex::from_mask(&mask, k, m);
             let mut c = vec![0.0f32; m * n];
-            let t_dense = time_median(reps, || matmul_at_b(&a, &b, &mut c, m, k, n));
+            let t_dense = time_median(reps, || matmul_at_b(&a, &b, &mut c, m, k, n, None));
             let t_sparse =
-                time_median(reps, || sparse::matmul_at_b_sparse_lhs(&idx, &a, &b, &mut c, m, k, n));
+                time_median(reps, || matmul_at_b(&a, &b, &mut c, m, k, n, Some(Lhs(&idx))));
             rows.push(SparseRow {
                 kernel: "matmul_at_b_sparse_lhs",
                 m,
@@ -703,9 +710,9 @@ fn bench_sparse(sparsities: &[f64]) -> Vec<SparseRow> {
             }
             let idx = SparseIndex::from_mask(&mask, n, k);
             let mut c = vec![0.0f32; m * n];
-            let t_dense = time_median(reps, || matmul_a_bt(&a, &b, &mut c, m, k, n));
+            let t_dense = time_median(reps, || matmul_a_bt(&a, &b, &mut c, m, k, n, None));
             let t_sparse =
-                time_median(reps, || sparse::matmul_a_bt_sparse_rhs(&idx, &a, &b, &mut c, m, k, n));
+                time_median(reps, || matmul_a_bt(&a, &b, &mut c, m, k, n, Some(Rhs(&idx))));
             rows.push(SparseRow {
                 kernel: "matmul_a_bt_sparse_rhs",
                 m,

@@ -12,7 +12,6 @@ use iprune_models::Model;
 use iprune_obs::metrics::{self, Counter};
 use iprune_tensor::exec::WeightOverride;
 use iprune_tensor::par;
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 /// Result of the per-layer sensitivity analysis.
@@ -61,11 +60,8 @@ impl Sensitivity {
 ///
 /// Probe evaluation inherits the layers' block-sparse GEMM dispatch: each
 /// override builds the probe mask's `SparseIndex` exactly as `set_masks`
-/// would, so heavily probed layers are evaluated through the sparse
-/// kernels (bit-identical to dense, see `iprune_tensor::sparse`).
-///
-/// Under `IPRUNE_EVAL=q15` probes fall back to materializing a probe model
-/// (quantization consumes `&mut`), keeping the legacy behavior.
+/// would, so heavily probed layers are evaluated through the sparse GEMM
+/// forms (bit-identical to dense, see `iprune_tensor::matmul`).
 pub fn analyze(
     model: &mut Model,
     states: &[LayerState],
@@ -92,19 +88,10 @@ pub fn analyze(
             mask_out_block(&mut probe, bi);
         }
         let probe_mask = mask_as_weight_shape(&probe, model_ref);
-        let probed = if train::quantized_mode() {
-            let mut probe_model = model_ref.clone();
-            let mut masks = HashMap::new();
-            masks.insert(state.layer_id, probe_mask);
-            probe_model.set_masks(&masks);
-            evaluate(&mut probe_model, eval, batch)
-        } else {
-            let (base_w, _) =
-                model_ref.layer_weight(state.layer_id).expect("prunable layer has weights");
-            let ov = WeightOverride::masked(state.layer_id, &base_w, &probe_mask);
-            train::evaluate_overridden(model_ref, &[ov], eval, batch)
-        };
-        baseline - probed
+        let (base_w, _) =
+            model_ref.layer_weight(state.layer_id).expect("prunable layer has weights");
+        let ov = WeightOverride::masked(state.layer_id, &base_w, &probe_mask);
+        baseline - train::evaluate_overridden(model_ref, &[ov], eval, batch)
     });
     Sensitivity { drops, baseline }
 }

@@ -13,14 +13,13 @@
 //!
 //! * **Q15** ([`QuantizedModel`]): i16 activations/weights, i16×i16→i64
 //!   accumulation — the format the paper's MSP430 deployment uses.
-//!   `IPRUNE_EVAL=q15` routes [`crate::train::evaluate`] through it, and
 //!   `iprune-hawaii`'s `deploy` packs its layers for the device, so host
 //!   and device share calibration by construction.
 //! * **Q8** ([`Quantized8Model`]): i8 activations/weights, i8×i8→i32
 //!   wrapping accumulation with the bias preloaded as i32 at accumulator
 //!   scale (the standard int8 deployment convention). Half the memory
 //!   traffic and twice the SIMD lanes of Q15, at a larger quantization
-//!   error. `IPRUNE_EVAL=q8` routes evaluation through it.
+//!   error.
 //!
 //! Calibration takes per-buffer ranges from the float reference executor
 //! ([`crate::graphref::run_graph`]) over a handful of samples, pins

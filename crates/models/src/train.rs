@@ -56,9 +56,9 @@ impl TrainConfig {
 /// keep the trained weights bit-identical at any thread count.
 ///
 /// On a pruned model (masks installed) the layers route forward *and*
-/// backward GEMMs through the block-sparse kernels of
-/// `iprune_tensor::sparse` once a layer's alive-block coverage drops below
-/// the dispatch threshold — bit-identical to the dense path, so fine-tuning
+/// backward GEMMs through the block-sparse forms of `iprune_tensor::matmul`
+/// once a layer's alive-block coverage drops below the dispatch threshold
+/// (`iprune_tensor::sparse`) — bit-identical to the dense path, so fine-tuning
 /// gets monotonically faster as pruning iterations shrink the model.
 pub fn train_sgd(model: &mut Model, ds: &Dataset, cfg: &TrainConfig) -> f32 {
     let mut opt = Sgd::new(cfg.lr, cfg.momentum);
@@ -84,108 +84,26 @@ pub fn train_sgd(model: &mut Model, ds: &Dataset, cfg: &TrainConfig) -> f32 {
     last_epoch_loss
 }
 
-/// Which numerics [`evaluate`] runs: the float reference, or one of the
-/// host fixed-point engines in [`crate::qeval`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EvalMode {
-    /// Float reference inference (default).
-    F32,
-    /// `IPRUNE_EVAL=q15` — i16 device numerics via
-    /// [`crate::qeval::QuantizedModel`].
-    Q15,
-    /// `IPRUNE_EVAL=q8` — int8 deployment numerics via
-    /// [`crate::qeval::Quantized8Model`].
-    Q8,
-}
-
-/// The evaluation mode selected by `IPRUNE_EVAL` (read once per process).
-/// Unrecognized values fall back to [`EvalMode::F32`] with a one-time
-/// warning, mirroring `IPRUNE_SIMD` validation.
-pub fn eval_mode() -> EvalMode {
-    use std::sync::OnceLock;
-    static MODE: OnceLock<EvalMode> = OnceLock::new();
-    *MODE.get_or_init(|| match std::env::var("IPRUNE_EVAL").as_deref() {
-        Err(_) => EvalMode::F32,
-        Ok("q15") => EvalMode::Q15,
-        Ok("q8") => EvalMode::Q8,
-        Ok(other) => {
-            eprintln!(
-                "iprune: unrecognized IPRUNE_EVAL value {other:?} \
-                 (expected \"q15\" or \"q8\"); using float evaluation"
-            );
-            EvalMode::F32
-        }
-    })
-}
-
-/// Whether evaluation runs in *any* quantized mode (Q15 or Q8). Public so
-/// callers that need a materialized model for quantization (e.g.
-/// sensitivity probes) can detect the mode and avoid the zero-clone path.
-pub fn quantized_mode() -> bool {
-    eval_mode() != EvalMode::F32
-}
-
-/// Whether `IPRUNE_EVAL=q15` routes evaluation through the host Q15
-/// engine. Kept alongside [`eval_mode`] for callers that care about the
-/// specific precision.
-pub fn q15_mode() -> bool {
-    eval_mode() == EvalMode::Q15
-}
-
 /// Evaluates top-1 accuracy of `model` on `ds` (float reference inference).
-///
-/// With `IPRUNE_EVAL=q15` the model is instead quantized (calibrating on
-/// the first [`crate::qeval::DEFAULT_CALIBRATION`] samples of `ds`, the
-/// same recipe as device deployment) and evaluated in device numerics via
-/// [`crate::qeval::QuantizedModel`] — for measuring the f32→Q15 accuracy
-/// delta without the device simulator's overhead. `IPRUNE_EVAL=q8` does
-/// the same through the int8 engine ([`crate::qeval::Quantized8Model`]).
+/// Quantized accuracy comes from the host integer engines in
+/// [`crate::qeval`] (`evaluate_q15` / `evaluate_q8`).
 ///
 /// Batches are independent in inference mode, so contiguous runs of batches
 /// are spread over [`iprune_tensor::par`] workers. All workers borrow the
 /// *same* model through the shared-state inference path ([`ExecCtx`] holds
-/// only scratch), so evaluation clones no weights. Per-worker meters hold
-/// integer counts, so the merged accuracy is exactly the serial result at
-/// any thread count.
+/// only scratch), so evaluation clones no weights — the same contract the
+/// serving front end relies on. Per-worker meters hold integer counts, so
+/// the merged accuracy is exactly the serial result at any thread count.
 ///
 /// Pruned layers inherit the block-sparse GEMM dispatch (see
 /// `iprune_tensor::sparse`) on this path too.
 pub fn evaluate(model: &mut Model, ds: &Dataset, batch: usize) -> f64 {
-    match eval_mode() {
-        EvalMode::Q15 => {
-            let qm = crate::qeval::QuantizedModel::quantize(
-                model,
-                ds,
-                crate::qeval::DEFAULT_CALIBRATION,
-            );
-            qm.evaluate_q15(ds)
-        }
-        EvalMode::Q8 => {
-            let qm = crate::qeval::Quantized8Model::quantize(
-                model,
-                ds,
-                crate::qeval::DEFAULT_CALIBRATION,
-            );
-            qm.evaluate_q8(ds)
-        }
-        EvalMode::F32 => evaluate_shared(model, ds, batch),
-    }
-}
-
-/// Float evaluation against a *shared* model: the zero-clone path.
-///
-/// Workers borrow the same `&Model` and execute through the shared-state
-/// [`ExecCtx`] inference path, so no weight buffer is cloned no matter how
-/// many workers run — this is the same contract the serving front end
-/// relies on. Bitwise identical to [`evaluate`]'s float path (and to the
-/// pre-refactor per-worker-clone implementation).
-pub fn evaluate_shared(model: &Model, ds: &Dataset, batch: usize) -> f64 {
     evaluate_overridden(model, &[], ds, batch)
 }
 
 /// Float evaluation of a shared model with per-layer [`WeightOverride`]s
 /// installed in every worker's context: the sensitivity-probe path. With an
-/// empty override list this *is* [`evaluate_shared`]. Probing layer `i`'s
+/// empty override list this *is* [`evaluate`]. Probing layer `i`'s
 /// candidate mask costs one single-layer weight clone (inside the override)
 /// instead of a full-model clone per probe.
 pub fn evaluate_overridden(

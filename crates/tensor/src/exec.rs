@@ -15,7 +15,7 @@
 //! identical to `Layer::forward(x, false)`.
 
 use crate::layer::Param;
-use crate::sparse::{self, DispatchMode, SparseIndex};
+use crate::sparse::{self, SparseIndex};
 use crate::Tensor;
 use std::sync::Arc;
 
@@ -28,25 +28,20 @@ pub struct WeightOverride {
     /// The replacement weight values (same shape as the layer's weights).
     pub w: Tensor,
     /// Block-sparse index over the override's mask, consulted under the same
-    /// dispatch policy as [`Param::gemm_sparse`].
+    /// dispatch policy ([`sparse::dispatched`]) as [`Param::gemm_sparse`].
     pub sparse: Option<Arc<SparseIndex>>,
 }
 
 impl WeightOverride {
     /// Builds an override whose weights are `base ⊙ mask`, with the
-    /// block-sparse index rebuilt from `mask` exactly as
-    /// [`Param::set_mask`] would — so probe evaluation is bitwise identical
-    /// to cloning the model and installing the mask.
+    /// block-sparse index built from `mask` by [`sparse::weight_index`], as
+    /// [`Param::set_mask`] builds it — so probe evaluation is bitwise
+    /// identical to cloning the model and installing the mask.
     pub fn masked(layer_id: usize, base: &Tensor, mask: &Tensor) -> Self {
         assert_eq!(base.dims(), mask.dims(), "override mask shape mismatch");
         let mut w = base.clone();
         w.mul_assign(mask);
-        let rows = base.dims()[0];
-        let sparse = (rows > 0).then(|| {
-            let cols = base.numel() / rows;
-            Arc::new(SparseIndex::from_mask(mask.data(), rows, cols))
-        });
-        Self { layer_id, w, sparse }
+        Self { layer_id, w, sparse: sparse::weight_index(mask) }
     }
 }
 
@@ -134,28 +129,17 @@ impl ExecCtx {
 
     /// Resolves the weight buffer and sparse-dispatch decision for a weight
     /// param: the override for `p.layer_id` when one is installed, the
-    /// param's own value otherwise. The dispatch policy mirrors
-    /// [`Param::gemm_sparse`] so overridden and native weights route through
-    /// the same kernels.
+    /// param's own value otherwise. Both go through the one dispatch policy
+    /// ([`sparse::dispatched`]), so overridden and native weights route
+    /// through the same kernels.
     pub fn weights_for<'a>(&'a self, p: &'a Param) -> (&'a [f32], Option<&'a SparseIndex>) {
         match self.overrides.iter().rev().find(|ov| ov.layer_id == p.layer_id) {
             Some(ov) => {
                 assert_eq!(ov.w.dims(), p.value.dims(), "override shape mismatch for {}", p.name);
-                (ov.w.data(), dispatchable(ov.sparse.as_deref()))
+                (ov.w.data(), sparse::dispatched(ov.sparse.as_deref()))
             }
             None => (p.value.data(), p.gemm_sparse()),
         }
-    }
-}
-
-/// Applies the global dispatch policy to an already-built sparse index
-/// (the override-side mirror of [`Param::gemm_sparse`]).
-fn dispatchable(idx: Option<&SparseIndex>) -> Option<&SparseIndex> {
-    let idx = idx?;
-    match sparse::dispatch_mode() {
-        DispatchMode::ForceDense => None,
-        DispatchMode::ForceSparse => Some(idx),
-        DispatchMode::Auto => idx.below_dispatch_threshold().then_some(idx),
     }
 }
 

@@ -8,8 +8,9 @@
 //! fine-tuning.
 
 use crate::exec::ExecCtx;
+use crate::matmul::SparseOperand::{Lhs, Out, Rhs};
 use crate::matmul::{matmul_a_bt, matmul_acc, matmul_at_b};
-use crate::sparse::{self, DispatchMode, SparseIndex};
+use crate::sparse::{self, SparseIndex};
 use crate::{init, par, Tensor};
 use crate::{pack, pool};
 use iprune_obs::metrics::{self, Counter};
@@ -72,18 +73,6 @@ impl Param {
         Self { layer_id, name: name.into(), value, grad, mask: None, sparse: None }
     }
 
-    /// Builds the block-sparse index for `mask` over this parameter viewed
-    /// as a `dims[0] × (numel / dims[0])` matrix — the shape every GEMM
-    /// call site uses.
-    fn build_sparse(&self, mask: &Tensor) -> Option<Arc<SparseIndex>> {
-        let rows = *self.value.dims().first()?;
-        if rows == 0 {
-            return None;
-        }
-        let cols = self.value.numel() / rows;
-        Some(Arc::new(SparseIndex::from_mask(mask.data(), rows, cols)))
-    }
-
     /// Installs (or replaces) the pruning mask, immediately zeroes the
     /// masked weights, and rebuilds the block-sparse index.
     ///
@@ -93,20 +82,19 @@ impl Param {
     pub fn set_mask(&mut self, mask: Tensor) {
         assert_eq!(mask.dims(), self.value.dims(), "mask shape mismatch for {}", self.name);
         self.value.mul_assign(&mask);
-        self.sparse = self.build_sparse(&mask);
+        self.sparse = sparse::weight_index(&mask);
         self.mask = Some(mask);
     }
 
     /// Re-applies the mask to both value and gradient (no-op when
     /// unmasked), building the block-sparse index if it is missing.
     pub fn apply_mask(&mut self) {
-        if let Some(mask) = self.mask.take() {
-            self.value.mul_assign(&mask);
-            self.grad.mul_assign(&mask);
+        if let Some(mask) = &self.mask {
+            self.value.mul_assign(mask);
+            self.grad.mul_assign(mask);
             if self.sparse.is_none() {
-                self.sparse = self.build_sparse(&mask);
+                self.sparse = sparse::weight_index(mask);
             }
-            self.mask = Some(mask);
         }
     }
 
@@ -115,24 +103,11 @@ impl Param {
         self.sparse.as_deref()
     }
 
-    /// The block-sparse index *iff* the current dispatch policy routes this
-    /// parameter's GEMMs through the sparse kernels: in [`DispatchMode::Auto`]
-    /// that means the alive-block coverage is below
-    /// [`sparse::SPARSE_DENSITY_THRESHOLD`].
+    /// The block-sparse index *iff* the current dispatch policy
+    /// ([`sparse::dispatched`]) routes this parameter's GEMMs through the
+    /// sparse forms.
     pub fn gemm_sparse(&self) -> Option<&SparseIndex> {
-        let idx = self.sparse.as_deref()?;
-        match sparse::dispatch_mode() {
-            DispatchMode::ForceDense => None,
-            DispatchMode::ForceSparse => Some(idx),
-            DispatchMode::Auto => idx.below_dispatch_threshold().then_some(idx),
-        }
-    }
-
-    /// Like [`Self::gemm_sparse`] but clones the `Arc`, for call sites that
-    /// also need to borrow the parameter mutably (gradient accumulation).
-    pub fn gemm_sparse_arc(&self) -> Option<Arc<SparseIndex>> {
-        self.gemm_sparse()?;
-        self.sparse.clone()
+        sparse::dispatched(self.sparse.as_deref())
     }
 
     /// Fraction of weights still unmasked (1.0 when no mask is installed).
@@ -334,47 +309,52 @@ impl Conv2d {
         let base = n * s.in_len();
         pack::im2col_f32(&x.data()[base..base + s.in_len()], &s, col);
     }
+
+    /// Checks an NCHW input; returns its zeroed output and the per-sample
+    /// output and im2col lengths.
+    fn start(&self, x: &Tensor) -> (Tensor, usize, usize) {
+        assert_eq!(x.dims().len(), 4, "Conv2d expects NCHW input");
+        assert_eq!(x.dims()[1], self.cin, "Conv2d {} input channels", self.layer_id);
+        let (ho, wo) = self.out_hw(x.dims()[2], x.dims()[3]);
+        let out = Tensor::zeros(&[x.dims()[0], self.cout, ho, wo]);
+        (out, self.cout * ho * wo, self.cin * self.kh * self.kw * ho * wo)
+    }
+
+    /// One sample's forward pass, shared by `forward` and `infer`: im2col
+    /// of sample `s` into `col` (which it overwrites whole, so recycled
+    /// scratch is bitwise equivalent to a fresh buffer), then
+    /// `out += W·col` and the bias, into the sample's output slice.
+    fn forward_sample(
+        &self,
+        x: &Tensor,
+        s: usize,
+        (w, w_sparse): (&[f32], Option<&SparseIndex>),
+        col: &mut [f32],
+        out: &mut [f32],
+    ) {
+        let (ho, wo) = self.out_hw(x.dims()[2], x.dims()[3]);
+        let (k, hw_out) = (self.cin * self.kh * self.kw, ho * wo);
+        self.im2col(x, s, ho, wo, col);
+        matmul_acc(w, col, out, self.cout, k, hw_out, w_sparse.map(Lhs));
+        for (m, &bias) in self.b.value.data().iter().enumerate() {
+            for v in &mut out[m * hw_out..(m + 1) * hw_out] {
+                *v += bias;
+            }
+        }
+    }
 }
 
 impl Layer for Conv2d {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        assert_eq!(x.dims().len(), 4, "Conv2d expects NCHW input");
-        assert_eq!(x.dims()[1], self.cin, "Conv2d {} input channels", self.layer_id);
-        let (n, h, w) = (x.dims()[0], x.dims()[2], x.dims()[3]);
-        let (ho, wo) = self.out_hw(h, w);
-        let k = self.cin * self.kh * self.kw;
-        let hw_out = ho * wo;
-        let mut out = Tensor::zeros(&[n, self.cout, ho, wo]);
+        let (mut out, out_len, col_len) = self.start(x);
         // One par worker per sample: each owns its output slice and im2col
         // scratch, so there is no cross-sample reduction to order.
         let this = &*self;
-        let w_sparse = self.w.gemm_sparse();
-        let cols = par::par_chunks_map(out.data_mut(), self.cout * hw_out, |s, out_slice| {
-            let mut col = vec![0.0f32; k * hw_out];
-            this.im2col(x, s, ho, wo, &mut col);
-            match w_sparse {
-                Some(idx) => sparse::matmul_acc_sparse_lhs(
-                    idx,
-                    this.w.value.data(),
-                    &col,
-                    out_slice,
-                    this.cout,
-                    k,
-                    hw_out,
-                ),
-                None => matmul_acc(this.w.value.data(), &col, out_slice, this.cout, k, hw_out),
-            }
-            for m in 0..this.cout {
-                let bias = this.b.value.data()[m];
-                for v in &mut out_slice[m * hw_out..(m + 1) * hw_out] {
-                    *v += bias;
-                }
-            }
-            if train {
-                Some(col)
-            } else {
-                None
-            }
+        let w = (this.w.value.data(), this.w.gemm_sparse());
+        let cols = par::par_chunks_map(out.data_mut(), out_len, |s, out_s| {
+            let mut col = vec![0.0f32; col_len];
+            this.forward_sample(x, s, w, &mut col, out_s);
+            train.then_some(col)
         });
         if train {
             self.cached_cols = cols.into_iter().map(|c| c.expect("train-mode col")).collect();
@@ -384,56 +364,22 @@ impl Layer for Conv2d {
     }
 
     fn infer(&self, x: &Tensor, ctx: &mut ExecCtx) -> Tensor {
-        assert_eq!(x.dims().len(), 4, "Conv2d expects NCHW input");
-        assert_eq!(x.dims()[1], self.cin, "Conv2d {} input channels", self.layer_id);
-        let (n, h, w) = (x.dims()[0], x.dims()[2], x.dims()[3]);
-        let (ho, wo) = self.out_hw(h, w);
-        let k = self.cin * self.kh * self.kw;
-        let hw_out = ho * wo;
-        let mut out = Tensor::zeros(&[n, self.cout, ho, wo]);
-        if !par::in_worker() && par::workers_for(n) > 1 {
+        let (mut out, out_len, col_len) = self.start(x);
+        if !par::in_worker() && par::workers_for(x.dims()[0]) > 1 {
             // Batched call from the coordinating thread: fan samples over
             // the worker pool exactly like `forward` (per-worker scratch).
-            let this = self;
-            let (w_data, w_sparse) = ctx.weights_for(&self.w);
-            par::par_chunks_map(out.data_mut(), self.cout * hw_out, |s, out_slice| {
-                let mut col = vec![0.0f32; k * hw_out];
-                this.im2col(x, s, ho, wo, &mut col);
-                match w_sparse {
-                    Some(idx) => sparse::matmul_acc_sparse_lhs(
-                        idx, w_data, &col, out_slice, this.cout, k, hw_out,
-                    ),
-                    None => matmul_acc(w_data, &col, out_slice, this.cout, k, hw_out),
-                }
-                for m in 0..this.cout {
-                    let bias = this.b.value.data()[m];
-                    for v in &mut out_slice[m * hw_out..(m + 1) * hw_out] {
-                        *v += bias;
-                    }
-                }
+            let w = ctx.weights_for(&self.w);
+            par::par_chunks_map(out.data_mut(), out_len, |s, out_s| {
+                self.forward_sample(x, s, w, &mut vec![0.0f32; col_len], out_s);
             });
         } else {
             // Serial (or nested-in-worker) call: re-use the context's im2col
-            // scratch across samples. `im2col` overwrites every element, so
-            // the recycled buffer is bitwise equivalent to a fresh one.
-            let mut col = ctx.take(k * hw_out);
-            let (w_data, w_sparse) = ctx.weights_for(&self.w);
-            for s in 0..n {
-                self.im2col(x, s, ho, wo, &mut col);
-                let out_slice =
-                    &mut out.data_mut()[s * self.cout * hw_out..(s + 1) * self.cout * hw_out];
-                match w_sparse {
-                    Some(idx) => sparse::matmul_acc_sparse_lhs(
-                        idx, w_data, &col, out_slice, self.cout, k, hw_out,
-                    ),
-                    None => matmul_acc(w_data, &col, out_slice, self.cout, k, hw_out),
-                }
-                for m in 0..self.cout {
-                    let bias = self.b.value.data()[m];
-                    for v in &mut out_slice[m * hw_out..(m + 1) * hw_out] {
-                        *v += bias;
-                    }
-                }
+            // scratch across samples.
+            let mut col = ctx.take(col_len);
+            let w = ctx.weights_for(&self.w);
+            for s in 0..x.dims()[0] {
+                let out_s = &mut out.data_mut()[s * out_len..(s + 1) * out_len];
+                self.forward_sample(x, s, w, &mut col, out_s);
             }
             ctx.put(col);
         }
@@ -462,12 +408,7 @@ impl Layer for Conv2d {
             // alive blocks accumulate — dead-block gradients would be
             // zeroed by the optimizer's mask application anyway
             let mut dw = vec![0.0f32; this.w.grad.numel()];
-            match w_sparse {
-                Some(idx) => {
-                    sparse::matmul_a_bt_sparse_out(idx, g_slice, col, &mut dw, this.cout, hw_out, k)
-                }
-                None => matmul_a_bt(g_slice, col, &mut dw, this.cout, hw_out, k),
-            }
+            matmul_a_bt(g_slice, col, &mut dw, this.cout, hw_out, k, w_sparse.map(Out));
             // db_s = row sums of dY
             let mut db = vec![0.0f32; this.cout];
             for (m, dbm) in db.iter_mut().enumerate() {
@@ -476,20 +417,8 @@ impl Layer for Conv2d {
             // dcol = W^T (K x M) * dY (M x HW), scattered into this
             // sample's gx slice by the im2col adjoint
             let mut grad_col = vec![0.0f32; k * hw_out];
-            match w_sparse {
-                Some(idx) => sparse::matmul_at_b_sparse_lhs(
-                    idx,
-                    this.w.value.data(),
-                    g_slice,
-                    &mut grad_col,
-                    k,
-                    this.cout,
-                    hw_out,
-                ),
-                None => {
-                    matmul_at_b(this.w.value.data(), g_slice, &mut grad_col, k, this.cout, hw_out)
-                }
-            }
+            let wt = this.w.value.data();
+            matmul_at_b(wt, g_slice, &mut grad_col, k, this.cout, hw_out, w_sparse.map(Lhs));
             pack::col2im_f32(&grad_col, &this.conv_shape(h, w, ho, wo), gx_s);
             (dw, db)
         });
@@ -572,33 +501,27 @@ impl Linear {
     pub fn weight(&self) -> &Param {
         &self.w
     }
-}
 
-impl Layer for Linear {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+    /// `x · Wᵀ + bias` with the given weights, shared by `forward` and
+    /// `infer`.
+    fn apply(&self, x: &Tensor, w: &[f32], w_sparse: Option<&SparseIndex>) -> Tensor {
         assert_eq!(x.dims().len(), 2, "Linear expects [N, din]");
         assert_eq!(x.dims()[1], self.din, "Linear {} input dim", self.layer_id);
         let n = x.dims()[0];
         let mut out = Tensor::zeros(&[n, self.dout]);
-        match self.w.gemm_sparse() {
-            Some(idx) => sparse::matmul_a_bt_sparse_rhs(
-                idx,
-                x.data(),
-                self.w.value.data(),
-                out.data_mut(),
-                n,
-                self.din,
-                self.dout,
-            ),
-            None => {
-                matmul_a_bt(x.data(), self.w.value.data(), out.data_mut(), n, self.din, self.dout)
-            }
-        }
+        matmul_a_bt(x.data(), w, out.data_mut(), n, self.din, self.dout, w_sparse.map(Rhs));
         for s in 0..n {
             for (j, &bias) in self.b.value.data().iter().enumerate() {
                 out.data_mut()[s * self.dout + j] += bias;
             }
         }
+        out
+    }
+}
+
+impl Layer for Linear {
+    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+        let out = self.apply(x, self.w.value.data(), self.w.gemm_sparse());
         if train {
             self.cached_input = Some(x.clone());
         }
@@ -606,29 +529,8 @@ impl Layer for Linear {
     }
 
     fn infer(&self, x: &Tensor, ctx: &mut ExecCtx) -> Tensor {
-        assert_eq!(x.dims().len(), 2, "Linear expects [N, din]");
-        assert_eq!(x.dims()[1], self.din, "Linear {} input dim", self.layer_id);
-        let n = x.dims()[0];
-        let mut out = Tensor::zeros(&[n, self.dout]);
-        let (w_data, w_sparse) = ctx.weights_for(&self.w);
-        match w_sparse {
-            Some(idx) => sparse::matmul_a_bt_sparse_rhs(
-                idx,
-                x.data(),
-                w_data,
-                out.data_mut(),
-                n,
-                self.din,
-                self.dout,
-            ),
-            None => matmul_a_bt(x.data(), w_data, out.data_mut(), n, self.din, self.dout),
-        }
-        for s in 0..n {
-            for (j, &bias) in self.b.value.data().iter().enumerate() {
-                out.data_mut()[s * self.dout + j] += bias;
-            }
-        }
-        out
+        let (w, w_sparse) = ctx.weights_for(&self.w);
+        self.apply(x, w, w_sparse)
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
@@ -638,20 +540,11 @@ impl Layer for Linear {
         // dW += dY^T (F x N) * X (N x D); on the sparse path only alive
         // blocks accumulate — dead-block gradients would be zeroed by the
         // optimizer's mask application anyway
-        match self.w.gemm_sparse_arc() {
-            Some(idx) => sparse::matmul_at_b_sparse_out(
-                &idx,
-                grad.data(),
-                x.data(),
-                self.w.grad.data_mut(),
-                self.dout,
-                n,
-                self.din,
-            ),
-            None => {
-                matmul_at_b(grad.data(), x.data(), self.w.grad.data_mut(), self.dout, n, self.din)
-            }
-        }
+        // `gemm_sparse()` would borrow all of `self.w`; the field borrow
+        // leaves `self.w.grad` free for the gradient buffer
+        let w_sparse = sparse::dispatched(self.w.sparse.as_deref());
+        let dw = self.w.grad.data_mut();
+        matmul_at_b(grad.data(), x.data(), dw, self.dout, n, self.din, w_sparse.map(Out));
         for s in 0..n {
             for j in 0..self.dout {
                 self.b.grad.data_mut()[j] += grad.data()[s * self.dout + j];
@@ -659,20 +552,8 @@ impl Layer for Linear {
         }
         // dX = dY (N x F) * W (F x D)
         let mut gx = Tensor::zeros(&[n, self.din]);
-        match self.w.gemm_sparse() {
-            Some(idx) => sparse::matmul_acc_sparse_rhs(
-                idx,
-                grad.data(),
-                self.w.value.data(),
-                gx.data_mut(),
-                n,
-                self.dout,
-                self.din,
-            ),
-            None => {
-                matmul_acc(grad.data(), self.w.value.data(), gx.data_mut(), n, self.dout, self.din)
-            }
-        }
+        let w = self.w.value.data();
+        matmul_acc(grad.data(), w, gx.data_mut(), n, self.dout, self.din, w_sparse.map(Rhs));
         gx
     }
 

@@ -4,7 +4,7 @@
 //! as i16×i16 products accumulated wide, bias preloaded at accumulator
 //! scale, then an arithmetic-shift requantization back to i16 (and a ReLU
 //! clamp for hidden layers). This module exposes exactly that arithmetic as
-//! a host GEMM so evaluation can run in device numerics (`IPRUNE_EVAL=q15`)
+//! a host GEMM so evaluation can run in device numerics (`models::qeval`)
 //! and report f32-vs-Q15 accuracy deltas.
 //!
 //! Both operands are **k-contiguous** (dot form): `a` is `[m][k]` (weight

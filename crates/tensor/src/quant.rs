@@ -90,7 +90,7 @@ pub fn requantize(acc: i64, in_frac: u8, w_frac: u8, out_frac: u8) -> i16 {
 
 /// A power-of-two 8-bit fixed-point format: `f` fractional bits in an i8.
 ///
-/// The deploy-style int8 tier (`IPRUNE_EVAL=q8`) stores weights and
+/// The deploy-style int8 tier (`models::qeval`'s Q8 engine) stores weights and
 /// activations as i8 with per-tensor power-of-two scales — the same
 /// shift-only requantization discipline as [`QFormat`], at half the
 /// payload and a quarter of the multiplier width. Biases are *not* stored

@@ -1,9 +1,9 @@
 //! Runtime-dispatched AVX2/FMA kernel bodies for the hot GEMM loops.
 //!
-//! The scalar register-blocked kernels in [`crate::matmul`] and
-//! [`crate::sparse`] remain the executable specification — bit-identical to
-//! the original reference loops, tested bitwise. This module adds explicit
-//! `core::arch` x86-64 SIMD bodies behind a process-wide dispatch level
+//! The scalar specs of the f32 GEMM primitives in [`crate::matmul`] remain
+//! the executable specification — bit-identical to the original reference
+//! loops, tested bitwise. This module adds explicit `core::arch` x86-64
+//! SIMD bodies for those primitives behind a process-wide dispatch level
 //! ([`simd_level`]): auto-detected via `is_x86_feature_detected!("avx2")` +
 //! `"fma"`, overridable with `IPRUNE_SIMD=0` (force scalar) / `IPRUNE_SIMD=1`
 //! (SIMD when available) or programmatically with [`set_simd_level`].
@@ -21,26 +21,28 @@
 //!
 //! # Per-element operation contract (dense ≡ sparse under SIMD)
 //!
-//! The rest of the workspace relies on the block-sparse kernels being
-//! bit-identical to the dense path on masked weights. That invariant is
+//! The rest of the workspace relies on the block-sparse GEMM forms being
+//! bit-identical to the dense calls on masked weights. That invariant is
 //! preserved *within* the SIMD level by fixing, per output element, the
-//! exact operation schedule — shared by the dense body and every sparse
-//! body:
+//! exact operation schedule — shared by the dense call and every sparse
+//! form:
 //!
 //! - **axpy family** (`acc`, `at_b`): with `n8 = n - n % 8`, element
 //!   `(i, j)` with `j < n8` is an FMA chain over ascending reduction index
 //!   `p`; elements with `j >= n8` use separate multiply-then-add. The chain
 //!   may round-trip through memory between block rows — that does not
-//!   change the arithmetic.
+//!   change the arithmetic. The dense `acc` and `at_b` calls run the
+//!   lhs-sparse and output-sparse bodies with one full strip per block row.
 //! - **dot family** (`a_bt`): with `k8 = k - k % 8`, the reduction is eight
 //!   FMA lanes over 8-aligned chunks of `p < k8` (lane = `p % 8`), reduced
 //!   by the fixed [`hsum8`] tree, plus a scalar multiply-add tail over
-//!   `p >= k8`; the element update is `c += hsum + tail`.
+//!   `p >= k8`; the element update is `c += hsum + tail`. One body walks
+//!   the dense, rhs-sparse and output-sparse forms.
 //!
-//! A sparse body that skips a dead block elides only `±0.0` products —
+//! A sparse form that skips a dead block elides only `±0.0` products —
 //! bitwise no-ops on chains that never hold `-0.0` (guaranteed by the
-//! finite-data / zero-initialized-buffer contract already documented in
-//! [`crate::sparse`]) — and, because the default host block width (16) is a
+//! finite-data / zero-initialized-buffer contract documented in
+//! [`crate::matmul`]) — and, because the default host block width (16) is a
 //! multiple of the 8-float lane width, alive strips preserve absolute lane
 //! positions. Hence forced-SIMD dense and forced-SIMD sparse agree bit for
 //! bit on pipeline data, at any thread count. (With non-default block
@@ -80,8 +82,7 @@ pub enum SimdLevel {
 }
 
 /// Process-wide dispatch level (0 = scalar, 1 = AVX2), seeded from
-/// `IPRUNE_SIMD` and CPU detection on first use. Mirrors the
-/// `IPRUNE_SPARSE` dispatch state in [`crate::sparse`].
+/// `IPRUNE_SIMD` and CPU detection on first use.
 static LEVEL: AtomicU8 = AtomicU8::new(u8::MAX);
 
 /// Whether this CPU supports the AVX2+FMA kernel bodies.
@@ -215,8 +216,8 @@ pub(crate) mod avx2 {
     use core::arch::x86_64::*;
 
     /// One reduction range list: ascending, disjoint `(p0, p1)` cell
-    /// ranges. Dense kernels pass a single `(0, k)`; sparse kernels pass
-    /// the coalesced alive strips of a block row.
+    /// ranges. Dense calls pass a single `(0, k)`; sparse forms pass the
+    /// coalesced alive strips of a block row.
     pub(crate) type Segs<'a> = &'a [(usize, usize)];
 
     /// Fixed 8-lane horizontal-sum tree:
@@ -237,22 +238,25 @@ pub(crate) mod avx2 {
     // region j < n8) / multiply-add chains (scalar tail j >= n8).
     // -----------------------------------------------------------------
 
-    /// Updates `rows_g` (1..=4) output rows whose left-operand value for
-    /// output row `r` and reduction index `p` is
-    /// `a[a_base + r*a_rstride + p*a_pstride]`; `c_row0` is the first
+    /// Updates `rows_g` (1..=4) output rows at columns `[j0, j1)`; the
+    /// left-operand value for output row `r` and reduction index `p` is
+    /// `a[a_base + r*a_rstride + p*a_pstride]`, and `c_row0` is the first
     /// updated row inside `c`. The reduction runs over `segs`.
     ///
     /// This is the shared body of `matmul_acc` (`a[m][k]`: rstride `k`,
-    /// pstride 1), `matmul_at_b` (`a[k][m]` traversed transposed: rstride
-    /// 1, pstride `m`) and their sparse-lhs counterparts — the callers
-    /// differ only in `a` indexing and reduction segments.
+    /// pstride 1, reduction strips of a sparse `a`) and `matmul_at_b`
+    /// (`a[k][m]` traversed transposed: rstride 1, pstride `m`; block-row
+    /// `p` ranges of a sparse `a`, or alive column strips of a sparse
+    /// output). Columns `[j0, jv)` run in whole 8-lane vectors; the rest,
+    /// the `j >= n8` tail and the sub-lane edge of a strip whose width is
+    /// not a multiple of 8, take multiply-then-add chains.
     ///
     /// # Safety
     ///
     /// Requires avx2+fma; `a_base + r*a_rstride + p*a_pstride` must be in
     /// bounds for `r < rows_g` and every `p` in `segs`; `b` must hold
     /// `p*n + n` elements for every such `p`; `c` must hold
-    /// `(c_row0 + rows_g) * n` elements.
+    /// `(c_row0 + rows_g) * n` elements; `j0 <= j1 <= n`.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2,fma")]
     pub(crate) unsafe fn axpy_rows(
@@ -266,17 +270,20 @@ pub(crate) mod avx2 {
         c_row0: usize,
         n: usize,
         segs: Segs,
+        (j0, j1): (usize, usize),
     ) {
         debug_assert!((1..=4).contains(&rows_g));
         let n8 = n & !7;
+        // end of the whole 8-lane vectors from j0
+        let jv = j0 + (j1.min(n8).saturating_sub(j0) & !7);
         let ap = a.as_ptr();
         let bp = b.as_ptr();
         let cp = c.as_mut_ptr();
         if rows_g == 4 {
             // 4 x 16 register tile: eight FMA chains resident across the
             // whole reduction, two b loads + four broadcasts per p.
-            let mut jp = 0usize;
-            while jp + 16 <= n8 {
+            let mut jp = j0;
+            while jp + 16 <= jv {
                 let mut acc = [_mm256_setzero_ps(); 8];
                 for r in 0..4 {
                     acc[2 * r] = _mm256_loadu_ps(cp.add((c_row0 + r) * n + jp));
@@ -300,7 +307,7 @@ pub(crate) mod avx2 {
                 }
                 jp += 16;
             }
-            if jp < n8 {
+            if jp < jv {
                 let mut acc = [_mm256_setzero_ps(); 4];
                 for (r, accr) in acc.iter_mut().enumerate() {
                     *accr = _mm256_loadu_ps(cp.add((c_row0 + r) * n + jp));
@@ -322,8 +329,8 @@ pub(crate) mod avx2 {
         } else {
             // edge rows: same chains, one row at a time
             for r in 0..rows_g {
-                let mut jp = 0usize;
-                while jp < n8 {
+                let mut jp = j0;
+                while jp < jv {
                     let mut acc = _mm256_loadu_ps(cp.add((c_row0 + r) * n + jp));
                     for &(p0, p1) in segs {
                         for p in p0..p1 {
@@ -337,9 +344,9 @@ pub(crate) mod avx2 {
                 }
             }
         }
-        // scalar tail columns j >= n8: separate multiply-then-add chains
+        // the remaining columns: separate multiply-then-add chains
         for r in 0..rows_g {
-            for j in n8..n {
+            for j in jv..j1 {
                 let mut t = *cp.add((c_row0 + r) * n + j);
                 for &(p0, p1) in segs {
                     for p in p0..p1 {
@@ -351,26 +358,28 @@ pub(crate) mod avx2 {
         }
     }
 
-    /// axpy-family update restricted to output *columns* `[j0, j1)`:
-    /// vector FMA chains for `j < n8`, multiply-add for the `j >= n8`
-    /// remainder, matching [`axpy_rows`]'s per-element schedule. Used by
-    /// the sparse kernels whose index restricts output or rhs columns
-    /// (`acc_sparse_rhs`, `at_b_sparse_out`). One left value `av` per call.
+    /// axpy-family update of one output row by one left value `av`,
+    /// restricted to columns `[j0, j1)`: vector FMA for whole lanes below
+    /// `n8`, multiply-add for the sub-lane edge (only reachable for block
+    /// widths that are not a multiple of 8) and the `j >= n8` tail,
+    /// matching [`axpy_rows`]'s per-element schedule. The body of the
+    /// rhs-sparse `matmul_acc`, whose index restricts each `b` row's
+    /// columns.
     ///
     /// # Safety
     ///
-    /// Requires avx2+fma; `b_row` must hold `j1` elements and `c_row`
-    /// `j1` elements; `j0 <= j1 <= n`.
+    /// Requires avx2+fma; `b_row` must hold `c_row.len()` elements and
+    /// `j0 <= j1 <= c_row.len()`.
     #[target_feature(enable = "avx2,fma")]
     pub(crate) unsafe fn axpy_cols(
         av: f32,
-        b_row: *const f32,
-        c_row: *mut f32,
-        j0: usize,
-        j1: usize,
-        n8: usize,
+        b_row: &[f32],
+        c_row: &mut [f32],
+        (j0, j1): (usize, usize),
     ) {
+        let n8 = c_row.len() & !7;
         let vend = j1.min(n8);
+        let (b_row, c_row) = (b_row.as_ptr(), c_row.as_mut_ptr());
         let avv = _mm256_set1_ps(av);
         let mut j = j0;
         while j + 8 <= vend {

@@ -1,92 +1,34 @@
-//! Host-side block-sparse (BSR) execution for pruned weight matrices.
+//! Host-side block-sparse (BSR) index over pruned weight matrices, and the
+//! policy that decides when a layer's GEMMs use it.
 //!
 //! Block pruning (the paper's guideline 3) kills whole rectangles of a
-//! weight matrix at once, yet the dense kernels in [`crate::matmul`] still
-//! *traverse* every pruned value and branch past it one element at a time.
-//! At the paper's final densities (~20–35 %) most of that traversal is
-//! wasted. This module mirrors the device-side `BsrMatrix` layout
-//! (`iprune-hawaii`) on the host: a [`SparseIndex`] of block-row pointers
-//! and block column indices built from a parameter's pruning mask, plus
-//! sparse counterparts of the three hot GEMM kernels that iterate only the
-//! alive blocks.
-//!
-//! One index serves every call site. The prune–retrain loop multiplies by a
-//! weight matrix `W[m_w × k_w]` in six roles — forward (`W` on the left of
-//! `matmul_acc`, or the transposed right operand of `matmul_a_bt`), input
-//! gradients (`W` traversed transposed in `matmul_at_b`, or the right
-//! operand of `matmul_acc`), and weight gradients (`W`-shaped *outputs* of
-//! `matmul_a_bt` / `matmul_at_b`) — and all six traverse the same row-major
-//! block grid, so the single mask-derived index covers them all.
-//!
-//! # Bit-identity
-//!
-//! The scalar references already define skip-zero semantics: ascending
-//! reduction index `p`, skip exact-zero left operands. Masking multiplies a
-//! pruned weight by `0.0`, leaving `±0.0`, and `v == 0.0` matches both
-//! signs — so for the kernels with a reference zero-skip
-//! ([`matmul_acc_sparse_lhs`], [`matmul_at_b_sparse_lhs`]) skipping a dead
-//! block elides exactly the iterations the reference skips, and the alive
-//! blocks keep the per-element test: results are *strictly* bit-identical
-//! for any input.
-//!
-//! The remaining kernels rely on one IEEE-754 fact: a chain of additions
-//! that starts at `+0.0` can never produce `-0.0` (only `(-0.0) + (-0.0)`
-//! is `-0.0`; exact cancellation rounds to `+0.0`), so adding a `±0.0`
-//! product never changes the accumulator's bits. Hence they are
-//! bit-identical to the reference provided the inputs are finite (the
-//! reference would turn `inf × pruned-zero` into NaN) and, for the
-//! accumulate-into-`c` variants, no dead-block-covered `c` entry starts as
-//! `-0.0` — both always true in the training pipeline, where activations
-//! are finite and gradient/output buffers are zero-initialized.
-//!
-//! The output-sparse variants ([`matmul_a_bt_sparse_out`],
-//! [`matmul_at_b_sparse_out`]) compute alive output blocks bit-identically
-//! and leave dead entries untouched. They exist for weight-gradient
-//! accumulation, where the optimizer multiplies the gradient by the mask
-//! before use ([`crate::optim`]) — the dense path computes dead-block
-//! gradients only to zero them, so restricting accumulation to alive
-//! blocks is bit-identical end to end and makes that mask re-application
-//! structurally redundant on the sparse path.
-//!
-//! # Thread-count invariance
-//!
-//! Like the dense kernels, parallelism splits the *output rows* over
-//! [`crate::par`] workers; each element is produced by exactly one worker
-//! with the same op order regardless of the split, so any `IPRUNE_THREADS`
-//! gives identical bits.
-//!
-//! # SIMD dispatch
-//!
-//! Like the dense kernels, the public sparse entries dispatch on
-//! [`crate::simd::simd_level`]; the scalar bodies stay directly callable as
-//! `matmul_*_scalar` variants and remain the bitwise spec described above.
-//! The AVX2 bodies follow the per-element operation contract in
-//! [`crate::simd`], so *within* the SIMD level the dense/sparse bit-identity
-//! story is unchanged: a sparse SIMD kernel elides only `±0.0` FMA no-ops
-//! relative to its dense SIMD counterpart, and with the default host block
-//! shape (width 16, a multiple of the 8-float lane) the dot-family lane
-//! positions are preserved too.
-//!
-//! # Strip coalescing
+//! weight matrix at once; at the paper's final densities (~20–35 %) most of
+//! a dense GEMM's traversal would walk pruned values. This module mirrors
+//! the device-side `BsrMatrix` layout (`iprune-hawaii`) on the host: a
+//! [`SparseIndex`] of block-row pointers and block column indices built
+//! from a parameter's pruning mask. The GEMMs in [`crate::matmul`] take it
+//! as an optional [`crate::matmul::SparseOperand`] and iterate only the
+//! alive blocks; see that module for the six roles one index serves and
+//! for the bit-identity contract.
 //!
 //! The index stores, besides the BSR `col_idx`, the *coalesced* alive-column
 //! strips of each block row: runs of adjacent alive blocks merged into one
-//! `(c0, c1)` cell range. All kernels iterate strips, so at moderate
+//! `(c0, c1)` cell range. The kernels iterate strips, so at moderate
 //! sparsity (where most blocks survive and neighbors are usually alive) the
 //! inner loops stream over long contiguous ranges instead of re-entering
-//! the loop nest every 16 columns — this is what lifts the lhs-sparse
-//! kernels above dense at ≤50 % sparsity. Merging adjacent segments keeps
-//! the traversal order identical, so bit-identity is unaffected.
+//! the loop nest every 16 columns. Merging adjacent segments keeps the
+//! traversal order identical, so bit-identity is unaffected.
+//!
+//! [`dispatched`] is the one dispatch decision (density threshold or a
+//! forced [`DispatchMode`]) and [`weight_index`] the one index builder;
+//! `Param` and the sensitivity probes' `WeightOverride` both use them.
 
-use crate::matmul::row_block;
-use crate::par;
-use crate::simd::{self, SimdLevel};
-use iprune_obs::metrics::{self, Counter, Histogram};
+use crate::Tensor;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-/// Host block height of a [`SparseIndex`]: matches the 4-row register quads
-/// of the dense kernels, so worker row splits align with block rows.
+/// Host block height of a [`SparseIndex`]: matches the 4-row register
+/// groups of the GEMM kernels, so worker row splits align with block rows.
 pub const BLOCK_ROWS: usize = 4;
 
 /// Host block width of a [`SparseIndex`]: wide enough that a dead block
@@ -96,59 +38,68 @@ pub const BLOCK_ROWS: usize = 4;
 pub const BLOCK_COLS: usize = 16;
 
 /// Alive-fraction threshold of the automatic dispatch: below this the
-/// layers route GEMMs through the sparse kernels, at or above it they stay
+/// layers route GEMMs through the sparse forms, at or above it they stay
 /// dense. 0.75 keeps the first pruning iterations (≥ 30 % block sparsity)
 /// on the sparse path while barely-pruned models avoid the index-walk
 /// overhead.
 pub const SPARSE_DENSITY_THRESHOLD: f64 = 0.75;
 
-/// How layer GEMMs choose between the dense and sparse kernels.
+/// How layer GEMMs choose between the dense and sparse forms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DispatchMode {
     /// Density-threshold dispatch (the default): sparse below
     /// [`SPARSE_DENSITY_THRESHOLD`], dense otherwise.
     Auto,
-    /// Always use the dense kernels (differential testing / benchmarking).
+    /// Always use the dense forms (differential testing / benchmarking).
     ForceDense,
-    /// Always use the sparse kernels when an index exists.
+    /// Always use the sparse forms when an index exists.
     ForceSparse,
 }
 
-/// Process-wide dispatch mode (0 = auto, 1 = dense, 2 = sparse), seeded
-/// from `IPRUNE_SPARSE` (`0` forces dense, `1` forces sparse) on first use.
-static MODE: AtomicU8 = AtomicU8::new(u8::MAX);
-
-fn mode_bits(m: DispatchMode) -> u8 {
-    match m {
-        DispatchMode::Auto => 0,
-        DispatchMode::ForceDense => 1,
-        DispatchMode::ForceSparse => 2,
-    }
-}
+/// Process-wide dispatch mode (0 = auto, 1 = dense, 2 = sparse).
+static MODE: AtomicU8 = AtomicU8::new(0);
 
 /// Sets the process-wide GEMM dispatch mode.
 pub fn set_dispatch_mode(mode: DispatchMode) {
-    MODE.store(mode_bits(mode), Ordering::Relaxed);
+    let bits = match mode {
+        DispatchMode::Auto => 0,
+        DispatchMode::ForceDense => 1,
+        DispatchMode::ForceSparse => 2,
+    };
+    MODE.store(bits, Ordering::Relaxed);
 }
 
 /// The current GEMM dispatch mode.
 pub fn dispatch_mode() -> DispatchMode {
-    let bits = MODE.load(Ordering::Relaxed);
-    if bits == u8::MAX {
-        let initial = match std::env::var("IPRUNE_SPARSE").ok().as_deref() {
-            Some("0") => DispatchMode::ForceDense,
-            Some("1") => DispatchMode::ForceSparse,
-            _ => DispatchMode::Auto,
-        };
-        // racing first calls agree on the env-derived value
-        MODE.store(mode_bits(initial), Ordering::Relaxed);
-        return initial;
-    }
-    match bits {
+    match MODE.load(Ordering::Relaxed) {
         1 => DispatchMode::ForceDense,
         2 => DispatchMode::ForceSparse,
         _ => DispatchMode::Auto,
     }
+}
+
+/// `idx` when the current [`DispatchMode`] routes the GEMMs over it
+/// through the sparse forms: always under `ForceSparse`, never under
+/// `ForceDense`, and under `Auto` when its alive-block coverage is below
+/// [`SPARSE_DENSITY_THRESHOLD`].
+pub fn dispatched(idx: Option<&SparseIndex>) -> Option<&SparseIndex> {
+    let idx = idx?;
+    match dispatch_mode() {
+        DispatchMode::ForceDense => None,
+        DispatchMode::ForceSparse => Some(idx),
+        DispatchMode::Auto => idx.below_dispatch_threshold().then_some(idx),
+    }
+}
+
+/// The index of a weight's pruning `mask`, over the weight viewed as a
+/// `dims[0] × (numel / dims[0])` matrix — the shape every GEMM call site
+/// uses. `None` for a weight without rows.
+pub fn weight_index(mask: &Tensor) -> Option<Arc<SparseIndex>> {
+    let rows = *mask.dims().first()?;
+    if rows == 0 {
+        return None;
+    }
+    Some(Arc::new(SparseIndex::from_mask(mask.data(), rows, mask.numel() / rows)))
 }
 
 /// A block-sparse index over a pruning mask: which [`BLOCK_ROWS`] ×
@@ -282,7 +233,7 @@ impl SparseIndex {
         }
     }
 
-    /// Whether the automatic dispatch would pick the sparse kernels.
+    /// Whether the automatic dispatch would pick the sparse GEMM forms.
     pub fn below_dispatch_threshold(&self) -> bool {
         self.alive_fraction() < SPARSE_DENSITY_THRESHOLD
     }
@@ -292,1010 +243,16 @@ impl SparseIndex {
     pub(crate) fn strips_of(&self, rb: usize) -> &[(usize, usize)] {
         &self.strips[self.strip_ptr[rb] as usize..self.strip_ptr[rb + 1] as usize]
     }
-
-    /// Alive cells of block-row `rb` as `(col_start, col_end)` column
-    /// ranges, ascending (the coalesced strips).
-    fn row_segments(&self, rb: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.strips_of(rb).iter().copied()
-    }
-}
-
-/// Counts one sparse kernel call: per-kernel call counter, alive-MAC
-/// histogram, and the process-wide skipped-MAC tally (the traversal the
-/// dense path would have burned on dead blocks).
-fn record_sparse(
-    calls: &'static OnceLock<Arc<Counter>>,
-    name: &'static str,
-    alive: usize,
-    skipped: usize,
-) {
-    static SKIPPED: OnceLock<Arc<Counter>> = OnceLock::new();
-    static MACS: OnceLock<Arc<Histogram>> = OnceLock::new();
-    calls.get_or_init(|| metrics::counter(name)).inc();
-    SKIPPED.get_or_init(|| metrics::counter("gemm.sparse_skipped_macs")).add(skipped as u64);
-    MACS.get_or_init(|| metrics::histogram("gemm.sparse_macs")).record(alive as u64);
-}
-
-/// `c[m][n] += a[m][k] * b[k][n]` with a block-sparse left operand:
-/// [`crate::matmul::matmul_acc`] iterating only the alive blocks of `a`.
-/// Strictly bit-identical to `matmul_acc_ref` (dead blocks hold only
-/// `±0.0`, which the reference skips; alive blocks keep the per-element
-/// skip test).
-///
-/// # Panics
-///
-/// Panics if the slice lengths are inconsistent with `(m, k, n)` or the
-/// index shape is not `m × k`.
-pub fn matmul_acc_sparse_lhs(
-    idx: &SparseIndex,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    acc_sparse_lhs_checks(idx, a, b, c, m, k, n);
-    if m == 0 || n == 0 {
-        return;
-    }
-    if simd::simd_level() == SimdLevel::Avx2 {
-        #[cfg(target_arch = "x86_64")]
-        return acc_sparse_lhs_avx2(idx, a, b, c, m, k, n);
-    }
-    acc_sparse_lhs_path(idx, a, b, c, m, k, n);
-}
-
-/// Scalar path of [`matmul_acc_sparse_lhs`] — strictly bit-identical to
-/// `matmul_acc_ref` regardless of the SIMD dispatch level.
-///
-/// # Panics
-///
-/// Same contract as [`matmul_acc_sparse_lhs`].
-pub fn matmul_acc_sparse_lhs_scalar(
-    idx: &SparseIndex,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    acc_sparse_lhs_checks(idx, a, b, c, m, k, n);
-    if m == 0 || n == 0 {
-        return;
-    }
-    acc_sparse_lhs_path(idx, a, b, c, m, k, n);
-}
-
-fn acc_sparse_lhs_checks(
-    idx: &SparseIndex,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    assert_eq!(a.len(), m * k, "lhs length");
-    assert_eq!(b.len(), k * n, "rhs length");
-    assert_eq!(c.len(), m * n, "out length");
-    assert_eq!((idx.rows, idx.cols), (m, k), "index shape");
-    if m == 0 || n == 0 {
-        return;
-    }
-    static CALLS: OnceLock<Arc<Counter>> = OnceLock::new();
-    let alive = idx.alive_cells * n;
-    record_sparse(&CALLS, "gemm.sparse.acc_lhs_calls", alive, m * k * n - alive);
-}
-
-fn acc_sparse_lhs_path(
-    idx: &SparseIndex,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    let rows_per = row_block(m, k, n);
-    par::par_blocks(c, rows_per * n, |bi, c_block| {
-        let i0 = bi * rows_per;
-        let rows = c_block.len() / n;
-        let mut i = i0;
-        while i < i0 + rows {
-            let rb = i / idx.br;
-            let blk_end = ((rb + 1) * idx.br).min(i0 + rows);
-            for (p0, p1) in idx.row_segments(rb) {
-                for p in p0..p1 {
-                    let b_row = &b[p * n..(p + 1) * n];
-                    for gi in i..blk_end {
-                        let av = a[gi * k + p];
-                        if av == 0.0 {
-                            continue;
-                        }
-                        let c_row = &mut c_block[(gi - i0) * n..(gi - i0 + 1) * n];
-                        for (c_v, &b_v) in c_row.iter_mut().zip(b_row.iter()) {
-                            *c_v += av * b_v;
-                        }
-                    }
-                }
-            }
-            i = blk_end;
-        }
-    });
-}
-
-/// AVX2 body of [`matmul_acc_sparse_lhs`]: each output row belongs to one
-/// block row, so its whole FMA chain runs here over the alive strips
-/// (ascending `p`), matching the dense AVX2 body minus `±0.0` no-ops.
-#[cfg(target_arch = "x86_64")]
-fn acc_sparse_lhs_avx2(
-    idx: &SparseIndex,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    let rows_per = row_block(m, k, n);
-    par::par_blocks(c, rows_per * n, |bi, c_block| {
-        let i0 = bi * rows_per;
-        let rows = c_block.len() / n;
-        let mut i = i0;
-        while i < i0 + rows {
-            let rb = i / idx.br;
-            let blk_end = ((rb + 1) * idx.br).min(i0 + rows);
-            let segs = idx.strips_of(rb);
-            if !segs.is_empty() {
-                let mut g0 = i;
-                while g0 < blk_end {
-                    let g = (blk_end - g0).min(4);
-                    // SAFETY: avx2+fma hold (dispatch level); strips lie in
-                    // [0, k), rows in [0, m) by index construction.
-                    unsafe {
-                        simd::avx2::axpy_rows(a, g0 * k, k, 1, g, b, c_block, g0 - i0, n, segs);
-                    }
-                    g0 += g;
-                }
-            }
-            i = blk_end;
-        }
-    });
-}
-
-/// `c[m][n] += a[m][k] * b[k][n]` with a block-sparse right operand (the
-/// input-gradient GEMM of a fully-connected layer, where `b` is the weight
-/// matrix). Each surviving axpy is restricted to the alive column segments
-/// of `b`'s row `p`; see the module docs for the `±0.0` bit-identity
-/// argument.
-///
-/// # Panics
-///
-/// Panics if the slice lengths are inconsistent with `(m, k, n)` or the
-/// index shape is not `k × n`.
-pub fn matmul_acc_sparse_rhs(
-    idx: &SparseIndex,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    acc_sparse_rhs_checks(idx, a, b, c, m, k, n);
-    if m == 0 || n == 0 {
-        return;
-    }
-    if simd::simd_level() == SimdLevel::Avx2 {
-        #[cfg(target_arch = "x86_64")]
-        return acc_sparse_rhs_avx2(idx, a, b, c, m, k, n);
-    }
-    acc_sparse_rhs_path(idx, a, b, c, m, k, n);
-}
-
-/// Scalar path of [`matmul_acc_sparse_rhs`] — the bitwise spec behavior
-/// regardless of the SIMD dispatch level.
-///
-/// # Panics
-///
-/// Same contract as [`matmul_acc_sparse_rhs`].
-pub fn matmul_acc_sparse_rhs_scalar(
-    idx: &SparseIndex,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    acc_sparse_rhs_checks(idx, a, b, c, m, k, n);
-    if m == 0 || n == 0 {
-        return;
-    }
-    acc_sparse_rhs_path(idx, a, b, c, m, k, n);
-}
-
-fn acc_sparse_rhs_checks(
-    idx: &SparseIndex,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    assert_eq!(a.len(), m * k, "lhs length");
-    assert_eq!(b.len(), k * n, "rhs length");
-    assert_eq!(c.len(), m * n, "out length");
-    assert_eq!((idx.rows, idx.cols), (k, n), "index shape");
-    if m == 0 || n == 0 {
-        return;
-    }
-    static CALLS: OnceLock<Arc<Counter>> = OnceLock::new();
-    let alive = idx.alive_cells * m;
-    record_sparse(&CALLS, "gemm.sparse.acc_rhs_calls", alive, m * k * n - alive);
-}
-
-fn acc_sparse_rhs_path(
-    idx: &SparseIndex,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    let rows_per = row_block(m, k, n);
-    par::par_blocks(c, rows_per * n, |bi, c_block| {
-        let i0 = bi * rows_per;
-        let rows = c_block.len() / n;
-        for ci in 0..rows {
-            let a_row = &a[(i0 + ci) * k..(i0 + ci + 1) * k];
-            let c_row = &mut c_block[ci * n..(ci + 1) * n];
-            for (p, &av) in a_row.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                for (j0, j1) in idx.row_segments(p / idx.br) {
-                    let b_seg = &b[p * n + j0..p * n + j1];
-                    for (c_v, &b_v) in c_row[j0..j1].iter_mut().zip(b_seg.iter()) {
-                        *c_v += av * b_v;
-                    }
-                }
-            }
-        }
-    });
-}
-
-/// AVX2 body of [`matmul_acc_sparse_rhs`]: per output row, ascending-`p`
-/// FMA updates restricted to the alive column strips of `b`'s row `p` —
-/// the dense AVX2 chain minus `±0.0` no-ops (skipped `av == 0` products
-/// are no-ops too).
-#[cfg(target_arch = "x86_64")]
-fn acc_sparse_rhs_avx2(
-    idx: &SparseIndex,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    let rows_per = row_block(m, k, n);
-    par::par_blocks(c, rows_per * n, |bi, c_block| {
-        let i0 = bi * rows_per;
-        let rows = c_block.len() / n;
-        let n8 = n & !7;
-        let bp = b.as_ptr();
-        let cp = c_block.as_mut_ptr();
-        for ci in 0..rows {
-            let a_row = &a[(i0 + ci) * k..(i0 + ci + 1) * k];
-            for (p, &av) in a_row.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                for &(j0, j1) in idx.strips_of(p / idx.br) {
-                    // SAFETY: avx2+fma hold (dispatch level); strips lie in
-                    // [0, n) and `p < k` by index construction.
-                    unsafe {
-                        simd::avx2::axpy_cols(av, bp.add(p * n), cp.add(ci * n), j0, j1, n8);
-                    }
-                }
-            }
-        }
-    });
-}
-
-/// `c[m][n] += a[k][m]ᵀ * b[k][n]` with a block-sparse `a` (the
-/// input-gradient GEMM of a convolution, where `a` is the weight matrix
-/// stored `[k][m]` and traversed transposed — the index is over `a` as
-/// stored, shape `k × m`). Strictly bit-identical to `matmul_at_b_ref`.
-///
-/// # Panics
-///
-/// Panics if the slice lengths are inconsistent with `(m, k, n)` or the
-/// index shape is not `k × m`.
-pub fn matmul_at_b_sparse_lhs(
-    idx: &SparseIndex,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    at_b_sparse_lhs_checks(idx, a, b, c, m, k, n);
-    if m == 0 || n == 0 {
-        return;
-    }
-    if simd::simd_level() == SimdLevel::Avx2 {
-        #[cfg(target_arch = "x86_64")]
-        return at_b_sparse_lhs_avx2(idx, a, b, c, m, k, n);
-    }
-    at_b_sparse_lhs_path(idx, a, b, c, m, k, n);
-}
-
-/// Scalar path of [`matmul_at_b_sparse_lhs`] — strictly bit-identical to
-/// `matmul_at_b_ref` regardless of the SIMD dispatch level.
-///
-/// # Panics
-///
-/// Same contract as [`matmul_at_b_sparse_lhs`].
-pub fn matmul_at_b_sparse_lhs_scalar(
-    idx: &SparseIndex,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    at_b_sparse_lhs_checks(idx, a, b, c, m, k, n);
-    if m == 0 || n == 0 {
-        return;
-    }
-    at_b_sparse_lhs_path(idx, a, b, c, m, k, n);
-}
-
-fn at_b_sparse_lhs_checks(
-    idx: &SparseIndex,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    assert_eq!(a.len(), k * m, "lhs length");
-    assert_eq!(b.len(), k * n, "rhs length");
-    assert_eq!(c.len(), m * n, "out length");
-    assert_eq!((idx.rows, idx.cols), (k, m), "index shape");
-    if m == 0 || n == 0 {
-        return;
-    }
-    static CALLS: OnceLock<Arc<Counter>> = OnceLock::new();
-    let alive = idx.alive_cells * n;
-    record_sparse(&CALLS, "gemm.sparse.at_b_lhs_calls", alive, m * k * n - alive);
-}
-
-/// Scalar body: block-row outer loop so each alive strip is intersected
-/// with the worker's row range once per block row (not once per `p` as the
-/// pre-strip version did), then streams `idx.br` consecutive `b` rows over
-/// it. For a fixed output row the updates still run in ascending-`p`
-/// order (block rows ascend, `p` ascends within each), so bits are
-/// unchanged.
-fn at_b_sparse_lhs_path(
-    idx: &SparseIndex,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    let rows_per = row_block(m, k, n);
-    par::par_blocks(c, rows_per * n, |bi, c_block| {
-        let i0 = bi * rows_per;
-        let rows = c_block.len() / n;
-        for rb in 0..k.div_ceil(idx.br) {
-            let p_hi = ((rb + 1) * idx.br).min(k);
-            for (s0, s1) in idx.row_segments(rb) {
-                let lo = s0.max(i0);
-                let hi = s1.min(i0 + rows);
-                for p in rb * idx.br..p_hi {
-                    let b_row = &b[p * n..(p + 1) * n];
-                    for i in lo..hi {
-                        let av = a[p * m + i];
-                        if av == 0.0 {
-                            continue;
-                        }
-                        let c_row = &mut c_block[(i - i0) * n..(i - i0 + 1) * n];
-                        for (c_v, &b_v) in c_row.iter_mut().zip(b_row.iter()) {
-                            *c_v += av * b_v;
-                        }
-                    }
-                }
-            }
-        }
-    });
-}
-
-/// AVX2 body of [`matmul_at_b_sparse_lhs`]: per block row of `a` (a `p`
-/// range), the alive strips name output rows; their FMA chains resume from
-/// memory in ascending block-row order, matching the dense AVX2 body minus
-/// `±0.0` no-ops.
-#[cfg(target_arch = "x86_64")]
-fn at_b_sparse_lhs_avx2(
-    idx: &SparseIndex,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    let rows_per = row_block(m, k, n);
-    par::par_blocks(c, rows_per * n, |bi, c_block| {
-        let i0 = bi * rows_per;
-        let rows = c_block.len() / n;
-        for rb in 0..k.div_ceil(idx.br) {
-            let pseg = [(rb * idx.br, ((rb + 1) * idx.br).min(k))];
-            for &(s0, s1) in idx.strips_of(rb) {
-                let lo = s0.max(i0);
-                let hi = s1.min(i0 + rows);
-                let mut g0 = lo;
-                while g0 < hi {
-                    let g = (hi - g0).min(4);
-                    // SAFETY: avx2+fma hold (dispatch level); `p` ranges lie
-                    // in [0, k), rows in [0, m) by index construction.
-                    unsafe {
-                        simd::avx2::axpy_rows(a, g0, 1, m, g, b, c_block, g0 - i0, n, &pseg);
-                    }
-                    g0 += g;
-                }
-            }
-        }
-    });
-}
-
-/// `c[m][n] += a[k][m]ᵀ * b[k][n]` computing only the alive blocks of a
-/// weight-shaped output (the weight-gradient GEMM of a fully-connected
-/// layer). Alive entries are bit-identical to the reference; dead entries
-/// are left untouched — the optimizer masks them before use anyway.
-///
-/// # Panics
-///
-/// Panics if the slice lengths are inconsistent with `(m, k, n)` or the
-/// index shape is not `m × n`.
-pub fn matmul_at_b_sparse_out(
-    idx: &SparseIndex,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    at_b_sparse_out_checks(idx, a, b, c, m, k, n);
-    if m == 0 || n == 0 {
-        return;
-    }
-    if simd::simd_level() == SimdLevel::Avx2 {
-        #[cfg(target_arch = "x86_64")]
-        return at_b_sparse_out_avx2(idx, a, b, c, m, k, n);
-    }
-    at_b_sparse_out_path(idx, a, b, c, m, k, n);
-}
-
-/// Scalar path of [`matmul_at_b_sparse_out`] — the bitwise spec behavior
-/// regardless of the SIMD dispatch level.
-///
-/// # Panics
-///
-/// Same contract as [`matmul_at_b_sparse_out`].
-pub fn matmul_at_b_sparse_out_scalar(
-    idx: &SparseIndex,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    at_b_sparse_out_checks(idx, a, b, c, m, k, n);
-    if m == 0 || n == 0 {
-        return;
-    }
-    at_b_sparse_out_path(idx, a, b, c, m, k, n);
-}
-
-fn at_b_sparse_out_checks(
-    idx: &SparseIndex,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    assert_eq!(a.len(), k * m, "lhs length");
-    assert_eq!(b.len(), k * n, "rhs length");
-    assert_eq!(c.len(), m * n, "out length");
-    assert_eq!((idx.rows, idx.cols), (m, n), "index shape");
-    if m == 0 || n == 0 {
-        return;
-    }
-    static CALLS: OnceLock<Arc<Counter>> = OnceLock::new();
-    let alive = idx.alive_cells * k;
-    record_sparse(&CALLS, "gemm.sparse.at_b_out_calls", alive, m * k * n - alive);
-}
-
-fn at_b_sparse_out_path(
-    idx: &SparseIndex,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    let rows_per = row_block(m, k, n);
-    par::par_blocks(c, rows_per * n, |bi, c_block| {
-        let i0 = bi * rows_per;
-        let rows = c_block.len() / n;
-        for p in 0..k {
-            let b_row = &b[p * n..(p + 1) * n];
-            for i in i0..i0 + rows {
-                let av = a[p * m + i];
-                if av == 0.0 {
-                    continue;
-                }
-                let c_row = &mut c_block[(i - i0) * n..(i - i0 + 1) * n];
-                for (j0, j1) in idx.row_segments(i / idx.br) {
-                    for (c_v, &b_v) in c_row[j0..j1].iter_mut().zip(b_row[j0..j1].iter()) {
-                        *c_v += av * b_v;
-                    }
-                }
-            }
-        }
-    });
-}
-
-/// AVX2 body of [`matmul_at_b_sparse_out`]: ascending-`p` FMA updates
-/// restricted to the alive output strips of each row; alive entries match
-/// the dense AVX2 body, dead entries stay untouched.
-#[cfg(target_arch = "x86_64")]
-fn at_b_sparse_out_avx2(
-    idx: &SparseIndex,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    let rows_per = row_block(m, k, n);
-    par::par_blocks(c, rows_per * n, |bi, c_block| {
-        let i0 = bi * rows_per;
-        let rows = c_block.len() / n;
-        let n8 = n & !7;
-        let bp = b.as_ptr();
-        let cp = c_block.as_mut_ptr();
-        for p in 0..k {
-            for i in i0..i0 + rows {
-                let av = a[p * m + i];
-                if av == 0.0 {
-                    continue;
-                }
-                for &(j0, j1) in idx.strips_of(i / idx.br) {
-                    // SAFETY: avx2+fma hold (dispatch level); strips lie in
-                    // [0, n), `p < k`, `i` in the block's rows.
-                    unsafe {
-                        simd::avx2::axpy_cols(av, bp.add(p * n), cp.add((i - i0) * n), j0, j1, n8);
-                    }
-                }
-            }
-        }
-    });
-}
-
-/// `c[m][n] += a[m][k] * b[n][k]ᵀ` with a block-sparse right operand (the
-/// forward GEMM of a fully-connected layer, where `b` is the weight matrix
-/// stored `[n][k]` — index shape `n × k`). Each dot product runs over the
-/// alive reduction segments of `b`'s row `j`; see the module docs for the
-/// `±0.0` bit-identity argument.
-///
-/// # Panics
-///
-/// Panics if the slice lengths are inconsistent with `(m, k, n)` or the
-/// index shape is not `n × k`.
-pub fn matmul_a_bt_sparse_rhs(
-    idx: &SparseIndex,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    a_bt_sparse_rhs_checks(idx, a, b, c, m, k, n);
-    if m == 0 || n == 0 {
-        return;
-    }
-    if simd::simd_level() == SimdLevel::Avx2 {
-        #[cfg(target_arch = "x86_64")]
-        return a_bt_sparse_rhs_avx2(idx, a, b, c, m, k, n);
-    }
-    a_bt_sparse_rhs_path(idx, a, b, c, m, k, n);
-}
-
-/// Scalar path of [`matmul_a_bt_sparse_rhs`] — the bitwise spec behavior
-/// regardless of the SIMD dispatch level.
-///
-/// # Panics
-///
-/// Same contract as [`matmul_a_bt_sparse_rhs`].
-pub fn matmul_a_bt_sparse_rhs_scalar(
-    idx: &SparseIndex,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    a_bt_sparse_rhs_checks(idx, a, b, c, m, k, n);
-    if m == 0 || n == 0 {
-        return;
-    }
-    a_bt_sparse_rhs_path(idx, a, b, c, m, k, n);
-}
-
-fn a_bt_sparse_rhs_checks(
-    idx: &SparseIndex,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    assert_eq!(a.len(), m * k, "lhs length");
-    assert_eq!(b.len(), n * k, "rhs length");
-    assert_eq!(c.len(), m * n, "out length");
-    assert_eq!((idx.rows, idx.cols), (n, k), "index shape");
-    if m == 0 || n == 0 {
-        return;
-    }
-    static CALLS: OnceLock<Arc<Counter>> = OnceLock::new();
-    let alive = idx.alive_cells * m;
-    record_sparse(&CALLS, "gemm.sparse.a_bt_rhs_calls", alive, m * k * n - alive);
-}
-
-/// AVX2 body of [`matmul_a_bt_sparse_rhs`]: 4×2 tiles of eight-lane dot
-/// accumulators over the alive reduction strips of each `b` block row.
-/// Strips are [`BLOCK_COLS`]-aligned (a multiple of the 8-float lane), so
-/// absolute lane positions — and hence bits — match the dense AVX2 body;
-/// fully dead block rows are skipped (`+0.0` no-ops).
-#[cfg(target_arch = "x86_64")]
-fn a_bt_sparse_rhs_avx2(
-    idx: &SparseIndex,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    let rows_per = row_block(m, k, n);
-    par::par_blocks(c, rows_per * n, |bi, c_block| {
-        let i0 = bi * rows_per;
-        let rows = c_block.len() / n;
-        let nbr = n.div_ceil(idx.br);
-        let mut ci = 0;
-        while ci < rows {
-            let g = (rows - ci).min(4);
-            for rb in 0..nbr {
-                let segs = idx.strips_of(rb);
-                if segs.is_empty() {
-                    continue;
-                }
-                let j_end = ((rb + 1) * idx.br).min(n);
-                let mut j = rb * idx.br;
-                while j < j_end {
-                    let cg = (j_end - j).min(2);
-                    // SAFETY: avx2+fma hold (dispatch level); strips lie in
-                    // [0, k), `j` rows in [0, n) by index construction.
-                    unsafe {
-                        simd::avx2::dot_tile(a, i0 + ci, g, b, j, cg, k, segs, c_block, ci, j, n);
-                    }
-                    j += cg;
-                }
-            }
-            ci += g;
-        }
-    });
-}
-
-fn a_bt_sparse_rhs_path(
-    idx: &SparseIndex,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    let rows_per = row_block(m, k, n);
-    par::par_blocks(c, rows_per * n, |bi, c_block| {
-        let i0 = bi * rows_per;
-        let rows = c_block.len() / n;
-        let nbr = n.div_ceil(idx.br);
-        let mut ci = 0;
-        while ci < rows {
-            let ni = (rows - ci).min(4);
-            for rb in 0..nbr {
-                // a fully dead block row contributes exactly +0.0 per
-                // output; under the no-negative-zero-in-`c` contract the
-                // add is a bitwise no-op, so skip the block entirely
-                if idx.row_ptr[rb] == idx.row_ptr[rb + 1] {
-                    continue;
-                }
-                let j0 = rb * idx.br;
-                let nj = idx.br.min(n - j0);
-                if ni == 4 && nj == 4 {
-                    // 4x4 register tile: sixteen independent accumulator
-                    // chains, each still summing its alive products in
-                    // ascending-p order (bit-identical to the reference)
-                    let a0 = &a[(i0 + ci) * k..][..k];
-                    let a1 = &a[(i0 + ci + 1) * k..][..k];
-                    let a2 = &a[(i0 + ci + 2) * k..][..k];
-                    let a3 = &a[(i0 + ci + 3) * k..][..k];
-                    let b0 = &b[j0 * k..][..k];
-                    let b1 = &b[(j0 + 1) * k..][..k];
-                    let b2 = &b[(j0 + 2) * k..][..k];
-                    let b3 = &b[(j0 + 3) * k..][..k];
-                    let (mut t00, mut t01, mut t02, mut t03) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-                    let (mut t10, mut t11, mut t12, mut t13) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-                    let (mut t20, mut t21, mut t22, mut t23) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-                    let (mut t30, mut t31, mut t32, mut t33) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-                    for (p0, p1) in idx.row_segments(rb) {
-                        let (a0s, a1s, a2s, a3s) =
-                            (&a0[p0..p1], &a1[p0..p1], &a2[p0..p1], &a3[p0..p1]);
-                        let (b0s, b1s, b2s, b3s) =
-                            (&b0[p0..p1], &b1[p0..p1], &b2[p0..p1], &b3[p0..p1]);
-                        for p in 0..p1 - p0 {
-                            let (x0, x1, x2, x3) = (a0s[p], a1s[p], a2s[p], a3s[p]);
-                            let (y0, y1, y2, y3) = (b0s[p], b1s[p], b2s[p], b3s[p]);
-                            t00 += x0 * y0;
-                            t01 += x0 * y1;
-                            t02 += x0 * y2;
-                            t03 += x0 * y3;
-                            t10 += x1 * y0;
-                            t11 += x1 * y1;
-                            t12 += x1 * y2;
-                            t13 += x1 * y3;
-                            t20 += x2 * y0;
-                            t21 += x2 * y1;
-                            t22 += x2 * y2;
-                            t23 += x2 * y3;
-                            t30 += x3 * y0;
-                            t31 += x3 * y1;
-                            t32 += x3 * y2;
-                            t33 += x3 * y3;
-                        }
-                    }
-                    c_block[ci * n + j0] += t00;
-                    c_block[ci * n + j0 + 1] += t01;
-                    c_block[ci * n + j0 + 2] += t02;
-                    c_block[ci * n + j0 + 3] += t03;
-                    c_block[(ci + 1) * n + j0] += t10;
-                    c_block[(ci + 1) * n + j0 + 1] += t11;
-                    c_block[(ci + 1) * n + j0 + 2] += t12;
-                    c_block[(ci + 1) * n + j0 + 3] += t13;
-                    c_block[(ci + 2) * n + j0] += t20;
-                    c_block[(ci + 2) * n + j0 + 1] += t21;
-                    c_block[(ci + 2) * n + j0 + 2] += t22;
-                    c_block[(ci + 2) * n + j0 + 3] += t23;
-                    c_block[(ci + 3) * n + j0] += t30;
-                    c_block[(ci + 3) * n + j0 + 1] += t31;
-                    c_block[(ci + 3) * n + j0 + 2] += t32;
-                    c_block[(ci + 3) * n + j0 + 3] += t33;
-                } else {
-                    // ragged edge (short row chunk or narrow block row)
-                    for ii in 0..ni {
-                        let a_row = &a[(i0 + ci + ii) * k..][..k];
-                        let mut acc = [0.0f32; 8];
-                        debug_assert!(nj <= acc.len());
-                        for (p0, p1) in idx.row_segments(rb) {
-                            for p in p0..p1 {
-                                let av = a_row[p];
-                                for (jj, t) in acc[..nj].iter_mut().enumerate() {
-                                    *t += av * b[(j0 + jj) * k + p];
-                                }
-                            }
-                        }
-                        for (jj, &t) in acc[..nj].iter().enumerate() {
-                            c_block[(ci + ii) * n + j0 + jj] += t;
-                        }
-                    }
-                }
-            }
-            ci += ni;
-        }
-    });
-}
-
-/// `c[m][n] += a[m][k] * b[n][k]ᵀ` computing only the alive blocks of a
-/// weight-shaped output (the weight-gradient GEMM of a convolution). Alive
-/// entries are bit-identical to the reference; dead entries are left
-/// untouched — the optimizer masks them before use anyway.
-///
-/// # Panics
-///
-/// Panics if the slice lengths are inconsistent with `(m, k, n)` or the
-/// index shape is not `m × n`.
-pub fn matmul_a_bt_sparse_out(
-    idx: &SparseIndex,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    a_bt_sparse_out_checks(idx, a, b, c, m, k, n);
-    if m == 0 || n == 0 {
-        return;
-    }
-    if simd::simd_level() == SimdLevel::Avx2 {
-        #[cfg(target_arch = "x86_64")]
-        return a_bt_sparse_out_avx2(idx, a, b, c, m, k, n);
-    }
-    a_bt_sparse_out_path(idx, a, b, c, m, k, n);
-}
-
-/// Scalar path of [`matmul_a_bt_sparse_out`] — the bitwise spec behavior
-/// regardless of the SIMD dispatch level.
-///
-/// # Panics
-///
-/// Same contract as [`matmul_a_bt_sparse_out`].
-pub fn matmul_a_bt_sparse_out_scalar(
-    idx: &SparseIndex,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    a_bt_sparse_out_checks(idx, a, b, c, m, k, n);
-    if m == 0 || n == 0 {
-        return;
-    }
-    a_bt_sparse_out_path(idx, a, b, c, m, k, n);
-}
-
-fn a_bt_sparse_out_checks(
-    idx: &SparseIndex,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    assert_eq!(a.len(), m * k, "lhs length");
-    assert_eq!(b.len(), n * k, "rhs length");
-    assert_eq!(c.len(), m * n, "out length");
-    assert_eq!((idx.rows, idx.cols), (m, n), "index shape");
-    if m == 0 || n == 0 {
-        return;
-    }
-    static CALLS: OnceLock<Arc<Counter>> = OnceLock::new();
-    let alive = idx.alive_cells * k;
-    record_sparse(&CALLS, "gemm.sparse.a_bt_out_calls", alive, m * k * n - alive);
-}
-
-fn a_bt_sparse_out_path(
-    idx: &SparseIndex,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    let rows_per = row_block(m, k, n);
-    par::par_blocks(c, rows_per * n, |bi, c_block| {
-        let i0 = bi * rows_per;
-        let rows = c_block.len() / n;
-        let mut i = i0;
-        while i < i0 + rows {
-            let rb = i / idx.br;
-            let blk_end = ((rb + 1) * idx.br).min(i0 + rows);
-            for (j0, j1) in idx.row_segments(rb) {
-                for gi in i..blk_end {
-                    let a_row = &a[gi * k..(gi + 1) * k];
-                    for j in j0..j1 {
-                        let b_row = &b[j * k..(j + 1) * k];
-                        let mut acc = 0.0f32;
-                        for (&x, &y) in a_row.iter().zip(b_row.iter()) {
-                            acc += x * y;
-                        }
-                        c_block[(gi - i0) * n + j] += acc;
-                    }
-                }
-            }
-            i = blk_end;
-        }
-    });
-}
-
-/// AVX2 body of [`matmul_a_bt_sparse_out`]: full-reduction 4×2 dot tiles
-/// over the alive output strips of each block row; alive entries match the
-/// dense AVX2 body bit for bit, dead entries stay untouched.
-#[cfg(target_arch = "x86_64")]
-fn a_bt_sparse_out_avx2(
-    idx: &SparseIndex,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    let rows_per = row_block(m, k, n);
-    let full = [(0usize, k)];
-    par::par_blocks(c, rows_per * n, |bi, c_block| {
-        let i0 = bi * rows_per;
-        let rows = c_block.len() / n;
-        let mut i = i0;
-        while i < i0 + rows {
-            let rb = i / idx.br;
-            let blk_end = ((rb + 1) * idx.br).min(i0 + rows);
-            for &(j0, j1) in idx.strips_of(rb) {
-                let mut g0 = i;
-                while g0 < blk_end {
-                    let g = (blk_end - g0).min(4);
-                    let mut j = j0;
-                    while j < j1 {
-                        let cg = (j1 - j).min(2);
-                        // SAFETY: avx2+fma hold (dispatch level); strips lie
-                        // in [0, n), rows in [0, m) by index construction.
-                        unsafe {
-                            simd::avx2::dot_tile(
-                                a,
-                                g0,
-                                g,
-                                b,
-                                j,
-                                cg,
-                                k,
-                                &full,
-                                c_block,
-                                g0 - i0,
-                                j,
-                                n,
-                            );
-                        }
-                        j += cg;
-                    }
-                    g0 += g;
-                }
-            }
-            i = blk_end;
-        }
-    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matmul::{matmul_a_bt_ref, matmul_acc_ref, matmul_at_b_ref};
+    use crate::matmul::SparseOperand::{Lhs, Out, Rhs};
+    use crate::matmul::{
+        matmul_a_bt_ref, matmul_a_bt_scalar, matmul_acc_ref, matmul_acc_scalar, matmul_at_b_ref,
+        matmul_at_b_scalar,
+    };
 
     fn arb(len: usize, seed: f32) -> Vec<f32> {
         (0..len).map(|i| ((i as f32 * 0.37 + seed).sin() * 3.0).round() / 4.0).collect()
@@ -1381,7 +338,7 @@ mod tests {
                 let mut c_ref = c0.clone();
                 matmul_acc_ref(&w, &x, &mut c_ref, m, k, n);
                 let mut c_sp = c0.clone();
-                matmul_acc_sparse_lhs_scalar(&idx, &w, &x, &mut c_sp, m, k, n);
+                matmul_acc_scalar(&w, &x, &mut c_sp, m, k, n, Some(Lhs(&idx)));
                 assert_eq!(bits(&c_ref), bits(&c_sp), "acc_lhs {m}x{k}x{n} s={sparsity}");
 
                 // at_b_lhs: w stored [m x k], traversed transposed -> output k x n...
@@ -1390,7 +347,7 @@ mod tests {
                 let mut c_sp = c_ref.clone();
                 let g = arb(m * n, 0.5);
                 matmul_at_b_ref(&w, &g, &mut c_ref, k, m, n);
-                matmul_at_b_sparse_lhs_scalar(&idx, &w, &g, &mut c_sp, k, m, n);
+                matmul_at_b_scalar(&w, &g, &mut c_sp, k, m, n, Some(Lhs(&idx)));
                 assert_eq!(bits(&c_ref), bits(&c_sp), "at_b_lhs {m}x{k}x{n} s={sparsity}");
 
                 // a_bt_rhs: w [m x k] as the transposed right operand
@@ -1398,7 +355,7 @@ mod tests {
                 let mut c_ref = vec![0.0f32; n * m];
                 let mut c_sp = c_ref.clone();
                 matmul_a_bt_ref(&y, &w, &mut c_ref, n, k, m);
-                matmul_a_bt_sparse_rhs_scalar(&idx, &y, &w, &mut c_sp, n, k, m);
+                matmul_a_bt_scalar(&y, &w, &mut c_sp, n, k, m, Some(Rhs(&idx)));
                 assert_eq!(bits(&c_ref), bits(&c_sp), "a_bt_rhs {m}x{k}x{n} s={sparsity}");
             }
         }
@@ -1414,7 +371,7 @@ mod tests {
         let mut c_ref = vec![0.0f32; m * n];
         matmul_at_b_ref(&g, &x, &mut c_ref, m, k, n);
         let mut c_sp = vec![0.0f32; m * n];
-        matmul_at_b_sparse_out_scalar(&idx, &g, &x, &mut c_sp, m, k, n);
+        matmul_at_b_scalar(&g, &x, &mut c_sp, m, k, n, Some(Out(&idx)));
         for (i, (&r, &s)) in c_ref.iter().zip(c_sp.iter()).enumerate() {
             if mask_covering(&idx, i / n, i % n) {
                 assert_eq!(r.to_bits(), s.to_bits(), "alive entry {i}");
@@ -1428,7 +385,7 @@ mod tests {
         let mut c_ref = vec![0.0f32; m * n];
         matmul_a_bt_ref(&a, &bt, &mut c_ref, m, k, n);
         let mut c_sp = vec![0.0f32; m * n];
-        matmul_a_bt_sparse_out_scalar(&idx, &a, &bt, &mut c_sp, m, k, n);
+        matmul_a_bt_scalar(&a, &bt, &mut c_sp, m, k, n, Some(Out(&idx)));
         for (i, (&r, &s)) in c_ref.iter().zip(c_sp.iter()).enumerate() {
             if mask_covering(&idx, i / n, i % n) {
                 assert_eq!(r.to_bits(), s.to_bits(), "alive entry {i}");
@@ -1440,7 +397,7 @@ mod tests {
 
     /// Whether `(r, c)` lies in an alive block of `idx`.
     fn mask_covering(idx: &SparseIndex, r: usize, c: usize) -> bool {
-        idx.row_segments(r / idx.br).any(|(c0, c1)| c >= c0 && c < c1)
+        idx.strips_of(r / idx.br).iter().any(|&(c0, c1)| c >= c0 && c < c1)
     }
 
     #[test]
@@ -1454,7 +411,7 @@ mod tests {
         let mut c_ref = vec![0.0f32; m * n];
         matmul_acc_ref(&g, &w, &mut c_ref, m, k, n);
         let mut c_sp = vec![0.0f32; m * n];
-        matmul_acc_sparse_rhs_scalar(&idx, &g, &w, &mut c_sp, m, k, n);
+        matmul_acc_scalar(&g, &w, &mut c_sp, m, k, n, Some(Rhs(&idx)));
         assert_eq!(bits(&c_ref), bits(&c_sp));
     }
 
@@ -1468,10 +425,10 @@ mod tests {
         let x = arb(k * n, 0.63);
         crate::par::set_threads(1);
         let mut c1 = vec![0.25f32; m * n];
-        matmul_acc_sparse_lhs_scalar(&idx, &w, &x, &mut c1, m, k, n);
+        matmul_acc_scalar(&w, &x, &mut c1, m, k, n, Some(Lhs(&idx)));
         crate::par::set_threads(4);
         let mut c4 = vec![0.25f32; m * n];
-        matmul_acc_sparse_lhs_scalar(&idx, &w, &x, &mut c4, m, k, n);
+        matmul_acc_scalar(&w, &x, &mut c4, m, k, n, Some(Lhs(&idx)));
         crate::par::set_threads(0);
         assert_eq!(bits(&c1), bits(&c4));
     }
@@ -1491,6 +448,6 @@ mod tests {
     fn shape_mismatch_panics() {
         let idx = SparseIndex::from_mask(&[1.0; 4], 2, 2);
         let mut c = vec![0.0; 9];
-        matmul_acc_sparse_lhs_scalar(&idx, &[1.0; 9], &[1.0; 9], &mut c, 3, 3, 3);
+        matmul_acc_scalar(&[1.0; 9], &[1.0; 9], &mut c, 3, 3, 3, Some(Lhs(&idx)));
     }
 }

@@ -84,8 +84,8 @@ proptest! {
         let mut c_tiled = c_naive.clone();
         naive_acc(&a, &b, &mut c_naive, m, k, n);
         matmul_acc_ref(&a, &b, &mut c_ref, m, k, n);
-        matmul_acc_scalar(&a, &b, &mut c_scalar, m, k, n);
-        matmul_acc(&a, &b, &mut c_tiled, m, k, n);
+        matmul_acc_scalar(&a, &b, &mut c_scalar, m, k, n, None);
+        matmul_acc(&a, &b, &mut c_tiled, m, k, n, None);
         prop_assert_eq!(bits(&c_scalar), bits(&c_ref), "acc bitwise vs reference at {}x{}x{}", m, k, n);
         for (t, g) in c_tiled.iter().zip(c_naive.iter()) {
             prop_assert!((t - g).abs() <= 1e-5, "acc vs naive at {}x{}x{}: {} vs {}", m, k, n, t, g);
@@ -102,8 +102,8 @@ proptest! {
         let mut c_tiled = c_naive.clone();
         naive_at_b(&a, &b, &mut c_naive, m, k, n);
         matmul_at_b_ref(&a, &b, &mut c_ref, m, k, n);
-        matmul_at_b_scalar(&a, &b, &mut c_scalar, m, k, n);
-        matmul_at_b(&a, &b, &mut c_tiled, m, k, n);
+        matmul_at_b_scalar(&a, &b, &mut c_scalar, m, k, n, None);
+        matmul_at_b(&a, &b, &mut c_tiled, m, k, n, None);
         prop_assert_eq!(bits(&c_scalar), bits(&c_ref), "at_b bitwise vs reference at {}x{}x{}", m, k, n);
         for (t, g) in c_tiled.iter().zip(c_naive.iter()) {
             prop_assert!((t - g).abs() <= 1e-5, "at_b vs naive at {}x{}x{}: {} vs {}", m, k, n, t, g);
@@ -120,8 +120,8 @@ proptest! {
         let mut c_tiled = c_naive.clone();
         naive_a_bt(&a, &b, &mut c_naive, m, k, n);
         matmul_a_bt_ref(&a, &b, &mut c_ref, m, k, n);
-        matmul_a_bt_scalar(&a, &b, &mut c_scalar, m, k, n);
-        matmul_a_bt(&a, &b, &mut c_tiled, m, k, n);
+        matmul_a_bt_scalar(&a, &b, &mut c_scalar, m, k, n, None);
+        matmul_a_bt(&a, &b, &mut c_tiled, m, k, n, None);
         prop_assert_eq!(bits(&c_scalar), bits(&c_ref), "a_bt bitwise vs reference at {}x{}x{}", m, k, n);
         for (t, g) in c_tiled.iter().zip(c_naive.iter()) {
             prop_assert!((t - g).abs() <= 1e-5, "a_bt vs naive at {}x{}x{}: {} vs {}", m, k, n, t, g);
@@ -135,11 +135,11 @@ proptest! {
         let base = operand(m * n, seed ^ 0x55);
         let mut serial = base.clone();
         par::set_threads(1);
-        matmul_acc(&a, &b, &mut serial, m, k, n);
+        matmul_acc(&a, &b, &mut serial, m, k, n, None);
         for threads in [2usize, 4] {
             let mut c = base.clone();
             par::set_threads(threads);
-            matmul_acc(&a, &b, &mut c, m, k, n);
+            matmul_acc(&a, &b, &mut c, m, k, n, None);
             par::set_threads(0);
             prop_assert_eq!(bits(&c), bits(&serial), "{} threads at {}x{}x{}", threads, m, k, n);
         }

@@ -2,8 +2,8 @@
 //!
 //! The dense f32 kernels promise ULP-bounded agreement between the scalar
 //! spec and the AVX2 bodies (FMA fuses roundings, so bitwise equality is
-//! not expected); the sparse AVX2 bodies promise *bitwise* agreement with
-//! the dense AVX2 bodies on mask-pruned operands (shared per-element
+//! not expected); the block-sparse forms promise *bitwise* agreement with
+//! the dense calls under AVX2 on mask-pruned operands (shared per-element
 //! operation schedule); and the Q15 GEMM and the device engine's Q15 block
 //! kernel promise *bitwise* agreement between their scalar and
 //! `madd`-based bodies. Each property is exercised
@@ -14,6 +14,7 @@
 //! The dispatch level is process-global, so every test here serializes on
 //! one lock and restores the entry level before returning.
 
+use iprune_repro::tensor::matmul::SparseOperand::{self, Lhs, Out, Rhs};
 use iprune_repro::tensor::matmul::{
     matmul_a_bt, matmul_a_bt_scalar, matmul_acc, matmul_acc_scalar, matmul_at_b, matmul_at_b_scalar,
 };
@@ -27,10 +28,7 @@ use iprune_repro::tensor::pool::{
 };
 use iprune_repro::tensor::qgemm::{q15_block_acc, q15_block_acc_scalar, q15_gemm, q8_gemm};
 use iprune_repro::tensor::simd::{avx2_supported, set_simd_level, simd_level, SimdLevel};
-use iprune_repro::tensor::sparse::{
-    matmul_a_bt_sparse_out, matmul_a_bt_sparse_rhs, matmul_acc_sparse_lhs, matmul_acc_sparse_rhs,
-    matmul_at_b_sparse_lhs, matmul_at_b_sparse_out, SparseIndex,
-};
+use iprune_repro::tensor::sparse::SparseIndex;
 use std::sync::{Mutex, MutexGuard};
 
 /// Serializes the tests (they flip process-global dispatch state) and
@@ -107,6 +105,21 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// Whether `(r, c)` lies in a 4x16 block of `mask` with any alive entry.
+fn block_alive(mask: &[f32], cols: usize, r: usize, c: usize) -> bool {
+    let rows = mask.len() / cols;
+    let (r0, c0) = (r / 4 * 4, c / 16 * 16);
+    (r0..(r0 + 4).min(rows))
+        .any(|rr| (c0..(c0 + 16).min(cols)).any(|cc| mask[rr * cols + cc] != 0.0))
+}
+
+/// A GEMM entry: `(a, b, c, m, k, n, sparse)`.
+type Gemm = fn(&[f32], &[f32], &mut [f32], usize, usize, usize, Option<SparseOperand>);
+
+/// One weight role: name, kernel, call dims, `a`, `b`, initial `c` and the
+/// sparse operand.
+type Role<'a> = (&'a str, Gemm, [usize; 3], &'a [f32], &'a [f32], Vec<f32>, SparseOperand<'a>);
+
 /// ULP distance between two finite f32 values (monotone bit mapping).
 fn ulp_dist(a: f32, b: f32) -> u32 {
     fn key(x: f32) -> i64 {
@@ -140,7 +153,7 @@ fn dense_kernels_forced_simd_match_scalar_within_ulps() {
         let b = operand(k * n, seed ^ 0xA1);
         let c0 = operand(m * n, seed ^ 0xB2);
 
-        type Kernel = (&'static str, fn(&[f32], &[f32], &mut [f32], usize, usize, usize));
+        type Kernel = (&'static str, Gemm);
         let pairs: [(Kernel, Kernel); 3] = [
             (("acc", matmul_acc), ("acc", matmul_acc_scalar)),
             (("at_b", matmul_at_b), ("at_b", matmul_at_b_scalar)),
@@ -148,17 +161,17 @@ fn dense_kernels_forced_simd_match_scalar_within_ulps() {
         ];
         for ((name, dispatched), (_, scalar)) in pairs {
             let mut c_spec = c0.clone();
-            scalar(&a, &b, &mut c_spec, m, k, n);
+            scalar(&a, &b, &mut c_spec, m, k, n, None);
 
             set_simd_level(SimdLevel::Scalar);
             let mut c_forced = c0.clone();
-            dispatched(&a, &b, &mut c_forced, m, k, n);
+            dispatched(&a, &b, &mut c_forced, m, k, n, None);
             assert_eq!(bits(&c_forced), bits(&c_spec), "{name} forced-scalar {m}x{k}x{n}");
 
             if avx2_supported() {
                 set_simd_level(SimdLevel::Avx2);
                 let mut c_simd = c0.clone();
-                dispatched(&a, &b, &mut c_simd, m, k, n);
+                dispatched(&a, &b, &mut c_simd, m, k, n, None);
                 assert_close(&c_simd, &c_spec, &format!("{name} {m}x{k}x{n}"));
             }
         }
@@ -194,12 +207,12 @@ fn sparse_kernels_forced_simd_match_scalar_within_ulps() {
             let c0 = operand(m.max(k).max(n) * m.max(k).max(n), seed ^ 0xB2);
 
             let run = |out: &mut [Vec<f32>]| {
-                matmul_acc_sparse_lhs(&idx, &w, &x, &mut out[0], m, k, n);
-                matmul_at_b_sparse_lhs(&idx, &w, &g, &mut out[1], k, m, n);
-                matmul_a_bt_sparse_rhs(&idx, &y, &w, &mut out[2], n, k, m);
-                matmul_acc_sparse_rhs(&idx, &g2, &w, &mut out[3], m, m, k);
-                matmul_at_b_sparse_out(&oidx, &gt, &xt, &mut out[4], m, k, n);
-                matmul_a_bt_sparse_out(&oidx, &gk, &col, &mut out[5], m, k, n);
+                matmul_acc(&w, &x, &mut out[0], m, k, n, Some(Lhs(&idx)));
+                matmul_at_b(&w, &g, &mut out[1], k, m, n, Some(Lhs(&idx)));
+                matmul_a_bt(&y, &w, &mut out[2], n, k, m, Some(Rhs(&idx)));
+                matmul_acc(&g2, &w, &mut out[3], m, m, k, Some(Rhs(&idx)));
+                matmul_at_b(&gt, &xt, &mut out[4], m, k, n, Some(Out(&oidx)));
+                matmul_a_bt(&gk, &col, &mut out[5], m, k, n, Some(Out(&oidx)));
             };
             let sizes = [m * n, k * n, n * m, m * k, m * n, m * n];
             let fresh = || -> Vec<Vec<f32>> { sizes.iter().map(|&s| c0[..s].to_vec()).collect() };
@@ -221,9 +234,12 @@ fn sparse_kernels_forced_simd_match_scalar_within_ulps() {
     }
 }
 
-/// Under SIMD dispatch the sparse kernels stay *bitwise* equal to the dense
-/// kernels on mask-pruned operands — the dense and sparse AVX2 bodies share
-/// one per-element operation schedule, so pruning never perturbs training.
+/// Under SIMD dispatch the block-sparse forms stay *bitwise* equal to the
+/// dense calls on mask-pruned operands, in all six roles of a weight matrix
+/// — dense and sparse share one per-element operation schedule, so pruning
+/// never perturbs training. The output-sparse forms match on the alive
+/// entries and leave the dead ones untouched. At sparsity 0.0 (a full mask)
+/// every role pins "full index ≡ no index".
 #[test]
 fn dense_simd_matches_sparse_simd_bitwise_on_masked_weights() {
     if !avx2_supported() {
@@ -238,28 +254,51 @@ fn dense_simd_matches_sparse_simd_bitwise_on_masked_weights() {
             let mut w = operand(m * k, seed);
             apply_mask(&mut w, &mask);
             let idx = SparseIndex::with_blocks(&mask, m, k, 4, 16);
-
             let x = operand(k * n, seed ^ 0xA1);
-            let c0 = operand(m * n, seed ^ 0xB2);
-            let mut c_dense = c0.clone();
-            let mut c_sparse = c0.clone();
-            matmul_acc(&w, &x, &mut c_dense, m, k, n);
-            matmul_acc_sparse_lhs(&idx, &w, &x, &mut c_sparse, m, k, n);
-            assert_eq!(bits(&c_dense), bits(&c_sparse), "acc {m}x{k}x{n} s={sparsity}");
-
             let g = operand(m * n, seed ^ 0xC3);
-            let mut c_dense = operand(k * n, seed ^ 0xD4);
-            let mut c_sparse = c_dense.clone();
-            matmul_at_b(&w, &g, &mut c_dense, k, m, n);
-            matmul_at_b_sparse_lhs(&idx, &w, &g, &mut c_sparse, k, m, n);
-            assert_eq!(bits(&c_dense), bits(&c_sparse), "at_b {m}x{k}x{n} s={sparsity}");
-
             let y = operand(n * k, seed ^ 0xE5);
-            let mut c_dense = vec![0.0f32; n * m];
-            let mut c_sparse = c_dense.clone();
-            matmul_a_bt(&y, &w, &mut c_dense, n, k, m);
-            matmul_a_bt_sparse_rhs(&idx, &y, &w, &mut c_sparse, n, k, m);
-            assert_eq!(bits(&c_dense), bits(&c_sparse), "a_bt {m}x{k}x{n} s={sparsity}");
+            let gt = operand(n * m, seed ^ 0x28);
+            // `w`, or its block grid as the output, in all six roles
+            let cases: [Role; 6] = [
+                ("acc", matmul_acc, [m, k, n], &w, &x, operand(m * n, seed ^ 0xB2), Lhs(&idx)),
+                ("at_b", matmul_at_b, [k, m, n], &w, &g, operand(k * n, seed ^ 0xD4), Lhs(&idx)),
+                ("a_bt", matmul_a_bt, [n, k, m], &y, &w, vec![0.0; n * m], Rhs(&idx)),
+                ("acc_rhs", matmul_acc, [n, m, k], &gt, &w, operand(n * k, seed ^ 0xF6), Rhs(&idx)),
+                (
+                    "at_b_out",
+                    matmul_at_b,
+                    [m, n, k],
+                    &gt,
+                    &y,
+                    operand(m * k, seed ^ 0x31),
+                    Out(&idx),
+                ),
+                (
+                    "a_bt_out",
+                    matmul_a_bt,
+                    [m, n, k],
+                    &g,
+                    &x,
+                    operand(m * k, seed ^ 0x42),
+                    Out(&idx),
+                ),
+            ];
+            for (role, gemm, [mg, kg, ng], a, b, c0, sp) in cases {
+                let mut c_dense = c0.clone();
+                let mut c_sparse = c0.clone();
+                gemm(a, b, &mut c_dense, mg, kg, ng, None);
+                gemm(a, b, &mut c_sparse, mg, kg, ng, Some(sp));
+                let what = format!("{role} {m}x{k}x{n} s={sparsity}");
+                if let Out(_) = sp {
+                    for (i, (&got, &init)) in c_sparse.iter().zip(&c0).enumerate() {
+                        let alive = block_alive(&mask, k, i / k, i % k);
+                        let want = if alive { c_dense[i] } else { init };
+                        assert_eq!(got.to_bits(), want.to_bits(), "{what} entry {i} alive={alive}");
+                    }
+                } else {
+                    assert_eq!(bits(&c_dense), bits(&c_sparse), "{what}");
+                }
+            }
         }
     }
 }
@@ -282,11 +321,11 @@ fn simd_path_is_thread_count_invariant() {
     let run = |threads: usize| -> [Vec<u32>; 3] {
         par::set_threads(threads);
         let mut acc = c0.clone();
-        matmul_acc(&a, &b, &mut acc, m, k, n);
+        matmul_acc(&a, &b, &mut acc, m, k, n, None);
         let mut atb = vec![0.25f32; k * n];
-        matmul_at_b(&a, &b[..m * n], &mut atb, k, m, n);
+        matmul_at_b(&a, &b[..m * n], &mut atb, k, m, n, None);
         let mut abt = vec![0.0f32; m * k];
-        matmul_a_bt(&a[..m * n], &b[..k * n], &mut abt, m, n, k);
+        matmul_a_bt(&a[..m * n], &b[..k * n], &mut abt, m, n, k, None);
         par::set_threads(0);
         [bits(&acc), bits(&atb), bits(&abt)]
     };

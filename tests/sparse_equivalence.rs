@@ -1,15 +1,15 @@
 //! Block-sparse GEMM path: bitwise equivalence and dispatch.
 //!
-//! The `tensor::sparse` scalar kernels (`matmul_*_scalar`) promise to be
-//! *bit-identical* to the scalar reference kernels whenever the sparse
-//! operand came from a pruning mask (dead blocks hold only `±0.0`), at any
-//! `IPRUNE_THREADS` setting. These tests sample random shapes and random
+//! The block-sparse forms of the scalar GEMMs (`matmul_*_scalar` with a
+//! `SparseOperand`) promise to be *bit-identical* to the scalar reference
+//! kernels whenever the sparse operand came from a pruning mask (dead
+//! blocks hold only `±0.0`), at any `IPRUNE_THREADS` setting. These tests sample random shapes and random
 //! block masks — including the empty and full extremes — and compare every
 //! output bit; a final end-to-end test fine-tunes and evaluates a pruned
 //! model through the dense and sparse paths *as dispatched* (SIMD when the
 //! host supports it) and demands bitwise-identical weights and accuracy —
-//! the dense and sparse AVX2 bodies share one per-element operation
-//! schedule, so the guarantee survives dispatch.
+//! dense calls and sparse forms share one per-element operation schedule,
+//! so the guarantee survives dispatch.
 
 use iprune_repro::models::train::{evaluate, train_sgd, TrainConfig};
 use iprune_repro::models::zoo::App;
@@ -17,14 +17,14 @@ use iprune_repro::obs::metrics;
 use iprune_repro::pruning::blocks::{build_states, mask_as_weight_shape};
 use iprune_repro::pruning::Criterion;
 use iprune_repro::tensor::layer::Param;
-use iprune_repro::tensor::matmul::{matmul_a_bt_ref, matmul_acc_ref, matmul_at_b_ref};
+use iprune_repro::tensor::matmul::SparseOperand::{Lhs, Out, Rhs};
+use iprune_repro::tensor::matmul::{
+    matmul_a_bt, matmul_a_bt_ref, matmul_a_bt_scalar, matmul_acc, matmul_acc_ref,
+    matmul_acc_scalar, matmul_at_b, matmul_at_b_ref, matmul_at_b_scalar,
+};
 use iprune_repro::tensor::par;
 use iprune_repro::tensor::sparse::{
-    dispatch_mode, matmul_a_bt_sparse_out_scalar, matmul_a_bt_sparse_rhs,
-    matmul_a_bt_sparse_rhs_scalar, matmul_acc_sparse_lhs, matmul_acc_sparse_lhs_scalar,
-    matmul_acc_sparse_rhs_scalar, matmul_at_b_sparse_lhs, matmul_at_b_sparse_lhs_scalar,
-    matmul_at_b_sparse_out_scalar, set_dispatch_mode, DispatchMode, SparseIndex,
-    SPARSE_DENSITY_THRESHOLD,
+    dispatch_mode, set_dispatch_mode, DispatchMode, SparseIndex, SPARSE_DENSITY_THRESHOLD,
 };
 use iprune_repro::tensor::Tensor;
 use proptest::prelude::*;
@@ -124,7 +124,7 @@ proptest! {
         let mut c_ref = c0.clone();
         let mut c_sp = c0.clone();
         matmul_acc_ref(&w, &x, &mut c_ref, m, k, n);
-        matmul_acc_sparse_lhs_scalar(&idx, &w, &x, &mut c_sp, m, k, n);
+        matmul_acc_scalar(&w, &x, &mut c_sp, m, k, n, Some(Lhs(&idx)));
         prop_assert_eq!(bits(&c_ref), bits(&c_sp), "acc_lhs {}x{}x{} s={}", m, k, n, sparsity);
 
         // -- at_b_lhs: the same sparse w stored [k_g x m_g], transposed --
@@ -133,7 +133,7 @@ proptest! {
         let mut c_ref = operand(k * n, seed ^ 0xD4);
         let mut c_sp = c_ref.clone();
         matmul_at_b_ref(&w, &g, &mut c_ref, k, m, n);
-        matmul_at_b_sparse_lhs_scalar(&idx, &w, &g, &mut c_sp, k, m, n);
+        matmul_at_b_scalar(&w, &g, &mut c_sp, k, m, n, Some(Lhs(&idx)));
         prop_assert_eq!(bits(&c_ref), bits(&c_sp), "at_b_lhs {}x{}x{} s={}", m, k, n, sparsity);
 
         // -- a_bt_rhs: sparse w[m x k] as the transposed right operand ---
@@ -142,7 +142,7 @@ proptest! {
         let mut c_ref = vec![0.0f32; n * m];
         let mut c_sp = c_ref.clone();
         matmul_a_bt_ref(&y, &w, &mut c_ref, n, k, m);
-        matmul_a_bt_sparse_rhs_scalar(&idx, &y, &w, &mut c_sp, n, k, m);
+        matmul_a_bt_scalar(&y, &w, &mut c_sp, n, k, m, Some(Rhs(&idx)));
         prop_assert_eq!(bits(&c_ref), bits(&c_sp), "a_bt_rhs {}x{}x{} s={}", m, k, n, sparsity);
 
         // -- acc_rhs: sparse w[k x n] on the right -----------------------
@@ -154,7 +154,7 @@ proptest! {
         let mut c_ref = vec![0.0f32; m * n];
         let mut c_sp = c_ref.clone();
         matmul_acc_ref(&g, &w, &mut c_ref, m, k, n);
-        matmul_acc_sparse_rhs_scalar(&idx, &g, &w, &mut c_sp, m, k, n);
+        matmul_acc_scalar(&g, &w, &mut c_sp, m, k, n, Some(Rhs(&idx)));
         prop_assert_eq!(bits(&c_ref), bits(&c_sp), "acc_rhs {}x{}x{} s={}", m, k, n, sparsity);
     }
 
@@ -178,7 +178,7 @@ proptest! {
         let mut c_ref = c0.clone();
         let mut c_sp = c0.clone();
         matmul_at_b_ref(&g, &x, &mut c_ref, m, k, n);
-        matmul_at_b_sparse_out_scalar(&idx, &g, &x, &mut c_sp, m, k, n);
+        matmul_at_b_scalar(&g, &x, &mut c_sp, m, k, n, Some(Out(&idx)));
         for i in 0..m * n {
             if alive_at(&mask, n, br, bc, i / n, i % n) {
                 prop_assert_eq!(c_ref[i].to_bits(), c_sp[i].to_bits(), "at_b_out alive {}", i);
@@ -193,7 +193,7 @@ proptest! {
         let mut c_ref = c0.clone();
         let mut c_sp = c0.clone();
         matmul_a_bt_ref(&g, &col, &mut c_ref, m, k, n);
-        matmul_a_bt_sparse_out_scalar(&idx, &g, &col, &mut c_sp, m, k, n);
+        matmul_a_bt_scalar(&g, &col, &mut c_sp, m, k, n, Some(Out(&idx)));
         for i in 0..m * n {
             if alive_at(&mask, n, br, bc, i / n, i % n) {
                 prop_assert_eq!(c_ref[i].to_bits(), c_sp[i].to_bits(), "a_bt_out alive {}", i);
@@ -203,7 +203,7 @@ proptest! {
         }
     }
 
-    // The sparse kernels produce identical bits at IPRUNE_THREADS ∈
+    // The sparse forms produce identical bits at IPRUNE_THREADS ∈
     // {1, 2, 8}. `par::set_threads` is the programmatic equivalent of the
     // env var (the override wins over the env); `set_host_cores` lifts the
     // physical-core cap so the fan-out actually happens on a 1-core CI
@@ -223,21 +223,21 @@ proptest! {
         par::set_host_cores(8);
         par::set_threads(1);
         let mut acc1 = c0.clone();
-        matmul_acc_sparse_lhs(&idx, &w, &x, &mut acc1, m, k, n);
+        matmul_acc(&w, &x, &mut acc1, m, k, n, Some(Lhs(&idx)));
         let mut atb1 = vec![0.1f32; k * n];
         let g = operand(m * n, seed ^ 0xC3);
-        matmul_at_b_sparse_lhs(&idx, &w, &g, &mut atb1, k, m, n);
+        matmul_at_b(&w, &g, &mut atb1, k, m, n, Some(Lhs(&idx)));
         let y = operand(n * k, seed ^ 0xE5);
         let mut abt1 = vec![0.0f32; n * m];
-        matmul_a_bt_sparse_rhs(&idx, &y, &w, &mut abt1, n, k, m);
+        matmul_a_bt(&y, &w, &mut abt1, n, k, m, Some(Rhs(&idx)));
         for threads in [2usize, 8] {
             par::set_threads(threads);
             let mut acc_t = c0.clone();
-            matmul_acc_sparse_lhs(&idx, &w, &x, &mut acc_t, m, k, n);
+            matmul_acc(&w, &x, &mut acc_t, m, k, n, Some(Lhs(&idx)));
             let mut atb_t = vec![0.1f32; k * n];
-            matmul_at_b_sparse_lhs(&idx, &w, &g, &mut atb_t, k, m, n);
+            matmul_at_b(&w, &g, &mut atb_t, k, m, n, Some(Lhs(&idx)));
             let mut abt_t = vec![0.0f32; n * m];
-            matmul_a_bt_sparse_rhs(&idx, &y, &w, &mut abt_t, n, k, m);
+            matmul_a_bt(&y, &w, &mut abt_t, n, k, m, Some(Rhs(&idx)));
             par::set_threads(0);
             prop_assert_eq!(bits(&acc1), bits(&acc_t), "acc_lhs at {} threads", threads);
             prop_assert_eq!(bits(&atb1), bits(&atb_t), "at_b_lhs at {} threads", threads);
@@ -352,7 +352,7 @@ fn pruned_train_and_evaluate_bitwise_match_dense_path() {
     }
 }
 
-/// Total calls recorded across all six sparse kernels.
+/// Total calls recorded across all six sparse forms.
 fn sparse_calls() -> u64 {
     ["acc_lhs", "acc_rhs", "at_b_lhs", "at_b_out", "a_bt_rhs", "a_bt_out"]
         .iter()
