@@ -570,7 +570,7 @@ fn bench_q15_eval() -> Vec<QEvalRow> {
             let train = app.dataset(96, 300);
             let eval = app.dataset(128, 301);
             train_sgd(&mut model, &train, &TrainConfig { epochs: 1, ..Default::default() });
-            let acc_f32 = evaluate(&mut model, &eval, 16);
+            let acc_f32 = evaluate(&model, &eval, 16);
             let qm = QuantizedModel::quantize(&mut model, &eval, 8);
             let acc_q15 = qm.evaluate_q15(&eval);
             let qm8 = Quantized8Model::quantize(&mut model, &eval, 8);

@@ -1,7 +1,7 @@
 //! Power-draw and per-operation energy model.
 //!
 //! The paper profiles its device's energy model with micro-benchmarks
-//! (footnote 1, citing the intermittent-aware NAS work [13]); here the model
+//! (footnote 1, citing the intermittent-aware NAS work \[13\]); here the model
 //! is a small table of activity power draws from which per-operation
 //! energies are derived. The same table feeds two consumers:
 //!

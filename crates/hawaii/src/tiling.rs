@@ -3,7 +3,7 @@
 //! HAWAII⁺ picks, per layer, the shape of one accelerator operation — the
 //! weight block (`br` output features × `bc` reduction elements) and the
 //! spatial strip length over which that block is reused — to fully utilize
-//! the 8 KB VM and maximize data reuse (one of the [19]-style optimizations
+//! the 8 KB VM and maximize data reuse (one of the \[19\]-style optimizations
 //! the paper folds into HAWAII⁺). The reduction chunk `bc` is what couples
 //! pruning to intermittence: every chunk of every output element becomes one
 //! preserved accelerator output, so `acc_outputs = out_elems · ⌈K/bc⌉`.

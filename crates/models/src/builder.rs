@@ -1,10 +1,10 @@
-//! A builder for custom sequential models.
+//! The one way to put a [`Model`] together.
 //!
-//! The paper evaluates three fixed applications, but a pruning framework is
-//! only adoptable if users can bring their own networks. [`NetBuilder`]
-//! assembles a [`Model`] — the trainable network *and* the structural
-//! [`ModelInfo`] the deployment/pruning stack consumes — from a sequence of
-//! layer specs, keeping the two representations consistent by construction.
+//! [`NetBuilder`] assembles the trainable network *and* the structural
+//! [`ModelInfo`] the deployment/pruning stack consumes from one sequence of
+//! layer specs, so the two representations agree by construction. The
+//! paper's three applications ([`crate::zoo`]) are builder chains, and a
+//! custom network is built the same way.
 //!
 //! ```
 //! use iprune_models::builder::NetBuilder;
@@ -107,82 +107,49 @@ impl NetBuilder {
     }
 
     /// Appends a SqueezeNet-style fire module (squeeze 1×1 → expand 1×1 ‖
-    /// expand 3×3, all ReLU).
+    /// expand 3×3, all ReLU). Its convolutions are prunable layers
+    /// `fire{id}.squeeze`, `fire{id}.expand1x1` and `fire{id}.expand3x3`,
+    /// with `id` the squeeze's layer id.
     pub fn fire(mut self, squeeze: usize, e1: usize, e3: usize) -> Self {
         let [cin, h, w] = self.map();
         let sq_id = self.prunables.len();
-        let src = self.cur_buf();
-        self.prunables.push(PrunableInfo {
-            layer_id: sq_id,
-            name: format!("fire{sq_id}.squeeze"),
+        let conv = |layer_id: usize, part: &str, cin: usize, cout: usize, k: usize| PrunableInfo {
+            layer_id,
+            name: format!("fire{sq_id}.{part}"),
             kind: PrunableKind::Conv {
                 cin,
-                cout: squeeze,
-                kh: 1,
-                kw: 1,
+                cout,
+                kh: k,
+                kw: k,
                 stride: 1,
-                pad_h: 0,
-                pad_w: 0,
+                pad_h: k / 2,
+                pad_w: k / 2,
                 in_h: h,
                 in_w: w,
             },
-        });
-        self.prunables.push(PrunableInfo {
-            layer_id: sq_id + 1,
-            name: format!("fire{sq_id}.expand1x1"),
-            kind: PrunableKind::Conv {
-                cin: squeeze,
-                cout: e1,
-                kh: 1,
-                kw: 1,
-                stride: 1,
-                pad_h: 0,
-                pad_w: 0,
-                in_h: h,
-                in_w: w,
-            },
-        });
-        self.prunables.push(PrunableInfo {
-            layer_id: sq_id + 2,
-            name: format!("fire{sq_id}.expand3x3"),
-            kind: PrunableKind::Conv {
-                cin: squeeze,
-                cout: e3,
-                kh: 3,
-                kw: 3,
-                stride: 1,
-                pad_h: 1,
-                pad_w: 1,
-                in_h: h,
-                in_w: w,
-            },
-        });
+        };
+        self.prunables.extend([
+            conv(sq_id, "squeeze", cin, squeeze, 1),
+            conv(sq_id + 1, "expand1x1", squeeze, e1, 1),
+            conv(sq_id + 2, "expand3x3", squeeze, e3, 3),
+        ]);
         // squeeze buffer, then concat buffer
+        let src = self.cur_buf();
+        let (sq_buf, cat_buf) = (src + 1, src + 2);
         self.buffers.push(BufDesc { dims: vec![squeeze, h, w] });
         self.buffers.push(BufDesc { dims: vec![e1 + e3, h, w] });
-        let sq_buf = src + 1;
-        let cat_buf = src + 2;
-        self.graph.push(GraphOp::Conv {
-            layer_id: sq_id,
+        let op = |layer_id, src, dst, dst_c_off| GraphOp::Conv {
+            layer_id,
             src,
-            dst: sq_buf,
-            dst_c_off: 0,
+            dst,
+            dst_c_off,
             relu: true,
-        });
-        self.graph.push(GraphOp::Conv {
-            layer_id: sq_id + 1,
-            src: sq_buf,
-            dst: cat_buf,
-            dst_c_off: 0,
-            relu: true,
-        });
-        self.graph.push(GraphOp::Conv {
-            layer_id: sq_id + 2,
-            src: sq_buf,
-            dst: cat_buf,
-            dst_c_off: e1,
-            relu: true,
-        });
+        };
+        self.graph.extend([
+            op(sq_id, src, sq_buf, 0),
+            op(sq_id + 1, sq_buf, cat_buf, 0),
+            op(sq_id + 2, sq_buf, cat_buf, e1),
+        ]);
         self.layers.push(Box::new(Fire::new(sq_id, cin, squeeze, e1, e3)));
         self.cur_map = Some([e1 + e3, h, w]);
         self
@@ -273,36 +240,19 @@ impl NetBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iprune_tensor::exec::ExecCtx;
     use iprune_tensor::Tensor;
 
     #[test]
-    fn builder_matches_handwritten_har() {
-        let built = NetBuilder::new("HAR", [3, 128, 1], 6)
-            .conv_shaped(16, 3, 1, 1, 1, 0, true)
-            .maxpool(2, 1)
-            .conv_shaped(32, 3, 1, 1, 1, 0, true)
-            .maxpool(2, 1)
-            .conv_shaped(64, 3, 1, 1, 1, 0, true)
-            .maxpool(2, 1)
-            .flatten()
-            .fc(6, false)
-            .build();
-        let hand = crate::zoo::App::Har.build();
-        assert_eq!(built.info.total_weights(), hand.info.total_weights());
-        assert_eq!(built.info.total_macs(), hand.info.total_macs());
-        assert_eq!(built.info.layer_tally(), hand.info.layer_tally());
-    }
-
-    #[test]
     fn builder_fire_and_gap() {
-        let mut m = NetBuilder::new("mini-squeeze", [3, 16, 16], 5)
+        let m = NetBuilder::new("mini-squeeze", [3, 16, 16], 5)
             .conv(8, 3, 2, true)
             .fire(4, 8, 8)
             .maxpool(2, 2)
             .conv(5, 1, 1, false)
             .global_avg_pool()
             .build();
-        let y = m.forward(&Tensor::zeros(&[2, 3, 16, 16]), false);
+        let y = m.infer(&Tensor::zeros(&[2, 3, 16, 16]), &mut ExecCtx::new());
         assert_eq!(y.dims(), &[2, 5]);
     }
 

@@ -2,7 +2,7 @@
 //! channel-concatenated, each convolution followed by ReLU.
 
 use iprune_tensor::exec::ExecCtx;
-use iprune_tensor::layer::{Conv2d, Layer, LayerKind, Param, Relu};
+use iprune_tensor::layer::{Conv2d, Layer, Param, Relu};
 use iprune_tensor::Tensor;
 
 /// A fire module built from three prunable convolutions.
@@ -72,10 +72,10 @@ fn split_channels(g: &Tensor, ca: usize) -> (Tensor, Tensor) {
 }
 
 impl Layer for Fire {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let s = self.relu_s.forward(&self.squeeze.forward(x, train), train);
-        let a = self.relu_e1.forward(&self.expand1.forward(&s, train), train);
-        let b = self.relu_e3.forward(&self.expand3.forward(&s, train), train);
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        let s = self.relu_s.forward(&self.squeeze.forward(x));
+        let a = self.relu_e1.forward(&self.expand1.forward(&s));
+        let b = self.relu_e3.forward(&self.expand3.forward(&s));
         concat_channels(&a, &b)
     }
 
@@ -107,19 +107,6 @@ impl Layer for Fire {
         self.expand3.visit_params_ref(f);
     }
 
-    fn kind(&self) -> LayerKind {
-        LayerKind::Conv
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "fire[{}, {}, {}]",
-            self.squeeze.describe(),
-            self.expand1.describe(),
-            self.expand3.describe()
-        )
-    }
-
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }
@@ -133,7 +120,7 @@ mod tests {
     fn forward_shape_concats_expands() {
         let mut fire = Fire::new(0, 8, 4, 6, 10);
         let x = Tensor::zeros(&[2, 8, 5, 5]);
-        let y = fire.forward(&x, false);
+        let y = fire.forward(&x);
         assert_eq!(y.dims(), &[2, 16, 5, 5]);
         assert_eq!(fire.out_channels(), 16);
     }
@@ -173,17 +160,17 @@ mod tests {
             &[1, 3, 4, 4],
             (0..n).map(|i| ((i * 5 % 11) as f32 - 5.0) / 5.0).collect(),
         );
-        let out = fire.forward(&x, true);
+        let out = fire.forward(&x);
         let gout = Tensor::full(out.dims(), 1.0);
         let gx = fire.backward(&gout);
         let eps = 1e-2f32;
         for i in (0..x.numel()).step_by(7) {
             let mut xp = x.clone();
             xp.data_mut()[i] += eps;
-            let sp: f32 = fire.forward(&xp, false).data().iter().sum();
+            let sp: f32 = fire.infer(&xp, &mut ExecCtx::new()).data().iter().sum();
             let mut xm = x.clone();
             xm.data_mut()[i] -= eps;
-            let sm: f32 = fire.forward(&xm, false).data().iter().sum();
+            let sm: f32 = fire.infer(&xm, &mut ExecCtx::new()).data().iter().sum();
             let num = (sp - sm) / (2.0 * eps);
             assert!(
                 (num - gx.data()[i]).abs() < 3e-2,

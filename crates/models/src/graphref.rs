@@ -37,19 +37,7 @@ impl Activation for f32 {
         ctx.put(buf);
     }
     fn max_pool(src: &[f32], h: usize, w: usize, kh: usize, kw: usize, dst: &mut [f32]) {
-        let (oh, ow) = (h / kh, w / kw);
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut best = f32::NEG_INFINITY;
-                for ky in 0..kh {
-                    for kx in 0..kw {
-                        let v = src[(oy * kh + ky) * w + ox * kw + kx];
-                        best = best.max(v);
-                    }
-                }
-                dst[oy * ow + ox] = best;
-            }
-        }
+        pool::maxpool2d_f32(src, h, w, kh, kw, dst);
     }
     fn mean(plane: &[f32]) -> f32 {
         let inv = 1.0 / plane.len() as f32;
@@ -316,7 +304,7 @@ mod tests {
             let weights = model.extract_weights();
             for i in 0..3 {
                 let x = ds.sample(i);
-                let net_logits = model.forward(&x, false);
+                let net_logits = model.forward(&x);
                 let graph_logits = run_graph_logits(&model.info, &weights, &x);
                 for (a, b) in net_logits.data().iter().zip(graph_logits.iter()) {
                     assert!(

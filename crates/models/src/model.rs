@@ -1,5 +1,7 @@
 //! The [`Model`] wrapper: a trainable network paired with its
-//! [`ModelInfo`] structural description and weight import/export.
+//! [`ModelInfo`] structural description and weight import/export. Models
+//! are put together only by [`crate::builder::NetBuilder`], which derives
+//! both halves from one layer chain.
 
 use crate::arch::ModelInfo;
 use iprune_tensor::exec::ExecCtx;
@@ -32,14 +34,14 @@ pub struct Model {
 }
 
 impl Model {
-    /// Pairs a network with its description.
+    /// Pairs a network with its description (the builder's last step).
     ///
     /// # Panics
     ///
     /// Panics if the network's prunable parameters do not cover exactly the
     /// layer ids `0..info.prunables.len()` or a weight shape disagrees with
     /// the declared geometry.
-    pub fn new(info: ModelInfo, net: Sequential) -> Self {
+    pub(crate) fn new(info: ModelInfo, net: Sequential) -> Self {
         info.validate();
         let mut model = Self { info, net };
         let weights = model.extract_weights();
@@ -62,19 +64,9 @@ impl Model {
         model
     }
 
-    /// The underlying trainable network.
-    pub fn net_mut(&mut self) -> &mut Sequential {
-        &mut self.net
-    }
-
-    /// Shared access to the underlying network (inference-side consumers).
-    pub fn net(&self) -> &Sequential {
-        &self.net
-    }
-
-    /// Shared-state inference: bitwise identical to `forward(x, false)`
-    /// without `&mut` access, so one `Arc`-shared model can serve any number
-    /// of concurrent [`ExecCtx`] holders with zero weight clones.
+    /// Shared-state inference ([`Layer::infer`]): no `&mut` access, so one
+    /// `Arc`-shared model can serve any number of concurrent [`ExecCtx`]
+    /// holders with zero weight clones.
     pub fn infer(&self, x: &Tensor, ctx: &mut ExecCtx) -> Tensor {
         Layer::infer(self, x, ctx)
     }
@@ -92,50 +84,14 @@ impl Model {
         out
     }
 
-    /// Fraction of weights kept per prunable layer (1.0 when unmasked),
-    /// readable from a shared model.
-    pub fn layer_densities(&self) -> HashMap<usize, f64> {
-        let mut out = HashMap::new();
-        self.net.visit_params_ref(&mut |p: &Param| {
-            if p.layer_id != usize::MAX && p.name.ends_with(".w") {
-                out.insert(p.layer_id, p.density());
-            }
-        });
-        out
-    }
-
-    /// Deterministic per-layer magnitude masks keeping `keep_ppm / 1e6` of
-    /// each prunable layer's weights: the largest-|w| weights survive, ties
-    /// broken by ascending index. `keep_ppm >= 1_000_000` keeps everything.
-    pub fn magnitude_masks(&self, keep_ppm: u32) -> HashMap<usize, Tensor> {
-        let mut out = HashMap::new();
-        self.net.visit_params_ref(&mut |p: &Param| {
-            if p.layer_id == usize::MAX || !p.name.ends_with(".w") {
-                return;
-            }
-            let n = p.value.numel();
-            let keep = ((n as u64 * keep_ppm as u64).div_ceil(1_000_000) as usize).min(n);
-            let mut order: Vec<usize> = (0..n).collect();
-            let data = p.value.data();
-            order.sort_by(|&a, &b| data[b].abs().total_cmp(&data[a].abs()).then_with(|| a.cmp(&b)));
-            let mut mask = vec![0.0f32; n];
-            for &i in &order[..keep] {
-                mask[i] = 1.0;
-            }
-            out.insert(p.layer_id, Tensor::from_vec(p.value.dims(), mask));
-        });
-        out
-    }
-
     /// Deterministic per-layer *block* magnitude masks: each prunable
     /// weight matrix (`rows = out`, `cols = k`) is tiled into the host
-    /// kernels' [`BLOCK_ROWS`]×[`BLOCK_COLS`](iprune_tensor::sparse) blocks,
-    /// the blocks with the largest L1 norm survive (ties broken by
-    /// ascending block index), and whole blocks are zeroed. Unlike
-    /// [`Self::magnitude_masks`], the resulting masks have a block-sparse
-    /// structure the GEMM dispatch can exploit: the alive fraction tracks
-    /// `keep_ppm`, so sufficiently pruned layers route through the sparse
-    /// kernels.
+    /// kernels' [`BLOCK_ROWS`](iprune_tensor::sparse::BLOCK_ROWS) ×
+    /// [`BLOCK_COLS`](iprune_tensor::sparse::BLOCK_COLS) blocks, the blocks
+    /// with the largest L1 norm survive (ties broken by ascending block
+    /// index), and whole blocks are zeroed. The masks are block-sparse, so
+    /// the alive fraction tracks `keep_ppm` and sufficiently pruned layers
+    /// route through the sparse kernels.
     pub fn block_magnitude_masks(&self, keep_ppm: u32) -> HashMap<usize, Tensor> {
         use iprune_tensor::sparse::{BLOCK_COLS, BLOCK_ROWS};
         let mut out = HashMap::new();
@@ -298,8 +254,8 @@ impl Model {
 }
 
 impl Layer for Model {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        self.net.forward(x, train)
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        self.net.forward(x)
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
@@ -318,10 +274,6 @@ impl Layer for Model {
         self.net.visit_params_ref(f)
     }
 
-    fn describe(&self) -> String {
-        format!("{}: {}", self.info.name, self.net.describe())
-    }
-
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }
@@ -333,34 +285,29 @@ mod tests {
     use crate::zoo::App;
     use iprune_tensor::exec::ExecCtx;
 
-    #[test]
-    fn model_infer_matches_forward_bitwise() {
-        let mut m = App::Har.build();
-        let masks = m.magnitude_masks(500_000);
-        m.set_masks(&masks);
-        let ds = App::Har.dataset(6, 42);
-        let (x, _) = ds.gather(&[0, 1, 2, 3, 4, 5]);
-        let want = m.forward(&x, false);
-        let mut ctx = ExecCtx::new();
-        let got = m.infer(&x, &mut ctx);
-        assert_eq!(want.data(), got.data(), "shared-state inference must match forward bitwise");
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
     }
 
+    /// The training pass and shared-state inference agree bit for bit on
+    /// every app (SQN's fire concat, HAR's temporal convs, CKS's FC head),
+    /// dense and on the block-sparse path.
     #[test]
-    fn magnitude_masks_keep_requested_fraction() {
-        let m = App::Har.build();
-        let masks = m.magnitude_masks(250_000);
-        assert_eq!(masks.len(), m.info.prunables.len());
-        for (id, mask) in &masks {
-            let kept: f64 = mask.data().iter().map(|&v| v as f64).sum();
-            let frac = kept / mask.numel() as f64;
-            assert!(
-                frac >= 0.25 && frac < 0.26 + 1.0 / mask.numel() as f64,
-                "layer {id}: kept fraction {frac}"
-            );
+    fn model_infer_matches_forward_bitwise() {
+        for app in App::all() {
+            let mut m = app.build();
+            let ds = app.dataset(6, 42);
+            let (x, _) = ds.gather(&[0, 1, 2, 3, 4, 5]);
+            for keep in [None, Some(500_000)] {
+                if let Some(keep) = keep {
+                    let masks = m.block_magnitude_masks(keep);
+                    m.set_masks(&masks);
+                }
+                let want = m.forward(&x);
+                let got = m.infer(&x, &mut ExecCtx::new());
+                assert_eq!(bits(&want), bits(&got), "{} keep {keep:?}", app.name());
+            }
         }
-        let all = m.magnitude_masks(1_000_000);
-        assert!(all.values().all(|m| m.count_zeros() == 0), "full density keeps everything");
     }
 
     #[test]
@@ -370,7 +317,7 @@ mod tests {
         assert_eq!(masks.len(), m.info.prunables.len());
         m.set_masks(&masks);
         let mut sparse_layers = 0;
-        m.net().visit_params_ref(&mut |p| {
+        m.visit_params_ref(&mut |p| {
             if p.name.ends_with(".w") {
                 let d = p.density();
                 // small layers have few blocks, so the kept fraction
@@ -391,12 +338,23 @@ mod tests {
     #[test]
     fn layer_weight_and_densities_read_shared_state() {
         let mut m = App::Har.build();
-        let masks = m.magnitude_masks(500_000);
+        let masks = m.block_magnitude_masks(500_000);
         m.set_masks(&masks);
-        let d = m.layer_densities();
-        assert!(d.values().all(|&v| (v - 0.5).abs() < 0.01), "densities: {d:?}");
-        let (w, mask) = m.layer_weight(0).expect("layer 0 exists");
-        assert_eq!(w.numel(), m.info.prunables[0].weights());
-        assert!(mask.is_some());
+        let shared = std::sync::Arc::new(m);
+        let mut densities = Vec::new();
+        shared.visit_params_ref(&mut |p| {
+            if p.name.ends_with(".w") {
+                densities.push((p.layer_id, p.density()));
+            }
+        });
+        assert_eq!(densities.len(), shared.info.prunables.len());
+        for (id, d) in densities {
+            let (w, mask) = shared.layer_weight(id).expect("layer exists");
+            assert_eq!(w.numel(), shared.info.prunables[id].weights());
+            let mask = mask.expect("masked layer");
+            let kept = mask.data().iter().filter(|&&v| v != 0.0).count();
+            assert_eq!(d, kept as f64 / mask.numel() as f64, "layer {id}");
+            assert!(d > 0.0 && d < 1.0, "layer {id}: density {d}");
+        }
     }
 }

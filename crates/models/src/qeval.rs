@@ -366,7 +366,6 @@ impl QModel<Q8> {
 mod tests {
     use super::*;
     use crate::zoo::App;
-    use iprune_tensor::layer::Layer;
 
     /// Q15 logits track the float forward pass closely on every app.
     #[test]
@@ -377,7 +376,7 @@ mod tests {
             let qm = QuantizedModel::quantize(&mut model, &ds, 4);
             for i in 0..3 {
                 let x = ds.sample(i);
-                let f = model.forward(&x, false);
+                let f = model.infer(&x, &mut ExecCtx::new());
                 let q = qm.forward_q15(&x);
                 for (a, b) in f.data().iter().zip(q.iter()) {
                     assert!((a - b).abs() < 0.05, "{} sample {i}: f32 {a} vs q15 {b}", app.name());
@@ -396,7 +395,7 @@ mod tests {
             let qm = Quantized8Model::quantize(&mut model, &ds, 4);
             for i in 0..3 {
                 let x = ds.sample(i);
-                let f = model.forward(&x, false);
+                let f = model.infer(&x, &mut ExecCtx::new());
                 let q = qm.forward_q8(&x);
                 for (a, b) in f.data().iter().zip(q.iter()) {
                     assert!((a - b).abs() < 0.5, "{} sample {i}: f32 {a} vs q8 {b}", app.name());

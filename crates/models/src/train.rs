@@ -71,7 +71,7 @@ pub fn train_sgd(model: &mut Model, ds: &Dataset, cfg: &TrainConfig) -> f32 {
         let mut batches = 0usize;
         for chunk in order.chunks(cfg.batch) {
             let (x, y) = ds.gather(chunk);
-            let logits = model.forward(&x, true);
+            let logits = model.forward(&x);
             let (loss, grad) = softmax_cross_entropy(&logits, &y);
             model.backward(&grad);
             opt.step(model);
@@ -97,7 +97,7 @@ pub fn train_sgd(model: &mut Model, ds: &Dataset, cfg: &TrainConfig) -> f32 {
 ///
 /// Pruned layers inherit the block-sparse GEMM dispatch (see
 /// `iprune_tensor::sparse`) on this path too.
-pub fn evaluate(model: &mut Model, ds: &Dataset, batch: usize) -> f64 {
+pub fn evaluate(model: &Model, ds: &Dataset, batch: usize) -> f64 {
     evaluate_overridden(model, &[], ds, batch)
 }
 
@@ -162,19 +162,19 @@ mod tests {
         let mut m = App::Har.build();
         let train = App::Har.dataset(180, 100);
         let test = App::Har.dataset(60, 101);
-        let before = evaluate(&mut m, &test, 32);
+        let before = evaluate(&m, &test, 32);
         let cfg = TrainConfig { epochs: 4, lr: 0.08, ..Default::default() };
         train_sgd(&mut m, &train, &cfg);
-        let after = evaluate(&mut m, &test, 32);
+        let after = evaluate(&m, &test, 32);
         assert!(after > before.max(1.0 / 6.0) + 0.2, "no learning: {before} -> {after}");
     }
 
     #[test]
     fn evaluate_is_deterministic() {
-        let mut m = App::Har.build();
+        let m = App::Har.build();
         let ds = App::Har.dataset(30, 5);
-        let a = evaluate(&mut m, &ds, 10);
-        let b = evaluate(&mut m, &ds, 10);
+        let a = evaluate(&m, &ds, 10);
+        let b = evaluate(&m, &ds, 10);
         assert_eq!(a, b);
     }
 }

@@ -1,4 +1,5 @@
-//! The three TinyML applications of the paper's Table II.
+//! The three TinyML applications of the paper's Table II, each one
+//! [`NetBuilder`] chain.
 //!
 //! Architectures are calibrated so that parameter counts (→ 16-bit model
 //! size), MAC counts, and layer tallies land on the paper's numbers:
@@ -9,14 +10,12 @@
 //! | HAR | CONV×3, POOL×3, FC×1| 28 KB     | 321 K      | ~27.5 KB, ~319 K   |
 //! | CKS | CONV×2, FC×3        | 131 KB    | 2811 K     | ~131 KB, ~2770 K   |
 
-use crate::arch::{BufDesc, GraphOp, ModelInfo, PrunableInfo, PrunableKind};
-use crate::fire::Fire;
+use crate::builder::NetBuilder;
 use crate::model::Model;
 use iprune_datasets::keywords::KeywordSpec;
 use iprune_datasets::motion::MotionSpec;
 use iprune_datasets::synth_image::SynthImageSpec;
 use iprune_datasets::Dataset;
-use iprune_tensor::layer::{Conv2d, Flatten, GlobalAvgPool, Linear, MaxPool2d, Relu, Sequential};
 
 /// The three evaluated applications.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -47,9 +46,39 @@ impl App {
     /// Builds the trainable model.
     pub fn build(&self) -> Model {
         match self {
-            App::Sqn => build_sqn(),
-            App::Har => build_har(),
-            App::Cks => build_cks(),
+            // 11 CONV, 2 POOL; 74 598 weights+biases ≈ 146 KB, ≈ 4605 K MACs
+            App::Sqn => NetBuilder::new("SQN", [3, 32, 32], 10)
+                .conv(24, 3, 2, true)
+                .fire(20, 40, 40)
+                .maxpool(2, 2)
+                .fire(32, 72, 72)
+                .maxpool(2, 2)
+                .fire(40, 80, 80)
+                .conv(10, 1, 1, false)
+                .global_avg_pool()
+                .build(),
+            // 3 CONV, 3 POOL, 1 FC; 14 086 weights+biases ≈ 27.5 KB, ≈ 319 K MACs
+            App::Har => NetBuilder::new("HAR", [3, 128, 1], 6)
+                .conv_shaped(16, 3, 1, 1, 1, 0, true)
+                .maxpool(2, 1)
+                .conv_shaped(32, 3, 1, 1, 1, 0, true)
+                .maxpool(2, 1)
+                .conv_shaped(64, 3, 1, 1, 1, 0, true)
+                .maxpool(2, 1)
+                .flatten()
+                .fc(6, false)
+                .build(),
+            // 2 CONV, 3 FC; 67 186 weights+biases ≈ 131 KB, ≈ 2770 K MACs
+            App::Cks => NetBuilder::new("CKS", [1, 61, 13], 10)
+                .conv(32, 3, 1, true)
+                .maxpool(2, 2)
+                .conv(48, 3, 1, true)
+                .maxpool(2, 2)
+                .flatten()
+                .fc(24, true)
+                .fc(32, true)
+                .fc(10, false)
+                .build(),
         }
     }
 
@@ -85,214 +114,10 @@ impl App {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn conv_info(
-    layer_id: usize,
-    name: &str,
-    cin: usize,
-    cout: usize,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    pad_h: usize,
-    pad_w: usize,
-    in_h: usize,
-    in_w: usize,
-) -> PrunableInfo {
-    PrunableInfo {
-        layer_id,
-        name: name.to_string(),
-        kind: PrunableKind::Conv { cin, cout, kh, kw, stride, pad_h, pad_w, in_h, in_w },
-    }
-}
-
-fn fc_info(layer_id: usize, name: &str, din: usize, dout: usize) -> PrunableInfo {
-    PrunableInfo { layer_id, name: name.to_string(), kind: PrunableKind::Fc { din, dout } }
-}
-
-/// SQN: conv(24,s2) + fire(20,40,40) + pool + fire(32,72,72) + pool +
-/// fire(40,80,80) + 1×1 classifier + global average pooling.
-/// 11 CONV, 2 POOL, 74 598 weights+biases ≈ 146 KB, ≈ 4605 K MACs.
-fn build_sqn() -> Model {
-    let prunables = vec![
-        conv_info(0, "conv1", 3, 24, 3, 3, 2, 1, 1, 32, 32),
-        conv_info(1, "fire1.squeeze", 24, 20, 1, 1, 1, 0, 0, 16, 16),
-        conv_info(2, "fire1.expand1x1", 20, 40, 1, 1, 1, 0, 0, 16, 16),
-        conv_info(3, "fire1.expand3x3", 20, 40, 3, 3, 1, 1, 1, 16, 16),
-        conv_info(4, "fire2.squeeze", 80, 32, 1, 1, 1, 0, 0, 8, 8),
-        conv_info(5, "fire2.expand1x1", 32, 72, 1, 1, 1, 0, 0, 8, 8),
-        conv_info(6, "fire2.expand3x3", 32, 72, 3, 3, 1, 1, 1, 8, 8),
-        conv_info(7, "fire3.squeeze", 144, 40, 1, 1, 1, 0, 0, 4, 4),
-        conv_info(8, "fire3.expand1x1", 40, 80, 1, 1, 1, 0, 0, 4, 4),
-        conv_info(9, "fire3.expand3x3", 40, 80, 3, 3, 1, 1, 1, 4, 4),
-        conv_info(10, "classifier", 160, 10, 1, 1, 1, 0, 0, 4, 4),
-    ];
-    let buffers = vec![
-        BufDesc { dims: vec![3, 32, 32] },  // 0: input
-        BufDesc { dims: vec![24, 16, 16] }, // 1: conv1
-        BufDesc { dims: vec![20, 16, 16] }, // 2: fire1 squeeze
-        BufDesc { dims: vec![80, 16, 16] }, // 3: fire1 concat
-        BufDesc { dims: vec![80, 8, 8] },   // 4: pool1
-        BufDesc { dims: vec![32, 8, 8] },   // 5: fire2 squeeze
-        BufDesc { dims: vec![144, 8, 8] },  // 6: fire2 concat
-        BufDesc { dims: vec![144, 4, 4] },  // 7: pool2
-        BufDesc { dims: vec![40, 4, 4] },   // 8: fire3 squeeze
-        BufDesc { dims: vec![160, 4, 4] },  // 9: fire3 concat
-        BufDesc { dims: vec![10, 4, 4] },   // 10: classifier
-        BufDesc { dims: vec![10] },         // 11: logits
-    ];
-    let graph = vec![
-        GraphOp::Conv { layer_id: 0, src: 0, dst: 1, dst_c_off: 0, relu: true },
-        GraphOp::Conv { layer_id: 1, src: 1, dst: 2, dst_c_off: 0, relu: true },
-        GraphOp::Conv { layer_id: 2, src: 2, dst: 3, dst_c_off: 0, relu: true },
-        GraphOp::Conv { layer_id: 3, src: 2, dst: 3, dst_c_off: 40, relu: true },
-        GraphOp::MaxPool { src: 3, dst: 4, kh: 2, kw: 2 },
-        GraphOp::Conv { layer_id: 4, src: 4, dst: 5, dst_c_off: 0, relu: true },
-        GraphOp::Conv { layer_id: 5, src: 5, dst: 6, dst_c_off: 0, relu: true },
-        GraphOp::Conv { layer_id: 6, src: 5, dst: 6, dst_c_off: 72, relu: true },
-        GraphOp::MaxPool { src: 6, dst: 7, kh: 2, kw: 2 },
-        GraphOp::Conv { layer_id: 7, src: 7, dst: 8, dst_c_off: 0, relu: true },
-        GraphOp::Conv { layer_id: 8, src: 8, dst: 9, dst_c_off: 0, relu: true },
-        GraphOp::Conv { layer_id: 9, src: 8, dst: 9, dst_c_off: 80, relu: true },
-        GraphOp::Conv { layer_id: 10, src: 9, dst: 10, dst_c_off: 0, relu: false },
-        GraphOp::GlobalAvgPool { src: 10, dst: 11 },
-    ];
-    let info = ModelInfo {
-        name: "SQN".to_string(),
-        classes: 10,
-        input_dims: [3, 32, 32],
-        prunables,
-        graph,
-        buffers,
-    };
-    let net = Sequential::new(vec![
-        Box::new(Conv2d::new(0, 3, 24, 3, 2, 1)),
-        Box::new(Relu::new()),
-        Box::new(Fire::new(1, 24, 20, 40, 40)),
-        Box::new(MaxPool2d::new(2)),
-        Box::new(Fire::new(4, 80, 32, 72, 72)),
-        Box::new(MaxPool2d::new(2)),
-        Box::new(Fire::new(7, 144, 40, 80, 80)),
-        Box::new(Conv2d::new(10, 160, 10, 1, 1, 0)),
-        Box::new(GlobalAvgPool::new()),
-    ]);
-    Model::new(info, net)
-}
-
-/// HAR: three temporal 3×1 convolutions with 2×1 pooling and one FC head.
-/// 3 CONV, 3 POOL, 1 FC; 14 086 weights+biases ≈ 27.5 KB, ≈ 319 K MACs.
-fn build_har() -> Model {
-    let prunables = vec![
-        conv_info(0, "conv1", 3, 16, 3, 1, 1, 1, 0, 128, 1),
-        conv_info(1, "conv2", 16, 32, 3, 1, 1, 1, 0, 64, 1),
-        conv_info(2, "conv3", 32, 64, 3, 1, 1, 1, 0, 32, 1),
-        fc_info(3, "fc", 64 * 16, 6),
-    ];
-    let buffers = vec![
-        BufDesc { dims: vec![3, 128, 1] },  // 0: input window
-        BufDesc { dims: vec![16, 128, 1] }, // 1
-        BufDesc { dims: vec![16, 64, 1] },  // 2
-        BufDesc { dims: vec![32, 64, 1] },  // 3
-        BufDesc { dims: vec![32, 32, 1] },  // 4
-        BufDesc { dims: vec![64, 32, 1] },  // 5
-        BufDesc { dims: vec![64, 16, 1] },  // 6
-        BufDesc { dims: vec![1024] },       // 7: flattened
-        BufDesc { dims: vec![6] },          // 8: logits
-    ];
-    let graph = vec![
-        GraphOp::Conv { layer_id: 0, src: 0, dst: 1, dst_c_off: 0, relu: true },
-        GraphOp::MaxPool { src: 1, dst: 2, kh: 2, kw: 1 },
-        GraphOp::Conv { layer_id: 1, src: 2, dst: 3, dst_c_off: 0, relu: true },
-        GraphOp::MaxPool { src: 3, dst: 4, kh: 2, kw: 1 },
-        GraphOp::Conv { layer_id: 2, src: 4, dst: 5, dst_c_off: 0, relu: true },
-        GraphOp::MaxPool { src: 5, dst: 6, kh: 2, kw: 1 },
-        GraphOp::Flatten { src: 6, dst: 7 },
-        GraphOp::Fc { layer_id: 3, src: 7, dst: 8, relu: false },
-    ];
-    let info = ModelInfo {
-        name: "HAR".to_string(),
-        classes: 6,
-        input_dims: [3, 128, 1],
-        prunables,
-        graph,
-        buffers,
-    };
-    let net = Sequential::new(vec![
-        Box::new(Conv2d::with_shape(0, 3, 16, 3, 1, 1, 1, 0)),
-        Box::new(Relu::new()),
-        Box::new(MaxPool2d::with_window(2, 1)),
-        Box::new(Conv2d::with_shape(1, 16, 32, 3, 1, 1, 1, 0)),
-        Box::new(Relu::new()),
-        Box::new(MaxPool2d::with_window(2, 1)),
-        Box::new(Conv2d::with_shape(2, 32, 64, 3, 1, 1, 1, 0)),
-        Box::new(Relu::new()),
-        Box::new(MaxPool2d::with_window(2, 1)),
-        Box::new(Flatten::new()),
-        Box::new(Linear::new(1024, 6, 3)),
-    ]);
-    Model::new(info, net)
-}
-
-/// CKS: two 3×3 convolutions with 2×2 pooling and a three-layer FC head.
-/// 2 CONV, 3 FC; 67 186 weights+biases ≈ 131 KB, ≈ 2770 K MACs.
-fn build_cks() -> Model {
-    let prunables = vec![
-        conv_info(0, "conv1", 1, 32, 3, 3, 1, 1, 1, 61, 13),
-        conv_info(1, "conv2", 32, 48, 3, 3, 1, 1, 1, 30, 6),
-        fc_info(2, "fc1", 48 * 15 * 3, 24),
-        fc_info(3, "fc2", 24, 32),
-        fc_info(4, "fc3", 32, 10),
-    ];
-    let buffers = vec![
-        BufDesc { dims: vec![1, 61, 13] },  // 0: spectrogram
-        BufDesc { dims: vec![32, 61, 13] }, // 1
-        BufDesc { dims: vec![32, 30, 6] },  // 2
-        BufDesc { dims: vec![48, 30, 6] },  // 3
-        BufDesc { dims: vec![48, 15, 3] },  // 4
-        BufDesc { dims: vec![2160] },       // 5: flattened
-        BufDesc { dims: vec![24] },         // 6
-        BufDesc { dims: vec![32] },         // 7
-        BufDesc { dims: vec![10] },         // 8: logits
-    ];
-    let graph = vec![
-        GraphOp::Conv { layer_id: 0, src: 0, dst: 1, dst_c_off: 0, relu: true },
-        GraphOp::MaxPool { src: 1, dst: 2, kh: 2, kw: 2 },
-        GraphOp::Conv { layer_id: 1, src: 2, dst: 3, dst_c_off: 0, relu: true },
-        GraphOp::MaxPool { src: 3, dst: 4, kh: 2, kw: 2 },
-        GraphOp::Flatten { src: 4, dst: 5 },
-        GraphOp::Fc { layer_id: 2, src: 5, dst: 6, relu: true },
-        GraphOp::Fc { layer_id: 3, src: 6, dst: 7, relu: true },
-        GraphOp::Fc { layer_id: 4, src: 7, dst: 8, relu: false },
-    ];
-    let info = ModelInfo {
-        name: "CKS".to_string(),
-        classes: 10,
-        input_dims: [1, 61, 13],
-        prunables,
-        graph,
-        buffers,
-    };
-    let net = Sequential::new(vec![
-        Box::new(Conv2d::new(0, 1, 32, 3, 1, 1)),
-        Box::new(Relu::new()),
-        Box::new(MaxPool2d::new(2)),
-        Box::new(Conv2d::new(1, 32, 48, 3, 1, 1)),
-        Box::new(Relu::new()),
-        Box::new(MaxPool2d::new(2)),
-        Box::new(Flatten::new()),
-        Box::new(Linear::new(2160, 24, 2)),
-        Box::new(Relu::new()),
-        Box::new(Linear::new(24, 32, 3)),
-        Box::new(Relu::new()),
-        Box::new(Linear::new(32, 10, 4)),
-    ]);
-    Model::new(info, net)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iprune_tensor::layer::Layer;
+    use iprune_tensor::exec::ExecCtx;
     use iprune_tensor::Tensor;
 
     #[test]
@@ -336,10 +161,10 @@ mod tests {
     #[test]
     fn forward_shapes_reach_logits() {
         for app in App::all() {
-            let mut m = app.build();
+            let m = app.build();
             let [c, h, w] = m.info.input_dims;
             let x = Tensor::zeros(&[2, c, h, w]);
-            let y = m.forward(&x, false);
+            let y = m.infer(&x, &mut ExecCtx::new());
             assert_eq!(y.dims(), &[2, m.info.classes], "{}", app.name());
         }
     }

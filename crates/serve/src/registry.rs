@@ -158,7 +158,7 @@ impl DispatchPlan {
         let mut rows = Vec::with_capacity(model.info.prunables.len());
         let mut kept_by_id: HashMap<usize, u64> = HashMap::new();
         let mut sparse_by_id: HashMap<usize, bool> = HashMap::new();
-        model.net().visit_params_ref(&mut |p| {
+        model.visit_params_ref(&mut |p| {
             if p.name.ends_with(".w") {
                 let kept = match &p.mask {
                     Some(m) => m.data().iter().filter(|&&v| v != 0.0).count() as u64,

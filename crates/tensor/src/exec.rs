@@ -11,8 +11,8 @@
 //! Scratch buffers are loaned with [`ExecCtx::take`] and returned with
 //! [`ExecCtx::put`]; a request that serves many samples re-uses the same
 //! im2col buffer instead of re-allocating per call. Nothing here affects
-//! numerics: `Layer::infer` with a fresh or recycled context is bitwise
-//! identical to `Layer::forward(x, false)`.
+//! numerics: `Layer::infer` computes the same output with a fresh or a
+//! recycled context, bitwise equal to the training pass `Layer::forward`.
 
 use crate::layer::Param;
 use crate::sparse::{self, SparseIndex};

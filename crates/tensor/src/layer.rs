@@ -1,7 +1,9 @@
 //! Trainable layers: convolution, fully-connected, pooling, activations.
 //!
-//! Layers follow a classic forward/backward protocol. Each layer caches what
-//! it needs during `forward` and consumes it in `backward`. Prunable layers
+//! Layers follow a classic forward/backward protocol for training. Each
+//! layer caches what it needs during `forward` and consumes it in
+//! `backward`; inference runs through `infer`, which caches nothing and
+//! reads weights and scratch through an [`ExecCtx`]. Prunable layers
 //! (convolution and fully-connected) expose their weights as [`Param`]s
 //! carrying an optional pruning mask; the optimizer re-applies the mask after
 //! every step so that pruned weights stay at exactly zero through
@@ -127,49 +129,37 @@ impl Param {
     }
 }
 
-/// Coarse classification of a layer, used by model statistics and by the
-/// deployment pipeline to build per-layer execution plans.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LayerKind {
-    /// 2-D convolution.
-    Conv,
-    /// Fully-connected (linear).
-    Fc,
-    /// Max pooling.
-    Pool,
-    /// Anything else (activation, reshape, …).
-    Other,
-}
-
-/// A differentiable network layer.
+/// A differentiable network layer with two passes over the same weights.
 ///
-/// `forward` must be called before `backward`; layers cache forward state.
+/// * [`Layer::forward`] is the training pass: it caches what
+///   [`Layer::backward`] consumes, so it takes `&mut self`.
+/// * [`Layer::infer`] is the inference pass: it reads the layer through
+///   `&self` and takes weights and scratch from a per-request [`ExecCtx`].
+///
+/// The two compute the same output bit for bit.
 ///
 /// Layers are `Send + Sync` and cloneable through [`Layer::clone_box`] so
 /// that whole models can be snapshotted and handed to [`crate::par`] workers
 /// (e.g. independent sensitivity probes evaluating cloned models).
 pub trait Layer: Send + Sync {
-    /// Computes the layer output. `train` enables caching for backward.
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor;
+    /// Training pass: computes the layer output and caches what `backward`
+    /// needs.
+    fn forward(&mut self, x: &Tensor) -> Tensor;
 
     /// Propagates `grad` (w.r.t. the output) back to the input, accumulating
     /// parameter gradients along the way.
     ///
     /// # Panics
     ///
-    /// Panics if called before a training-mode `forward`.
+    /// Panics if called before `forward`.
     fn backward(&mut self, grad: &Tensor) -> Tensor;
 
-    /// Shared-state inference: computes the same output as
-    /// `forward(x, false)` — bitwise — without mutating the layer, reading
-    /// weights and scratch through the per-request [`ExecCtx`]. This is the
-    /// path the serving front end and the parallel evaluators use: one
-    /// loaded model, many concurrent contexts, zero weight clones.
-    ///
-    /// The default panics; every layer in this workspace overrides it.
-    fn infer(&self, _x: &Tensor, _ctx: &mut ExecCtx) -> Tensor {
-        panic!("layer `{}` has no shared-state inference path", self.describe());
-    }
+    /// Shared-state inference: computes the same output as `forward`,
+    /// bitwise, without mutating the layer, reading weights and scratch
+    /// through the per-request [`ExecCtx`]. This is the path the serving
+    /// front end and the evaluators use: one loaded model, many concurrent
+    /// contexts, zero weight clones.
+    fn infer(&self, x: &Tensor, ctx: &mut ExecCtx) -> Tensor;
 
     /// Visits every trainable parameter. The default is parameter-free.
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
@@ -178,14 +168,6 @@ pub trait Layer: Send + Sync {
     /// parameter-free. Prunable layers override this so `Arc`-shared models
     /// can be inspected (weights, masks, densities) without `&mut` access.
     fn visit_params_ref(&self, _f: &mut dyn FnMut(&Param)) {}
-
-    /// The coarse layer kind.
-    fn kind(&self) -> LayerKind {
-        LayerKind::Other
-    }
-
-    /// Short human-readable description.
-    fn describe(&self) -> String;
 
     /// Clones the layer, caches and all, into a fresh box.
     fn clone_box(&self) -> Box<dyn Layer>;
@@ -345,21 +327,18 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, x: &Tensor) -> Tensor {
         let (mut out, out_len, col_len) = self.start(x);
         // One par worker per sample: each owns its output slice and im2col
         // scratch, so there is no cross-sample reduction to order.
         let this = &*self;
         let w = (this.w.value.data(), this.w.gemm_sparse());
-        let cols = par::par_chunks_map(out.data_mut(), out_len, |s, out_s| {
+        self.cached_cols = par::par_chunks_map(out.data_mut(), out_len, |s, out_s| {
             let mut col = vec![0.0f32; col_len];
             this.forward_sample(x, s, w, &mut col, out_s);
-            train.then_some(col)
+            col
         });
-        if train {
-            self.cached_cols = cols.into_iter().map(|c| c.expect("train-mode col")).collect();
-            self.cached_input = Some(x.clone());
-        }
+        self.cached_input = Some(x.clone());
         out
     }
 
@@ -387,7 +366,7 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let x = self.cached_input.as_ref().expect("Conv2d::backward before forward(train)");
+        let x = self.cached_input.as_ref().expect("Conv2d::backward before forward");
         let (n, h, w) = (x.dims()[0], x.dims()[2], x.dims()[3]);
         let (ho, wo) = self.out_hw(h, w);
         let k = self.cin * self.kh * self.kw;
@@ -441,24 +420,6 @@ impl Layer for Conv2d {
     fn visit_params_ref(&self, f: &mut dyn FnMut(&Param)) {
         f(&self.w);
         f(&self.b);
-    }
-
-    fn kind(&self) -> LayerKind {
-        LayerKind::Conv
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "conv{} {}x{}x{}x{} s{} p{}x{}",
-            self.layer_id,
-            self.cout,
-            self.cin,
-            self.kh,
-            self.kw,
-            self.stride,
-            self.pad_h,
-            self.pad_w
-        )
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -520,11 +481,9 @@ impl Linear {
 }
 
 impl Layer for Linear {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, x: &Tensor) -> Tensor {
         let out = self.apply(x, self.w.value.data(), self.w.gemm_sparse());
-        if train {
-            self.cached_input = Some(x.clone());
-        }
+        self.cached_input = Some(x.clone());
         out
     }
 
@@ -534,7 +493,7 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let x = self.cached_input.as_ref().expect("Linear::backward before forward(train)");
+        let x = self.cached_input.as_ref().expect("Linear::backward before forward");
         let n = x.dims()[0];
         assert_eq!(grad.dims(), &[n, self.dout]);
         // dW += dY^T (F x N) * X (N x D); on the sparse path only alive
@@ -567,14 +526,6 @@ impl Layer for Linear {
         f(&self.b);
     }
 
-    fn kind(&self) -> LayerKind {
-        LayerKind::Fc
-    }
-
-    fn describe(&self) -> String {
-        format!("fc{} {}x{}", self.layer_id, self.dout, self.din)
-    }
-
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }
@@ -604,45 +555,40 @@ impl MaxPool2d {
     pub fn with_window(kh: usize, kw: usize) -> Self {
         Self { kh, kw, argmax: Vec::new(), in_dims: Vec::new() }
     }
+
+    /// Checks an NCHW input; returns its zeroed output, the number of
+    /// channel planes, the input plane's `[h, w]` and the input and output
+    /// plane lengths.
+    fn start(&self, x: &Tensor) -> (Tensor, usize, [usize; 2], [usize; 2]) {
+        assert_eq!(x.dims().len(), 4, "MaxPool2d expects NCHW input");
+        let (n, c, h, w) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
+        let (ho, wo) = (h / self.kh, w / self.kw);
+        (Tensor::zeros(&[n, c, ho, wo]), n * c, [h, w], [h * w, ho * wo])
+    }
 }
 
 impl Layer for MaxPool2d {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        assert_eq!(x.dims().len(), 4, "MaxPool2d expects NCHW input");
-        let (n, c, h, w) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
-        let (kh, kw) = (self.kh, self.kw);
-        let (ho, wo) = (h / kh, w / kw);
-        let (plane, oplane) = (h * w, ho * wo);
-        let mut out = Tensor::zeros(&[n, c, ho, wo]);
-        if train {
-            self.argmax = vec![0; n * c * oplane];
-            self.in_dims = x.dims().to_vec();
-        }
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        let (mut out, planes, [h, w], [plane, oplane]) = self.start(x);
+        self.argmax = vec![0; out.numel()];
+        self.in_dims = x.dims().to_vec();
         // one dispatched pool kernel per channel plane; the kernel records
         // plane-relative argmax offsets, rebased to tensor offsets here
-        for p in 0..n * c {
+        for p in 0..planes {
             let src = &x.data()[p * plane..(p + 1) * plane];
             let dst = &mut out.data_mut()[p * oplane..(p + 1) * oplane];
-            if train {
-                let arg = &mut self.argmax[p * oplane..(p + 1) * oplane];
-                pool::maxpool2d_f32_argmax(src, h, w, kh, kw, dst, arg);
-                for a in arg.iter_mut() {
-                    *a += p * plane;
-                }
-            } else {
-                pool::maxpool2d_f32(src, h, w, kh, kw, dst);
+            let arg = &mut self.argmax[p * oplane..(p + 1) * oplane];
+            pool::maxpool2d_f32_argmax(src, h, w, self.kh, self.kw, dst, arg);
+            for a in arg.iter_mut() {
+                *a += p * plane;
             }
         }
         out
     }
 
     fn infer(&self, x: &Tensor, _ctx: &mut ExecCtx) -> Tensor {
-        assert_eq!(x.dims().len(), 4, "MaxPool2d expects NCHW input");
-        let (n, c, h, w) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
-        let (ho, wo) = (h / self.kh, w / self.kw);
-        let (plane, oplane) = (h * w, ho * wo);
-        let mut out = Tensor::zeros(&[n, c, ho, wo]);
-        for p in 0..n * c {
+        let (mut out, planes, [h, w], [plane, oplane]) = self.start(x);
+        for p in 0..planes {
             let src = &x.data()[p * plane..(p + 1) * plane];
             let dst = &mut out.data_mut()[p * oplane..(p + 1) * oplane];
             pool::maxpool2d_f32(src, h, w, self.kh, self.kw, dst);
@@ -651,18 +597,10 @@ impl Layer for MaxPool2d {
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
-        assert!(!self.in_dims.is_empty(), "MaxPool2d::backward before forward(train)");
+        assert!(!self.in_dims.is_empty(), "MaxPool2d::backward before forward");
         let mut gx = Tensor::zeros(&self.in_dims);
         pool::maxpool2d_backward_f32(&self.argmax, grad.data(), gx.data_mut());
         gx
-    }
-
-    fn kind(&self) -> LayerKind {
-        LayerKind::Pool
-    }
-
-    fn describe(&self) -> String {
-        format!("maxpool {}x{}", self.kh, self.kw)
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -690,21 +628,9 @@ impl Default for GlobalAvgPool {
 }
 
 impl Layer for GlobalAvgPool {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let (n, c, h, w) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
-        let mut out = Tensor::zeros(&[n, c]);
-        let inv = 1.0 / (h * w) as f32;
-        for s in 0..n {
-            for ch in 0..c {
-                let base = x.offset4(s, ch, 0, 0);
-                let sum: f32 = x.data()[base..base + h * w].iter().sum();
-                out.data_mut()[s * c + ch] = sum * inv;
-            }
-        }
-        if train {
-            self.in_dims = x.dims().to_vec();
-        }
-        out
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        self.in_dims = x.dims().to_vec();
+        self.infer(x, &mut ExecCtx::new())
     }
 
     fn infer(&self, x: &Tensor, _ctx: &mut ExecCtx) -> Tensor {
@@ -722,7 +648,7 @@ impl Layer for GlobalAvgPool {
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
-        assert!(!self.in_dims.is_empty(), "GlobalAvgPool::backward before forward(train)");
+        assert!(!self.in_dims.is_empty(), "GlobalAvgPool::backward before forward");
         let (n, c, h, w) = (self.in_dims[0], self.in_dims[1], self.in_dims[2], self.in_dims[3]);
         let mut gx = Tensor::zeros(&self.in_dims);
         let inv = 1.0 / (h * w) as f32;
@@ -736,10 +662,6 @@ impl Layer for GlobalAvgPool {
             }
         }
         gx
-    }
-
-    fn describe(&self) -> String {
-        "global_avg_pool".to_string()
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -783,10 +705,8 @@ impl Default for Relu {
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        if train {
-            self.mask = x.data().iter().map(|&v| v > 0.0).collect();
-        }
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        self.mask = x.data().iter().map(|&v| v > 0.0).collect();
         Self::apply(x)
     }
 
@@ -795,17 +715,13 @@ impl Layer for Relu {
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
-        assert_eq!(grad.numel(), self.mask.len(), "Relu::backward before forward(train)");
+        assert_eq!(grad.numel(), self.mask.len(), "Relu::backward before forward");
         let mut gx = grad.clone();
         // a select, not a branch, for the reason given on `Relu::apply`
         for (v, &keep) in gx.data_mut().iter_mut().zip(self.mask.iter()) {
             *v = if keep { *v } else { 0.0 };
         }
         gx
-    }
-
-    fn describe(&self) -> String {
-        "relu".to_string()
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -833,13 +749,9 @@ impl Default for Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        if train {
-            self.in_dims = x.dims().to_vec();
-        }
-        let n = x.dims()[0];
-        let rest: usize = x.dims()[1..].iter().product();
-        x.reshape(&[n, rest])
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        self.in_dims = x.dims().to_vec();
+        self.infer(x, &mut ExecCtx::new())
     }
 
     fn infer(&self, x: &Tensor, _ctx: &mut ExecCtx) -> Tensor {
@@ -850,10 +762,6 @@ impl Layer for Flatten {
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
         grad.reshape(&self.in_dims)
-    }
-
-    fn describe(&self) -> String {
-        "flatten".to_string()
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -876,38 +784,13 @@ impl Sequential {
     pub fn new(layers: Vec<Box<dyn Layer>>) -> Self {
         Self { layers }
     }
-
-    /// Number of contained layers.
-    pub fn len(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Whether the container is empty.
-    pub fn is_empty(&self) -> bool {
-        self.layers.is_empty()
-    }
-
-    /// Access to the contained layers.
-    pub fn layers_mut(&mut self) -> &mut [Box<dyn Layer>] {
-        &mut self.layers
-    }
-
-    /// Shared access to the contained layers (inference-side visitors).
-    pub fn layers(&self) -> &[Box<dyn Layer>] {
-        &self.layers
-    }
-
-    /// Zeroes every parameter gradient.
-    pub fn zero_grad(&mut self) {
-        self.visit_params(&mut |p| p.zero_grad());
-    }
 }
 
 impl Layer for Sequential {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, x: &Tensor) -> Tensor {
         let mut cur = x.clone();
         for layer in &mut self.layers {
-            cur = layer.forward(&cur, train);
+            cur = layer.forward(&cur);
         }
         cur
     }
@@ -940,11 +823,6 @@ impl Layer for Sequential {
         }
     }
 
-    fn describe(&self) -> String {
-        let parts: Vec<String> = self.layers.iter().map(|l| l.describe()).collect();
-        format!("sequential[{}]", parts.join(", "))
-    }
-
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }
@@ -956,17 +834,17 @@ mod tests {
 
     /// Numerically checks `d loss / d input` for a layer with loss = sum(out).
     fn check_input_grad(layer: &mut dyn Layer, x: &Tensor, tol: f32) {
-        let out = layer.forward(x, true);
+        let out = layer.forward(x);
         let grad_out = Tensor::full(out.dims(), 1.0);
         let gx = layer.backward(&grad_out);
         let eps = 1e-2f32;
         for i in (0..x.numel()).step_by((x.numel() / 17).max(1)) {
             let mut xp = x.clone();
             xp.data_mut()[i] += eps;
-            let op = layer.forward(&xp, false);
+            let op = layer.infer(&xp, &mut ExecCtx::new());
             let mut xm = x.clone();
             xm.data_mut()[i] -= eps;
-            let om = layer.forward(&xm, false);
+            let om = layer.infer(&xm, &mut ExecCtx::new());
             let sp: f32 = op.data().iter().sum();
             let sm: f32 = om.data().iter().sum();
             let num = (sp - sm) / (2.0 * eps);
@@ -993,7 +871,7 @@ mod tests {
         conv.w.value = Tensor::full(&[1, 1, 3, 3], 1.0);
         conv.b.value = Tensor::zeros(&[1]);
         let x = Tensor::from_vec(&[1, 1, 3, 3], (1..=9).map(|v| v as f32).collect());
-        let y = conv.forward(&x, false);
+        let y = conv.infer(&x, &mut ExecCtx::new());
         assert_eq!(y.dims(), &[1, 1, 3, 3]);
         assert_eq!(y.at4(0, 0, 1, 1), 45.0);
         // corner sees only the 2x2 neighborhood
@@ -1017,7 +895,7 @@ mod tests {
     fn conv_weight_gradient_matches_numeric() {
         let mut conv = Conv2d::new(3, 2, 2, 3, 1, 1);
         let x = ramp(&[1, 2, 4, 4]);
-        let out = conv.forward(&x, true);
+        let out = conv.forward(&x);
         let grad_out = Tensor::full(out.dims(), 1.0);
         conv.backward(&grad_out);
         let analytic = conv.w.grad.clone();
@@ -1025,9 +903,9 @@ mod tests {
         for i in (0..conv.w.value.numel()).step_by(5) {
             let orig = conv.w.value.data()[i];
             conv.w.value.data_mut()[i] = orig + eps;
-            let sp: f32 = conv.forward(&x, false).data().iter().sum();
+            let sp: f32 = conv.infer(&x, &mut ExecCtx::new()).data().iter().sum();
             conv.w.value.data_mut()[i] = orig - eps;
-            let sm: f32 = conv.forward(&x, false).data().iter().sum();
+            let sm: f32 = conv.infer(&x, &mut ExecCtx::new()).data().iter().sum();
             conv.w.value.data_mut()[i] = orig;
             let num = (sp - sm) / (2.0 * eps);
             assert!((num - analytic.data()[i]).abs() < 2e-2, "dW mismatch at {i}");
@@ -1046,7 +924,7 @@ mod tests {
         let mut fc = Linear::new(2, 2, 1);
         fc.w.value = Tensor::from_vec(&[2, 2], vec![1.0, 0.0, 0.0, 1.0]);
         fc.b.value = Tensor::from_vec(&[2], vec![10.0, 20.0]);
-        let y = fc.forward(&Tensor::from_vec(&[1, 2], vec![3.0, 4.0]), false);
+        let y = fc.infer(&Tensor::from_vec(&[1, 2], vec![3.0, 4.0]), &mut ExecCtx::new());
         assert_eq!(y.data(), &[13.0, 24.0]);
     }
 
@@ -1054,7 +932,7 @@ mod tests {
     fn maxpool_forward_and_backward_route() {
         let mut pool = MaxPool2d::new(2);
         let x = Tensor::from_vec(&[1, 1, 2, 2], vec![1.0, 5.0, 3.0, 2.0]);
-        let y = pool.forward(&x, true);
+        let y = pool.forward(&x);
         assert_eq!(y.data(), &[5.0]);
         let gx = pool.backward(&Tensor::from_vec(&[1, 1, 1, 1], vec![7.0]));
         assert_eq!(gx.data(), &[0.0, 7.0, 0.0, 0.0]);
@@ -1062,9 +940,9 @@ mod tests {
 
     #[test]
     fn maxpool_rectangular_window() {
-        let mut pool = MaxPool2d::with_window(2, 1);
+        let pool = MaxPool2d::with_window(2, 1);
         let x = Tensor::from_vec(&[1, 1, 4, 1], vec![1.0, 2.0, 4.0, 3.0]);
-        let y = pool.forward(&x, false);
+        let y = pool.infer(&x, &mut ExecCtx::new());
         assert_eq!(y.dims(), &[1, 1, 2, 1]);
         assert_eq!(y.data(), &[2.0, 4.0]);
     }
@@ -1073,7 +951,7 @@ mod tests {
     fn global_avg_pool_values_and_grad() {
         let mut gap = GlobalAvgPool::new();
         let x = Tensor::from_vec(&[1, 2, 1, 2], vec![1.0, 3.0, 10.0, 20.0]);
-        let y = gap.forward(&x, true);
+        let y = gap.forward(&x);
         assert_eq!(y.data(), &[2.0, 15.0]);
         let gx = gap.backward(&Tensor::from_vec(&[1, 2], vec![2.0, 4.0]));
         assert_eq!(gx.data(), &[1.0, 1.0, 2.0, 2.0]);
@@ -1083,7 +961,7 @@ mod tests {
     fn relu_zeroes_negatives_and_grads() {
         let mut relu = Relu::new();
         let x = Tensor::from_vec(&[4], vec![-1.0, 2.0, -3.0, 4.0]);
-        let y = relu.forward(&x, true);
+        let y = relu.forward(&x);
         assert_eq!(y.data(), &[0.0, 2.0, 0.0, 4.0]);
         let gx = relu.backward(&Tensor::full(&[4], 1.0));
         assert_eq!(gx.data(), &[0.0, 1.0, 0.0, 1.0]);
@@ -1095,7 +973,7 @@ mod tests {
         let sub = -f32::from_bits(1);
         let x = Tensor::from_vec(&[6], vec![-0.0, nan, sub, 0.0, -2.5, 1.5]);
         let want = [(-0.0f32).to_bits(), nan.to_bits(), 0, 0, 0, 1.5f32.to_bits()];
-        let y = relu.forward(&x, true);
+        let y = relu.forward(&x);
         let bits: Vec<u32> = y.data().iter().map(|v| v.to_bits()).collect();
         assert_eq!(bits, want);
         let y_infer = relu.infer(&x, &mut ExecCtx::new());
@@ -1111,7 +989,7 @@ mod tests {
     fn flatten_roundtrip() {
         let mut flat = Flatten::new();
         let x = ramp(&[2, 3, 2, 2]);
-        let y = flat.forward(&x, true);
+        let y = flat.forward(&x);
         assert_eq!(y.dims(), &[2, 12]);
         let gx = flat.backward(&y);
         assert_eq!(gx.dims(), x.dims());
@@ -1124,7 +1002,7 @@ mod tests {
             Box::new(Relu::new()),
             Box::new(Linear::new(8, 2, 1)),
         ]);
-        let y = net.forward(&ramp(&[2, 4]), true);
+        let y = net.forward(&ramp(&[2, 4]));
         assert_eq!(y.dims(), &[2, 2]);
         let mut count = 0;
         net.visit_params(&mut |_| count += 1);
@@ -1132,7 +1010,7 @@ mod tests {
     }
 
     #[test]
-    fn infer_is_bitwise_identical_to_eval_forward() {
+    fn infer_is_bitwise_identical_to_forward() {
         let mut net = Sequential::new(vec![
             Box::new(Conv2d::new(0, 2, 4, 3, 1, 1)),
             Box::new(Relu::new()),
@@ -1154,7 +1032,7 @@ mod tests {
             }
         });
         let x = ramp(&[3, 2, 8, 8]);
-        let want = net.forward(&x, false);
+        let want = net.forward(&x);
         let mut ctx = ExecCtx::new();
         let got = net.infer(&x, &mut ctx);
         assert_eq!(want.dims(), got.dims());
@@ -1175,7 +1053,7 @@ mod tests {
             }
         });
         let x = ramp(&[2, 6]);
-        let want = masked.forward(&x, false);
+        let want = masked.forward(&x);
 
         let mut ctx = ExecCtx::new();
         let ov = crate::exec::WeightOverride::masked(9, &base.weight().value, &mask);

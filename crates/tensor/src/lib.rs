@@ -20,7 +20,7 @@
 //!     Box::new(Linear::new(8, 3, 2)),
 //! ]);
 //! let x = Tensor::zeros(&[2, 4]);
-//! let logits = net.forward(&x, true);
+//! let logits = net.forward(&x);
 //! let (loss, grad) = softmax_cross_entropy(&logits, &[0, 2]);
 //! net.backward(&grad);
 //! let mut opt = Sgd::new(0.01, 0.9);

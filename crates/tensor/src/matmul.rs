@@ -49,7 +49,7 @@
 //!   for bit on masked weights through the per-element schedule described
 //!   in [`crate::simd`].
 //! - **Thread-count invariant at either level.** Parallelism splits the
-//!   output rows ([`row_block`], whole multiples of the four-row block
+//!   output rows (`row_block`, whole multiples of the four-row block
 //!   height); each element is produced by exactly one worker in the same
 //!   op order regardless of the split, so any `IPRUNE_THREADS` gives
 //!   identical bits.

@@ -132,12 +132,12 @@ mod tests {
         let mut sgd = Sgd::new(0.5, 0.9);
         let mut adam = Adam::new(0.05);
         let (first, _) = {
-            let y = net.forward(&x, true);
+            let y = net.forward(&x);
             softmax_cross_entropy(&y, &t)
         };
         let mut last = first;
         for _ in 0..50 {
-            let y = net.forward(&x, true);
+            let y = net.forward(&x);
             let (loss, grad) = softmax_cross_entropy(&y, &t);
             net.backward(&grad);
             match opt_kind {
@@ -173,7 +173,7 @@ mod tests {
         let (x, t) = toy_batch();
         let mut opt = Sgd::new(0.5, 0.9);
         for _ in 0..20 {
-            let y = net.forward(&x, true);
+            let y = net.forward(&x);
             let (_, grad) = softmax_cross_entropy(&y, &t);
             net.backward(&grad);
             opt.step(&mut net);
@@ -191,7 +191,7 @@ mod tests {
     fn step_zeroes_gradients() {
         let mut net = toy_net();
         let (x, t) = toy_batch();
-        let y = net.forward(&x, true);
+        let y = net.forward(&x);
         let (_, grad) = softmax_cross_entropy(&y, &t);
         net.backward(&grad);
         let mut opt = Sgd::new(0.1, 0.0);

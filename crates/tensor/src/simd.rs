@@ -35,7 +35,7 @@
 //!   lhs-sparse and output-sparse bodies with one full strip per block row.
 //! - **dot family** (`a_bt`): with `k8 = k - k % 8`, the reduction is eight
 //!   FMA lanes over 8-aligned chunks of `p < k8` (lane = `p % 8`), reduced
-//!   by the fixed [`hsum8`] tree, plus a scalar multiply-add tail over
+//!   by the fixed `avx2::hsum8` tree, plus a scalar multiply-add tail over
 //!   `p >= k8`; the element update is `c += hsum + tail`. One body walks
 //!   the dense, rhs-sparse and output-sparse forms.
 //!

@@ -3,21 +3,21 @@
 //!
 //! Block pruning (the paper's guideline 3) kills whole rectangles of a
 //! weight matrix at once; at the paper's final densities (~20–35 %) most of
-//! a dense GEMM's traversal would walk pruned values. This module mirrors
-//! the device-side `BsrMatrix` layout (`iprune-hawaii`) on the host: a
-//! [`SparseIndex`] of block-row pointers and block column indices built
-//! from a parameter's pruning mask. The GEMMs in [`crate::matmul`] take it
-//! as an optional [`crate::matmul::SparseOperand`] and iterate only the
+//! a dense GEMM's traversal would walk pruned values. This module keeps the
+//! host's counterpart of the device-side `BsrMatrix` (`iprune-hawaii`): a
+//! [`SparseIndex`] of alive blocks built from a parameter's pruning mask,
+//! on the host's own 4×16 block grid. The GEMMs in [`crate::matmul`] take
+//! it as an optional [`crate::matmul::SparseOperand`] and iterate only the
 //! alive blocks; see that module for the six roles one index serves and
 //! for the bit-identity contract.
 //!
-//! The index stores, besides the BSR `col_idx`, the *coalesced* alive-column
-//! strips of each block row: runs of adjacent alive blocks merged into one
-//! `(c0, c1)` cell range. The kernels iterate strips, so at moderate
-//! sparsity (where most blocks survive and neighbors are usually alive) the
-//! inner loops stream over long contiguous ranges instead of re-entering
-//! the loop nest every 16 columns. Merging adjacent segments keeps the
-//! traversal order identical, so bit-identity is unaffected.
+//! The index keeps the *coalesced* alive strips of each block row: runs
+//! of adjacent alive blocks merged into one `(c0, c1)` cell range. The
+//! kernels iterate strips, so at moderate sparsity (where most blocks
+//! survive and neighbors are usually alive) the inner loops stream over
+//! long contiguous ranges instead of re-entering the loop nest every 16
+//! columns. Merging adjacent segments keeps the traversal order
+//! identical, so bit-identity is unaffected.
 //!
 //! [`dispatched`] is the one dispatch decision (density threshold or a
 //! forced [`DispatchMode`]) and [`weight_index`] the one index builder;
@@ -104,21 +104,17 @@ pub fn weight_index(mask: &Tensor) -> Option<Arc<SparseIndex>> {
 
 /// A block-sparse index over a pruning mask: which [`BLOCK_ROWS`] ×
 /// [`BLOCK_COLS`] blocks of the `rows × cols` weight matrix still contain
-/// any alive weight. Mirrors the device-side `BsrMatrix` layout (block-row
-/// pointers plus block column indices, ascending within each block row)
-/// but stores no values — the kernels read the weights from the dense
-/// buffer, which is what keeps them bit-identical to the dense reference.
+/// any alive weight, kept as the alive strips of each block row. It
+/// stores no values — the kernels read the weights from the dense buffer,
+/// which is what keeps them bit-identical to the dense reference.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SparseIndex {
     rows: usize,
     cols: usize,
     br: usize,
     bc: usize,
-    /// `row_ptr[rb]..row_ptr[rb+1]` indexes the alive blocks of block-row
-    /// `rb` in `col_idx`.
-    row_ptr: Vec<u32>,
-    /// Block column index of each alive block, ascending per block row.
-    col_idx: Vec<u32>,
+    /// Number of alive blocks.
+    alive_blocks: usize,
     /// Coalesced alive strips: runs of adjacent alive blocks merged into
     /// one `(c0, c1)` cell range (clamped to `cols`), ascending per block
     /// row. `strip_ptr[rb]..strip_ptr[rb+1]` indexes the strips of
@@ -151,12 +147,10 @@ impl SparseIndex {
         assert_eq!(mask.len(), rows * cols, "mask length");
         let rbs = rows.div_ceil(br);
         let cbs = cols.div_ceil(bc);
-        let mut row_ptr = Vec::with_capacity(rbs + 1);
-        let mut col_idx = Vec::new();
+        let mut alive_blocks = 0usize;
         let mut strips: Vec<(usize, usize)> = Vec::new();
         let mut strip_ptr = Vec::with_capacity(rbs + 1);
         let mut alive_cells = 0usize;
-        row_ptr.push(0u32);
         strip_ptr.push(0u32);
         for rb in 0..rbs {
             let r1 = ((rb + 1) * br).min(rows);
@@ -167,7 +161,7 @@ impl SparseIndex {
                 let alive = (rb * br..r1)
                     .any(|r| mask[r * cols + c0..r * cols + c1].iter().any(|&v| v != 0.0));
                 if alive {
-                    col_idx.push(cb as u32);
+                    alive_blocks += 1;
                     alive_cells += (r1 - rb * br) * (c1 - c0);
                     let in_row = strips.len() > row_strip0;
                     match strips.last_mut() {
@@ -176,10 +170,9 @@ impl SparseIndex {
                     }
                 }
             }
-            row_ptr.push(col_idx.len() as u32);
             strip_ptr.push(strips.len() as u32);
         }
-        Self { rows, cols, br, bc, row_ptr, col_idx, strips, strip_ptr, alive_cells }
+        Self { rows, cols, br, bc, alive_blocks, strips, strip_ptr, alive_cells }
     }
 
     /// Matrix rows.
@@ -214,7 +207,7 @@ impl SparseIndex {
 
     /// Number of alive blocks.
     pub fn alive_blocks(&self) -> usize {
-        self.col_idx.len()
+        self.alive_blocks
     }
 
     /// Matrix cells covered by alive blocks.

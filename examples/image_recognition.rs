@@ -28,7 +28,7 @@ fn main() {
     let mut model = app.build();
     println!("training {} (abridged: 5 epochs on {} samples)…", app.name(), train.len());
     train_sgd(&mut model, &train, &TrainConfig { epochs: 5, ..app.train_recipe() });
-    println!("accuracy: {:.1}%", 100.0 * evaluate(&mut model, &val, 32));
+    println!("accuracy: {:.1}%", 100.0 * evaluate(&model, &val, 32));
 
     // Step 0: layer-wise criterion estimation
     let timing = TimingModel::default();
@@ -75,8 +75,8 @@ fn main() {
     println!(
         "after one pruning step: {:.0} K acc outputs remain, accuracy before fine-tune {:.1}%",
         remaining / 1000.0,
-        100.0 * evaluate(&mut model, &val, 32)
+        100.0 * evaluate(&model, &val, 32)
     );
     train_sgd(&mut model, &train, &app.finetune_recipe());
-    println!("after fine-tune: accuracy {:.1}%", 100.0 * evaluate(&mut model, &val, 32));
+    println!("after fine-tune: accuracy {:.1}%", 100.0 * evaluate(&model, &val, 32));
 }

@@ -19,7 +19,7 @@ fn main() {
     let val = app.dataset(150, 2);
     let mut model = app.build();
     train_sgd(&mut model, &train, &app.train_recipe());
-    println!("trained {}: accuracy {:.1}%", app.name(), 100.0 * evaluate(&mut model, &val, 32));
+    println!("trained {}: accuracy {:.1}%", app.name(), 100.0 * evaluate(&model, &val, 32));
 
     // 2. Prune it with iPrune (accelerator-output criterion, block
     //    granularity, iterative with epsilon = 1%).

@@ -540,7 +540,7 @@ fn main() -> ExitCode {
             println!("adopted iteration  {:?}", report.adopted_iteration);
             println!("final accuracy     {:.1}%", report.final_accuracy * 100.0);
             println!("final density      {:.1}%", report.final_density * 100.0);
-            println!("final val accuracy {:.1}%", evaluate(&mut model, &val, 32) * 100.0);
+            println!("final val accuracy {:.1}%", evaluate(&model, &val, 32) * 100.0);
             ExitCode::SUCCESS
         }
         _ => usage(),

@@ -27,7 +27,7 @@ fn har_full_pipeline_prunes_and_speeds_up_intermittent_inference() {
     let val = app.dataset(120, 901);
     let mut model = app.build();
     train_sgd(&mut model, &train, &app.train_recipe());
-    let base_acc = evaluate(&mut model, &val, 32);
+    let base_acc = evaluate(&model, &val, 32);
     assert!(base_acc > 0.7, "base model failed to train: {base_acc}");
 
     // deploy the unpruned model
@@ -73,7 +73,7 @@ fn quantized_deployment_preserves_float_accuracy() {
     let val = app.dataset(60, 911);
     let mut model = app.build();
     train_sgd(&mut model, &train, &app.train_recipe());
-    let float_acc = evaluate(&mut model, &val, 32);
+    let float_acc = evaluate(&model, &val, 32);
     let dm = deploy(&mut model, &val, 4);
 
     let mut correct = 0;

@@ -27,7 +27,7 @@ fn train_and_evaluate_are_thread_count_invariant() {
         let mut m = App::Har.build();
         let ds = App::Har.dataset(48, 9);
         let loss = train_sgd(&mut m, &ds, &TrainConfig { epochs: 1, ..Default::default() });
-        let acc = evaluate(&mut m, &ds, 16);
+        let acc = evaluate(&m, &ds, 16);
         let weights = weight_bits(&mut m);
         par::set_threads(0);
         (loss.to_bits(), acc.to_bits(), weights)

@@ -67,13 +67,13 @@ fn served_logits_are_bitwise_identical_to_single_request_inference() {
 
         // reference: an independently rebuilt model (deterministic seeds +
         // deterministic block masks) evaluated one sample at a time through
-        // the classic mutable forward pass
+        // the training pass, `forward`
         let mut reference = app.build();
         let masks = reference.block_magnitude_masks(key.keep_ppm());
         reference.set_masks(&masks);
         for (i, c) in out.completions.iter().enumerate() {
             assert!(matches!(c.outcome, Outcome::Served { .. }), "{}: request {i}", app.name());
-            let want = reference.forward(&ds.sample(i), false);
+            let want = reference.forward(&ds.sample(i));
             assert_eq!(
                 c.logits,
                 want.data(),

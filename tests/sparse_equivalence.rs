@@ -334,12 +334,12 @@ fn pruned_train_and_evaluate_bitwise_match_dense_path() {
     set_dispatch_mode(DispatchMode::ForceDense);
     let mut dense = m.clone();
     let dense_loss = train_sgd(&mut dense, &ds, &ft);
-    let dense_acc = evaluate(&mut dense, &ds, 16);
+    let dense_acc = evaluate(&dense, &ds, 16);
 
     set_dispatch_mode(DispatchMode::Auto);
     let mut sparse = m.clone();
     let sparse_loss = train_sgd(&mut sparse, &ds, &ft);
-    let sparse_acc = evaluate(&mut sparse, &ds, 16);
+    let sparse_acc = evaluate(&sparse, &ds, 16);
     assert!(sparse_calls() > calls_before, "pruned model must dispatch sparse kernels");
 
     assert_eq!(dense_loss.to_bits(), sparse_loss.to_bits(), "training loss must match bitwise");
