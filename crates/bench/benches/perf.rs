@@ -3,10 +3,12 @@
 //! integer GEMMs (with deterministic output checksums — the SIMD bodies
 //! are exact, so the hashes must agree across dispatch levels), im2col
 //! packing and max-pooling throughput (bitwise data-movement checksums),
-//! end-to-end quantized inference at both dispatch levels, f32-vs-Q15/Q8
-//! evaluation accuracy per zoo app, block-sparse vs dense kernels at
-//! 30/50/80 % block sparsity, and prune-pipeline wall-clock at 1/2/4/8
-//! requested threads.
+//! the host integer convs in the patch-major dot form and in the row
+//! form over alive blocks (per zoo layer, one output checksum both forms
+//! reproduce), end-to-end quantized inference at both dispatch levels,
+//! f32-vs-Q15/Q8 evaluation accuracy per zoo app, block-sparse vs dense
+//! kernels at 30/50/80 % block sparsity, and prune-pipeline wall-clock at
+//! 1/2/4/8 requested threads.
 //!
 //! The JSON header records the detected CPU features and the effective
 //! SIMD dispatch level (`IPRUNE_SIMD=0` forces scalar), so a recorded
@@ -35,7 +37,8 @@
 use iprune_bench::cache::workspace_root;
 use iprune_bench::run_app_pipelines;
 use iprune_bench::scale::SMOKE;
-use iprune_models::qeval::{Quantized8Model, QuantizedModel};
+use iprune_models::arch::GraphOp;
+use iprune_models::qeval::{conv_rows, Quantized8Model, QuantizedModel};
 use iprune_models::train::{evaluate, train_sgd, TrainConfig};
 use iprune_models::zoo::App;
 use iprune_tensor::exec::ExecCtx;
@@ -263,9 +266,11 @@ struct Im2colRow {
 
 /// Times im2col packing, scalar spec vs dispatched, in both layouts on the
 /// SQN fire-module conv geometry (`cin 64, 3x3, pad 1, 13x13` → the
-/// 64x576x169 GEMM). Throughput is nominal GB/s over packed bytes written
-/// plus source bytes read once; the checksum fingerprints the packed
-/// output (pure data movement — bitwise across dispatch levels).
+/// 64x576x169 GEMM): the row-major layout for f32 (the float convs) and
+/// for i16 and i8 (the host Q15/Q8 convs), the patch-major one for i16.
+/// Throughput is nominal GB/s over packed bytes written plus source bytes
+/// read once; the checksum fingerprints the packed output (pure data
+/// movement — bitwise across dispatch levels).
 fn bench_im2col() -> Vec<Im2colRow> {
     let reps = 7;
     par::set_threads(1);
@@ -283,12 +288,13 @@ fn bench_im2col() -> Vec<Im2colRow> {
     };
     let src = fill(0.4, s.in_len());
     let src_i16: Vec<i16> = src.iter().map(|&v| (v * 16384.0) as i16).collect();
+    let src_i8: Vec<i8> = src.iter().map(|&v| (v * 96.0) as i8).collect();
     let mut rows = Vec::new();
 
     let mut col = vec![0.0f32; s.col_len()];
     let bytes = ((s.col_len() + s.in_len()) * 4) as f64;
-    let t_scalar = time_median(reps, || pack::im2col_f32_scalar(&src, &s, &mut col));
-    let t_simd = time_median(reps, || pack::im2col_f32(&src, &s, &mut col));
+    let t_scalar = time_median(reps, || pack::im2col_rows_scalar(&src, &s, &mut col));
+    let t_simd = time_median(reps, || pack::im2col_rows(&src, &s, &mut col));
     rows.push(Im2colRow {
         layout: "rows_f32",
         scalar_gbs: bytes / t_scalar / 1e9,
@@ -298,6 +304,26 @@ fn bench_im2col() -> Vec<Im2colRow> {
 
     let mut col16 = vec![0i16; s.col_len()];
     let bytes = ((s.col_len() + s.in_len()) * 2) as f64;
+    let t_scalar = time_median(reps, || pack::im2col_rows_scalar(&src_i16, &s, &mut col16));
+    let t_simd = time_median(reps, || pack::im2col_rows(&src_i16, &s, &mut col16));
+    rows.push(Im2colRow {
+        layout: "rows_i16",
+        scalar_gbs: bytes / t_scalar / 1e9,
+        simd_gbs: bytes / t_simd / 1e9,
+        checksum: fnv64(&col16),
+    });
+
+    let mut col8 = vec![0i8; s.col_len()];
+    let bytes8 = (s.col_len() + s.in_len()) as f64;
+    let t_scalar = time_median(reps, || pack::im2col_rows_scalar(&src_i8, &s, &mut col8));
+    let t_simd = time_median(reps, || pack::im2col_rows(&src_i8, &s, &mut col8));
+    rows.push(Im2colRow {
+        layout: "rows_i8",
+        scalar_gbs: bytes8 / t_scalar / 1e9,
+        simd_gbs: bytes8 / t_simd / 1e9,
+        checksum: fnv64_bytes(col8.iter().map(|&v| v as u8)),
+    });
+
     let t_scalar = time_median(reps, || pack::im2col_patches_scalar(&src_i16, &s, &mut col16));
     let t_simd = time_median(reps, || pack::im2col_patches(&src_i16, &s, &mut col16));
     rows.push(Im2colRow {
@@ -319,8 +345,9 @@ struct PoolRow {
 
 /// Times max-pooling, scalar spec vs dispatched, per channel plane over a
 /// conv-stage activation (64 planes of 26x26, 2x2 windows): the f32
-/// inference path, the f32 argmax (training) path, and the i16 quantized
-/// path. Nominal GB/s over source-read plus destination-written bytes.
+/// inference path, the f32 argmax (training) path, and the i8 and i16
+/// quantized paths. Nominal GB/s over source-read plus
+/// destination-written bytes.
 fn bench_pool() -> Vec<PoolRow> {
     let reps = 7;
     par::set_threads(1);
@@ -328,6 +355,7 @@ fn bench_pool() -> Vec<PoolRow> {
     let (ho, wo) = (h / kh, w / kw);
     let src = fill(0.6, c * h * w);
     let src_i16: Vec<i16> = src.iter().map(|&v| (v * 16384.0) as i16).collect();
+    let src_i8: Vec<i8> = src.iter().map(|&v| (v * 96.0) as i8).collect();
     let mut rows = Vec::new();
 
     let mut dst = vec![0.0f32; c * ho * wo];
@@ -396,6 +424,39 @@ fn bench_pool() -> Vec<PoolRow> {
         scalar_gbs: bytes / t_scalar / 1e9,
         simd_gbs: bytes / t_simd / 1e9,
         checksum: fnv64_f32(&dst) ^ arg_sum,
+    });
+
+    let mut dst8 = vec![0i8; c * ho * wo];
+    let bytes8 = (c * h * w + c * ho * wo) as f64;
+    let t_scalar = time_median(reps, || {
+        for p in 0..c {
+            pool::maxpool2d_i8_scalar(
+                &src_i8[p * h * w..(p + 1) * h * w],
+                h,
+                w,
+                kh,
+                kw,
+                &mut dst8[p * ho * wo..(p + 1) * ho * wo],
+            );
+        }
+    });
+    let t_simd = time_median(reps, || {
+        for p in 0..c {
+            pool::maxpool2d_i8(
+                &src_i8[p * h * w..(p + 1) * h * w],
+                h,
+                w,
+                kh,
+                kw,
+                &mut dst8[p * ho * wo..(p + 1) * ho * wo],
+            );
+        }
+    });
+    rows.push(PoolRow {
+        variant: "i8",
+        scalar_gbs: bytes8 / t_scalar / 1e9,
+        simd_gbs: bytes8 / t_simd / 1e9,
+        checksum: fnv64_bytes(dst8.iter().map(|&v| v as u8)),
     });
 
     let mut dst16 = vec![0i16; c * ho * wo];
@@ -474,6 +535,96 @@ fn bench_q8() -> Vec<Q8Row> {
             simd_gmacs: macs / t_simd / 1e9,
             checksum: fnv64_bytes(c.iter().map(|&v| v as u8)),
         });
+    }
+    par::set_threads(0);
+    rows
+}
+
+struct QConvRow {
+    app: &'static str,
+    layer: String,
+    m: usize,
+    k: usize,
+    n: usize,
+    alive_blocks: usize,
+    total_blocks: usize,
+    skipped_macs: usize,
+    /// Median µs per call: Q15 patches + dot, Q15 rows, Q8 patches + dot,
+    /// Q8 rows.
+    us: [f64; 4],
+    checksum: u64,
+}
+
+/// Times every zoo conv layer at 50 % 4x16 block pruning in the two conv
+/// forms of the host integer engines: the patch-major dot form
+/// (`im2col_patches` + `q15_gemm`/`q8_gemm` on the dense weights) and the
+/// row form host inference runs (`qeval::conv_rows`: row-major im2col and
+/// the block kernel over the alive strips). Each layer runs on its own
+/// quantized weights and calibrated formats, on one deterministic input.
+/// Both forms must produce the same Q15 and Q8 outputs (asserted); the
+/// checksum hashes them, so CI's cross-level compare checks it at both
+/// dispatch levels too. Serial, like the other kernel rows.
+fn bench_qconv() -> Vec<QConvRow> {
+    let reps = 21;
+    par::set_threads(1);
+    let mut rows = Vec::new();
+    for app in App::all() {
+        let mut model = app.build();
+        let masks = model.block_magnitude_masks(500_000);
+        model.set_masks(&masks);
+        let calib = app.dataset(8, 302);
+        let q15 = QuantizedModel::quantize(&mut model, &calib, 8);
+        let q8 = Quantized8Model::quantize(&mut model, &calib, 8);
+        let mut ctx = ExecCtx::new();
+        for op in &q15.info().graph {
+            let GraphOp::Conv { layer_id, src, dst, relu, .. } = *op else { continue };
+            let p = &q15.info().prunables[layer_id];
+            let s = p.conv_shape().expect("conv geometry");
+            let (ql, ql8) = (&q15.layers()[layer_id], &q8.layers()[layer_id]);
+            let (m, k, n) = (ql.m, ql.k, s.out_hw());
+            let x = fill(0.5 + layer_id as f32, s.in_len());
+            let x15: Vec<i16> = x.iter().map(|&v| (v * 16384.0) as i16).collect();
+            let x8: Vec<i8> = x.iter().map(|&v| (v * 96.0) as i8).collect();
+            let f15 = (q15.buf_fmts()[src].frac_bits(), q15.buf_fmts()[dst].frac_bits());
+            let f8 = (q8.buf_fmts()[src].frac_bits(), q8.buf_fmts()[dst].frac_bits());
+            let shift = (f15.0 + ql.w_frac - ql.bias_frac) as u32;
+
+            let mut col15 = vec![0i16; s.col_len()];
+            let (mut old15, mut new15) = (vec![0i16; m * n], vec![0i16; m * n]);
+            let t_old15 = time_median(reps, || {
+                pack::im2col_patches(&x15, &s, &mut col15);
+                let (w, b) = (&ql.w, &ql.bias);
+                q15_gemm(w, &col15, b, shift, &mut old15, m, k, n, f15.0, ql.w_frac, f15.1, relu);
+            });
+            let t_new15 =
+                time_median(reps, || conv_rows(ql, &s, &x15, &mut new15, f15, relu, &mut ctx));
+            assert_eq!(old15, new15, "{} {}: Q15 conv forms differ", app.name(), p.name);
+
+            let mut col8 = vec![0i8; s.col_len()];
+            let (mut old8, mut new8) = (vec![0i8; m * n], vec![0i8; m * n]);
+            let t_old8 = time_median(reps, || {
+                pack::im2col_patches(&x8, &s, &mut col8);
+                let (w, b) = (&ql8.w, &ql8.bias);
+                q8_gemm(w, &col8, b, &mut old8, m, k, n, f8.0, ql8.w_frac, f8.1, relu);
+            });
+            let t_new8 =
+                time_median(reps, || conv_rows(ql8, &s, &x8, &mut new8, f8, relu, &mut ctx));
+            assert_eq!(old8, new8, "{} {}: Q8 conv forms differ", app.name(), p.name);
+
+            let bytes = new15.iter().flat_map(|&v| (v as u16).to_le_bytes());
+            rows.push(QConvRow {
+                app: app.name(),
+                layer: p.name.clone(),
+                m,
+                k,
+                n,
+                alive_blocks: ql.index.alive_blocks(),
+                total_blocks: ql.index.total_blocks(),
+                skipped_macs: (m * k - ql.index.alive_cells()) * n,
+                us: [t_old15, t_new15, t_old8, t_new8].map(|t| t * 1e6),
+                checksum: fnv64_bytes(bytes.chain(new8.iter().map(|&v| v as u8))),
+            });
+        }
     }
     par::set_threads(0);
     rows
@@ -967,6 +1118,21 @@ fn main() {
         }
     }
 
+    // Host integer convs: the patch-major dot form vs the row form.
+    let qconv_rows = bench_qconv();
+    println!();
+    println!("host integer convs at 50% block pruning, us per call (serial, dispatch={dispatch}):");
+    println!(
+        "  {:<4} {:<20} {:>4}x{:<4}x{:<4} {:>9} {:>9} {:>9} {:>9}",
+        "app", "layer", "m", "k", "n", "q15 dot", "q15 rows", "q8 dot", "q8 rows"
+    );
+    for r in &qconv_rows {
+        println!(
+            "  {:<4} {:<20} {:>4}x{:<4}x{:<4} {:>9.1} {:>9.1} {:>9.1} {:>9.1}  checksum {:#018x}",
+            r.app, r.layer, r.m, r.k, r.n, r.us[0], r.us[1], r.us[2], r.us[3], r.checksum
+        );
+    }
+
     // f32 vs quantized accuracy per zoo app.
     let qeval_rows = bench_q15_eval();
     println!();
@@ -1265,6 +1431,48 @@ fn main() {
             r.m, r.k, r.n, r.checksum
         );
         json.push_str(if i + 1 < q15_rows.len() { ",\n" } else { "\n" });
+    }
+    json.push_str("  ],\n");
+    json.push_str("  \"qconv\": [\n");
+    for (i, r) in qconv_rows.iter().enumerate() {
+        let _ = write!(
+            json,
+            "    {{\"app\": \"{}\", \"layer\": \"{}\", \"q15_patches_us\": {:.2}, \
+             \"q15_rows_us\": {:.2}, \"q15_speedup\": {:.4}, \"q8_patches_us\": {:.2}, \
+             \"q8_rows_us\": {:.2}, \"q8_speedup\": {:.4}}}",
+            r.app,
+            r.layer,
+            r.us[0],
+            r.us[1],
+            r.us[0] / r.us[1],
+            r.us[2],
+            r.us[3],
+            r.us[2] / r.us[3]
+        );
+        json.push_str(if i + 1 < qconv_rows.len() { ",\n" } else { "\n" });
+    }
+    json.push_str("  ],\n");
+    // Structural: each conv's Q15 and Q8 outputs hashed — both conv forms
+    // produce them (asserted above), at every dispatch level and thread
+    // count — with the blocks and MACs the row form skips.
+    json.push_str("  \"qconv_checksums\": [\n");
+    for (i, r) in qconv_rows.iter().enumerate() {
+        let _ = write!(
+            json,
+            "    {{\"app\": \"{}\", \"layer\": \"{}\", \"m\": {}, \"k\": {}, \"n\": {}, \
+             \"alive_blocks\": {}, \"total_blocks\": {}, \"skipped_macs\": {}, \
+             \"out_checksum\": \"{:#018x}\"}}",
+            r.app,
+            r.layer,
+            r.m,
+            r.k,
+            r.n,
+            r.alive_blocks,
+            r.total_blocks,
+            r.skipped_macs,
+            r.checksum
+        );
+        json.push_str(if i + 1 < qconv_rows.len() { ",\n" } else { "\n" });
     }
     json.push_str("  ],\n");
     // acc_f32 rides the float kernels, whose ULPs legitimately differ

@@ -63,7 +63,7 @@ impl Sensitivity {
 /// would, so heavily probed layers are evaluated through the sparse GEMM
 /// forms (bit-identical to dense, see `iprune_tensor::matmul`).
 pub fn analyze(
-    model: &mut Model,
+    model: &Model,
     states: &[LayerState],
     eval: &Dataset,
     probe_ratio: f64,
@@ -73,7 +73,6 @@ pub fn analyze(
 
     static PROBES: OnceLock<Arc<Counter>> = OnceLock::new();
     let probes = PROBES.get_or_init(|| metrics::counter("sensitivity.probes"));
-    let model_ref = &*model;
     let drops = par::par_map(states.len(), |li| {
         probes.inc();
         let state = &states[li];
@@ -87,11 +86,10 @@ pub fn analyze(
         for &bi in sched.order.iter().take(n) {
             mask_out_block(&mut probe, bi);
         }
-        let probe_mask = mask_as_weight_shape(&probe, model_ref);
-        let (base_w, _) =
-            model_ref.layer_weight(state.layer_id).expect("prunable layer has weights");
+        let probe_mask = mask_as_weight_shape(&probe, model);
+        let (base_w, _) = model.layer_weight(state.layer_id).expect("prunable layer has weights");
         let ov = WeightOverride::masked(state.layer_id, &base_w, &probe_mask);
-        baseline - train::evaluate_overridden(model_ref, &[ov], eval, batch)
+        baseline - train::evaluate_overridden(model, &[ov], eval, batch)
     });
     Sensitivity { drops, baseline }
 }
@@ -118,7 +116,7 @@ mod tests {
             &TimingModel::default(),
             &EnergyModel::default(),
         );
-        let sens = analyze(&mut m, &states, &ds.take(24), 0.3, 12);
+        let sens = analyze(&m, &states, &ds.take(24), 0.3, 12);
         let after = m.snapshot();
         assert_eq!(before.len(), after.len());
         for (a, b) in before.iter().zip(after.iter()) {
@@ -149,7 +147,7 @@ mod tests {
             &TimingModel::default(),
             &EnergyModel::default(),
         );
-        let sens = analyze(&mut m, &states, &ds.take(36), 0.6, 12);
+        let sens = analyze(&m, &states, &ds.take(36), 0.6, 12);
         // at a 60% probe at least one layer should visibly matter
         assert!(sens.drops.iter().any(|&d| d > 0.0), "drops: {:?}", sens.drops);
         assert!(sens.baseline > 0.2);

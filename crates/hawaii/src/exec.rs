@@ -32,8 +32,8 @@ use iprune_models::graphref::{flatten, global_avg_pool, max_pool, LayerOp};
 use iprune_obs::TraceEvent;
 use iprune_tensor::metrics::argmax;
 use iprune_tensor::pack::valid_range;
-use iprune_tensor::qgemm::q15_block_acc;
-use iprune_tensor::quant::{requantize, QFormat};
+use iprune_tensor::qgemm::{q15_block_acc, q15_requantize_relu};
+use iprune_tensor::quant::QFormat;
 use iprune_tensor::Tensor;
 use std::error::Error;
 use std::fmt;
@@ -612,10 +612,8 @@ fn gemm_phase(
             let dst = bufs[gc.op.dst].as_mut_slice();
             for (r, accs) in gc.tile.scratch.chunks_exact(s_len).enumerate() {
                 let start = (gc.op.dst_c_off + gc.rb * br + r) * plan.n_spatial + gc.strip_start;
-                for (out, &acc) in dst[start..start + s_len].iter_mut().zip(accs) {
-                    let v = requantize(acc, gc.in_frac, gc.w_frac, out_frac);
-                    *out = if gc.op.relu && v < 0 { 0 } else { v };
-                }
+                let out = &mut dst[start..start + s_len];
+                q15_requantize_relu(accs, out, gc.in_frac, gc.w_frac, out_frac, gc.op.relu);
             }
             // advance: next row block, else next strip, else op done
             gc.rb += 1;

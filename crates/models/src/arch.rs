@@ -7,6 +7,8 @@
 //! modules appear as three convolutions whose expand halves write disjoint
 //! channel ranges of one output buffer).
 
+use iprune_tensor::pack::ConvShape;
+
 /// Geometry of a prunable (weight-bearing) layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PrunableKind {
@@ -60,6 +62,17 @@ impl PrunableInfo {
             }
             PrunableKind::Fc { .. } => (1, 1),
         }
+    }
+
+    /// The im2col geometry of a convolution for one sample; `None` for a
+    /// fully-connected layer.
+    pub fn conv_shape(&self) -> Option<ConvShape> {
+        let PrunableKind::Conv { cin, kh, kw, stride, pad_h, pad_w, in_h, in_w, .. } = self.kind
+        else {
+            return None;
+        };
+        let (out_h, out_w) = self.out_hw();
+        Some(ConvShape { cin, kh, kw, stride, pad_h, pad_w, in_h, in_w, out_h, out_w })
     }
 
     /// Number of weight parameters (biases excluded).

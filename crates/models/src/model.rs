@@ -207,9 +207,9 @@ impl Model {
     }
 
     /// Current pruning masks per layer id (only layers that have one).
-    pub fn masks(&mut self) -> HashMap<usize, Tensor> {
+    pub fn masks(&self) -> HashMap<usize, Tensor> {
         let mut out = HashMap::new();
-        self.net.visit_params(&mut |p: &mut Param| {
+        self.net.visit_params_ref(&mut |p: &Param| {
             if p.name.ends_with(".w") {
                 if let Some(m) = &p.mask {
                     out.insert(p.layer_id, m.clone());
@@ -220,9 +220,9 @@ impl Model {
     }
 
     /// Number of *kept* (non-pruned) weights across prunable layers.
-    pub fn kept_weights(&mut self) -> usize {
+    pub fn kept_weights(&self) -> usize {
         let mut kept = 0usize;
-        self.net.visit_params(&mut |p: &mut Param| {
+        self.net.visit_params_ref(&mut |p: &Param| {
             if p.layer_id != usize::MAX && p.name.ends_with(".w") {
                 kept += (p.density() * p.value.numel() as f64).round() as usize;
             }
@@ -232,9 +232,9 @@ impl Model {
 
     /// Snapshot of all parameter values (for checkpoint/rollback in the
     /// iterative pruning loop).
-    pub fn snapshot(&mut self) -> Vec<Tensor> {
+    pub fn snapshot(&self) -> Vec<Tensor> {
         let mut out = Vec::new();
-        self.net.visit_params(&mut |p| out.push(p.value.clone()));
+        self.net.visit_params_ref(&mut |p| out.push(p.value.clone()));
         out
     }
 

@@ -9,7 +9,8 @@
 //! single layer's weight buffer instead of the whole model.
 //!
 //! Scratch buffers are loaned with [`ExecCtx::take`] and returned with
-//! [`ExecCtx::put`]; a request that serves many samples re-uses the same
+//! [`ExecCtx::put`] (and their `_i16`/`_i8` activation and `_i64`/`_i32`
+//! accumulator twins); a request that serves many samples re-uses the same
 //! im2col buffer instead of re-allocating per call. Nothing here affects
 //! numerics: `Layer::infer` computes the same output with a fresh or a
 //! recycled context, bitwise equal to the training pass `Layer::forward`.
@@ -55,7 +56,22 @@ pub struct ExecCtx {
     free: Vec<Vec<f32>>,
     free_i16: Vec<Vec<i16>>,
     free_i8: Vec<Vec<i8>>,
+    free_i64: Vec<Vec<i64>>,
+    free_i32: Vec<Vec<i32>>,
     overrides: Vec<WeightOverride>,
+}
+
+/// Pops a recycled buffer from `pool` (or allocates one), cleared and
+/// zero-filled to exactly `len` elements.
+fn loan<T: Clone + Default>(pool: &mut Vec<Vec<T>>, len: usize) -> Vec<T> {
+    match pool.pop() {
+        Some(mut buf) => {
+            buf.clear();
+            buf.resize(len, T::default());
+            buf
+        }
+        None => vec![T::default(); len],
+    }
 }
 
 impl ExecCtx {
@@ -67,14 +83,7 @@ impl ExecCtx {
     /// Loans a zeroed scratch buffer of exactly `len` elements, recycling a
     /// previously [`put`](Self::put) buffer when one is available.
     pub fn take(&mut self, len: usize) -> Vec<f32> {
-        match self.free.pop() {
-            Some(mut buf) => {
-                buf.clear();
-                buf.resize(len, 0.0);
-                buf
-            }
-            None => vec![0.0; len],
-        }
+        loan(&mut self.free, len)
     }
 
     /// Returns a scratch buffer to the pool.
@@ -84,14 +93,7 @@ impl ExecCtx {
 
     /// Loans a zeroed `i16` scratch buffer (quantized im2col / activations).
     pub fn take_i16(&mut self, len: usize) -> Vec<i16> {
-        match self.free_i16.pop() {
-            Some(mut buf) => {
-                buf.clear();
-                buf.resize(len, 0);
-                buf
-            }
-            None => vec![0; len],
-        }
+        loan(&mut self.free_i16, len)
     }
 
     /// Returns an `i16` scratch buffer to the pool.
@@ -101,19 +103,32 @@ impl ExecCtx {
 
     /// Loans a zeroed `i8` scratch buffer (int8 im2col / activations).
     pub fn take_i8(&mut self, len: usize) -> Vec<i8> {
-        match self.free_i8.pop() {
-            Some(mut buf) => {
-                buf.clear();
-                buf.resize(len, 0);
-                buf
-            }
-            None => vec![0; len],
-        }
+        loan(&mut self.free_i8, len)
     }
 
     /// Returns an `i8` scratch buffer to the pool.
     pub fn put_i8(&mut self, buf: Vec<i8>) {
         self.free_i8.push(buf);
+    }
+
+    /// Loans a zeroed `i64` scratch buffer (Q15 conv accumulators).
+    pub fn take_i64(&mut self, len: usize) -> Vec<i64> {
+        loan(&mut self.free_i64, len)
+    }
+
+    /// Returns an `i64` scratch buffer to the pool.
+    pub fn put_i64(&mut self, buf: Vec<i64>) {
+        self.free_i64.push(buf);
+    }
+
+    /// Loans a zeroed `i32` scratch buffer (Q8 conv accumulators).
+    pub fn take_i32(&mut self, len: usize) -> Vec<i32> {
+        loan(&mut self.free_i32, len)
+    }
+
+    /// Returns an `i32` scratch buffer to the pool.
+    pub fn put_i32(&mut self, buf: Vec<i32>) {
+        self.free_i32.push(buf);
     }
 
     /// Installs a weight override; at most one per `layer_id` is consulted
@@ -168,6 +183,14 @@ mod tests {
         q8.iter_mut().for_each(|v| *v = 9);
         ctx.put_i8(q8);
         assert_eq!(ctx.take_i8(4), vec![0i8; 4]);
+        let mut acc15 = ctx.take_i64(2);
+        acc15.iter_mut().for_each(|v| *v = 1 << 40);
+        ctx.put_i64(acc15);
+        assert_eq!(ctx.take_i64(3), vec![0i64; 3]);
+        let mut acc8 = ctx.take_i32(2);
+        acc8.iter_mut().for_each(|v| *v = -7);
+        ctx.put_i32(acc8);
+        assert_eq!(ctx.take_i32(1), vec![0i32; 1]);
     }
 
     #[test]

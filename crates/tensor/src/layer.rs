@@ -282,14 +282,14 @@ impl Conv2d {
     }
 
     /// im2col for one sample: writes a `[cin*kh*kw, ho*wo]` matrix through
-    /// the dispatched packing kernel ([`pack::im2col_f32`] — bitwise equal
+    /// the dispatched packing kernel ([`pack::im2col_rows`] — bitwise equal
     /// to its scalar spec, i.e. to the original per-element loop, at every
     /// SIMD level).
     fn im2col(&self, x: &Tensor, n: usize, ho: usize, wo: usize, col: &mut [f32]) {
         let (h, w) = (x.dims()[2], x.dims()[3]);
         let s = self.conv_shape(h, w, ho, wo);
         let base = n * s.in_len();
-        pack::im2col_f32(&x.data()[base..base + s.in_len()], &s, col);
+        pack::im2col_rows(&x.data()[base..base + s.in_len()], &s, col);
     }
 
     /// Checks an NCHW input; returns its zeroed output and the per-sample

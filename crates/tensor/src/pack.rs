@@ -3,20 +3,27 @@
 //!
 //! Convolution on this host is im2col + GEMM, in two layouts:
 //!
-//! * **row-major** (`[cin*kh*kw, ho*wo]`, f32) — the training/inference
-//!   path in [`crate::layer::Conv2d`], consumed by the axpy-family GEMMs;
-//!   [`col2im_f32`] scatter-adds a gradient in this layout back onto the
-//!   input (Conv2d's backward pass);
+//! * **row-major** (`[cin*kh*kw, ho*wo]`, any element type) — the layout
+//!   every convolution runs in: the f32 path in [`crate::layer::Conv2d`],
+//!   consumed by the axpy-family GEMMs, and the host Q15/Q8 convolutions
+//!   of `models::qeval`, consumed by the block kernels
+//!   ([`crate::qgemm::q15_block_acc`], [`crate::qgemm::q8_block_acc`])
+//!   the way the device engine consumes its strips. [`col2im_f32`]
+//!   scatter-adds a gradient in this layout back onto the input (Conv2d's
+//!   backward pass);
 //! * **patch-major** (`[ho*wo, cin*kh*kw]`, any element type) — one
 //!   k-contiguous patch per output position, the transposed layout the
-//!   dot-form Q15/Q8 integer GEMMs ([`crate::qgemm`]) consume.
+//!   dot-form Q15/Q8 GEMMs ([`crate::qgemm::q15_gemm`],
+//!   [`crate::qgemm::q8_gemm`]) consume. No library path packs it any
+//!   more: it stays for the repository benchmark's kernel probe, which
+//!   times the dot-form GEMMs on it, and goes together with that probe.
 //!
 //! Packing is pure data movement, so unlike the f32 GEMMs there is no
 //! rounding question: the optimized bodies are **bitwise equal to the
 //! scalar specs for every input**, at every dispatch level. col2im does
 //! add, but each input element receives its contributions in the spec's
 //! `(c, ky, kx)` row order — one per row — so it is bitwise too. The specs
-//! ([`im2col_f32_scalar`], [`col2im_f32_scalar`], [`im2col_patches_scalar`])
+//! ([`im2col_rows_scalar`], [`col2im_f32_scalar`], [`im2col_patches_scalar`])
 //! are the original per-element loops (bounds check per element; the
 //! patch-major spec recovers `(c, ky, kx)` by div/mod) and remain the
 //! executable reference. The dispatched bodies decompose each row into its
@@ -27,8 +34,10 @@
 //! whole input plane*, so im2col makes one copy per `(c, ky, kx)` row and
 //! then zeroes the padded rows and the columns that wrapped in from the
 //! neighbouring input row; col2im adds such a row as one run when no
-//! column wraps. The row-major f32 bodies move data with explicit 8-lane
-//! AVX2 loads/stores at [`SimdLevel::Avx2`].
+//! column wraps. One set of row-major bodies serves f32, i16 and i8; each
+//! element type moves its in-bounds runs with [`PackElem::copy_run`] —
+//! explicit 8-lane AVX2 loads/stores for f32, a slice copy for the
+//! integer types.
 //!
 //! Keeping both layouts behind [`crate::simd::simd_level`] means the
 //! end-to-end cost of packing is measurable as scalar-vs-AVX2 in the perf
@@ -92,14 +101,25 @@ impl ConvShape {
 }
 
 /// Element types the packing kernels move. Packing never does arithmetic on
-/// the values, so the only requirement is a zero for the padding region.
+/// the values, so the only requirements are a zero for the padding region
+/// and a run copy.
 pub trait PackElem: Copy {
     /// The padding value.
     const ZERO: Self;
+
+    /// Copies one contiguous in-bounds run of equal-length slices; the
+    /// row-major bodies call it at [`SimdLevel::Avx2`].
+    fn copy_run(src: &[Self], dst: &mut [Self]) {
+        dst.copy_from_slice(src);
+    }
 }
 
 impl PackElem for f32 {
     const ZERO: Self = 0.0;
+
+    fn copy_run(src: &[f32], dst: &mut [f32]) {
+        copy_run_f32_avx2(src, dst);
+    }
 }
 impl PackElem for i16 {
     const ZERO: Self = 0;
@@ -120,37 +140,35 @@ fn assert_geometry<T>(img: &[T], s: &ConvShape, col: &[T]) {
 // Row-major layout: col[(c*kh*kw + ky*kw + kx) * out_hw + oy*out_w + ox]
 // ---------------------------------------------------------------------
 
-/// Row-major f32 im2col for one `[cin, in_h, in_w]` sample, dispatched on
-/// the process SIMD level. Bitwise equal to [`im2col_f32_scalar`] for every
-/// input.
+/// Row-major im2col for one `[cin, in_h, in_w]` sample, dispatched on the
+/// process SIMD level. Bitwise equal to [`im2col_rows_scalar`] for every
+/// input and element type.
 ///
 /// # Panics
 ///
 /// Panics if slice lengths or the output size disagree with `s`.
-pub fn im2col_f32(src: &[f32], s: &ConvShape, col: &mut [f32]) {
+pub fn im2col_rows<T: PackElem>(src: &[T], s: &ConvShape, col: &mut [T]) {
     assert_geometry(src, s, col);
     match simd::simd_level() {
-        SimdLevel::Scalar => im2col_f32_scalar_body(src, s, col),
-        SimdLevel::Avx2 if s.rows_shift_planes() => {
-            im2col_shifted_planes(src, s, col, copy_run_f32_avx2)
-        }
-        SimdLevel::Avx2 => im2col_rows_runs(src, s, col, copy_run_f32_avx2),
+        SimdLevel::Scalar => im2col_rows_scalar_body(src, s, col),
+        SimdLevel::Avx2 if s.rows_shift_planes() => im2col_shifted_planes(src, s, col, T::copy_run),
+        SimdLevel::Avx2 => im2col_rows_runs(src, s, col, T::copy_run),
     }
 }
 
-/// The scalar spec: the original per-element loop with a bounds check per
-/// element — identical to the dispatched entry, kept as the executable
-/// reference.
+/// The row-major scalar spec: the original per-element loop with a bounds
+/// check per element — identical to the dispatched entry, kept as the
+/// executable reference.
 ///
 /// # Panics
 ///
 /// Panics if slice lengths or the output size disagree with `s`.
-pub fn im2col_f32_scalar(src: &[f32], s: &ConvShape, col: &mut [f32]) {
+pub fn im2col_rows_scalar<T: PackElem>(src: &[T], s: &ConvShape, col: &mut [T]) {
     assert_geometry(src, s, col);
-    im2col_f32_scalar_body(src, s, col);
+    im2col_rows_scalar_body(src, s, col);
 }
 
-fn im2col_f32_scalar_body(src: &[f32], s: &ConvShape, col: &mut [f32]) {
+fn im2col_rows_scalar_body<T: PackElem>(src: &[T], s: &ConvShape, col: &mut [T]) {
     let khw = s.kh * s.kw;
     let hw_out = s.out_hw();
     for c in 0..s.cin {
@@ -161,13 +179,13 @@ fn im2col_f32_scalar_body(src: &[f32], s: &ConvShape, col: &mut [f32]) {
                     let iy = (oy * s.stride + ky) as isize - s.pad_h as isize;
                     let base = row + oy * s.out_w;
                     if iy < 0 || iy >= s.in_h as isize {
-                        col[base..base + s.out_w].iter_mut().for_each(|v| *v = 0.0);
+                        col[base..base + s.out_w].fill(T::ZERO);
                         continue;
                     }
                     for ox in 0..s.out_w {
                         let ix = (ox * s.stride + kx) as isize - s.pad_w as isize;
                         col[base + ox] = if ix < 0 || ix >= s.in_w as isize {
-                            0.0
+                            T::ZERO
                         } else {
                             src[(c * s.in_h + iy as usize) * s.in_w + ix as usize]
                         };
@@ -201,7 +219,12 @@ pub fn valid_range(
 /// row is left-pad zeros, one in-bounds run, right-pad zeros. At stride 1
 /// the in-bounds run is a contiguous copy (performed by `copy_run`); larger
 /// strides gather with a precomputed offset and no per-element branch.
-fn im2col_rows_runs(src: &[f32], s: &ConvShape, col: &mut [f32], copy_run: fn(&[f32], &mut [f32])) {
+fn im2col_rows_runs<T: PackElem>(
+    src: &[T],
+    s: &ConvShape,
+    col: &mut [T],
+    copy_run: fn(&[T], &mut [T]),
+) {
     let khw = s.kh * s.kw;
     let hw_out = s.out_hw();
     for c in 0..s.cin {
@@ -216,11 +239,11 @@ fn im2col_rows_runs(src: &[f32], s: &ConvShape, col: &mut [f32], copy_run: fn(&[
                     // an empty run has no first input column: a kernel
                     // column can lie in the padding for every output
                     if iy < 0 || iy >= s.in_h as isize || lo == hi {
-                        dst.fill(0.0);
+                        dst.fill(T::ZERO);
                         continue;
                     }
-                    dst[..lo].fill(0.0);
-                    dst[hi..].fill(0.0);
+                    dst[..lo].fill(T::ZERO);
+                    dst[hi..].fill(T::ZERO);
                     let src_row = (c * s.in_h + iy as usize) * s.in_w;
                     // first in-bounds input column: lo*stride + kx - pad_w >= 0
                     let ix0 = lo * s.stride + kx - s.pad_w;
@@ -243,11 +266,11 @@ fn im2col_rows_runs(src: &[f32], s: &ConvShape, col: &mut [f32], copy_run: fn(&[
 /// position; then the padded rows before and after, and the `|kx - pad_w|`
 /// columns between consecutive output rows that the flat copy took from
 /// the neighbouring input row, are zeroed.
-fn im2col_shifted_planes(
-    src: &[f32],
+fn im2col_shifted_planes<T: PackElem>(
+    src: &[T],
     s: &ConvShape,
-    col: &mut [f32],
-    copy_run: fn(&[f32], &mut [f32]),
+    col: &mut [T],
+    copy_run: fn(&[T], &mut [T]),
 ) {
     let w = s.in_w;
     let plane = s.in_h * w;
@@ -260,18 +283,18 @@ fn im2col_shifted_planes(
                 let dst = rows.next().expect("one col row per (c, ky, kx)");
                 let (xlo, xhi) = valid_range(w, 1, kx, s.pad_w, w);
                 if ylo == yhi || xlo == xhi {
-                    dst.fill(0.0);
+                    dst.fill(T::ZERO);
                     continue;
                 }
                 let first = ylo * w + xlo;
                 let last = (yhi - 1) * w + xhi;
                 let src_first = (ylo + ky - s.pad_h) * w + xlo + kx - s.pad_w;
-                dst[..first].fill(0.0);
+                dst[..first].fill(T::ZERO);
                 copy_run(&src_plane[src_first..src_first + (last - first)], &mut dst[first..last]);
-                dst[last..].fill(0.0);
+                dst[last..].fill(T::ZERO);
                 if xhi - xlo < w {
                     for oy in ylo..yhi - 1 {
-                        dst[oy * w + xhi..(oy + 1) * w + xlo].fill(0.0);
+                        dst[oy * w + xhi..(oy + 1) * w + xlo].fill(T::ZERO);
                     }
                 }
             }
@@ -314,7 +337,7 @@ unsafe fn copy_f32_lanes(src: &[f32], dst: &mut [f32]) {
 
 /// Row-major f32 col2im for one sample: scatter-adds the `[cin*kh*kw,
 /// out_h*out_w]` matrix `col` onto the `[cin, in_h, in_w]` slice `dst` —
-/// the adjoint of [`im2col_f32`], used by the conv backward pass —
+/// the adjoint of [`im2col_rows`], used by the conv backward pass —
 /// dispatched on the process SIMD level. Padding positions are dropped.
 /// Bitwise equal to [`col2im_f32_scalar`] for every input, including a
 /// nonzero starting `dst`.
@@ -455,8 +478,9 @@ unsafe fn add_f32_lanes(src: &[f32], dst: &mut [f32]) {
 
 /// Patch-major (transposed) im2col for one `[cin, in_h, in_w]` sample,
 /// dispatched on the process SIMD level: one k-contiguous patch per output
-/// position, the layout the dot-form integer GEMMs consume. Bitwise equal
-/// to [`im2col_patches_scalar`] for every input.
+/// position, the layout the dot-form integer GEMMs consume (see the module
+/// docs for who still packs it). Bitwise equal to [`im2col_patches_scalar`]
+/// for every input.
 ///
 /// # Panics
 ///
@@ -470,8 +494,8 @@ pub fn im2col_patches<T: PackElem>(src: &[T], s: &ConvShape, col: &mut [T]) {
 }
 
 /// The patch-major scalar spec: per-element `(c, ky, kx)` recovery by
-/// div/mod with a bounds check per element — the original
-/// `qeval::forward_q15` gather, kept as the executable reference.
+/// div/mod with a bounds check per element, kept as the executable
+/// reference.
 ///
 /// # Panics
 ///
@@ -604,20 +628,34 @@ mod tests {
         }
     }
 
+    /// Both row-major fast bodies equal the spec for element type `T`;
+    /// every destination starts at a different nonzero fill.
+    fn check_rowmajor_bodies<T: PackElem + PartialEq + std::fmt::Debug>(
+        s: &ConvShape,
+        src: &[T],
+        fills: [T; 3],
+    ) {
+        let mut a = vec![fills[0]; s.col_len()];
+        let mut b = vec![fills[1]; s.col_len()];
+        im2col_rows_scalar_body(src, s, &mut a);
+        im2col_rows_runs(src, s, &mut b, |r, d| d.copy_from_slice(r));
+        assert_eq!(a, b, "{s:?}");
+        if s.rows_shift_planes() {
+            let mut c = vec![fills[2]; s.col_len()];
+            im2col_shifted_planes(src, s, &mut c, |r, d| d.copy_from_slice(r));
+            assert_eq!(a, c, "{s:?}");
+        }
+    }
+
     #[test]
     fn runs_body_matches_rowmajor_spec_on_geometry_zoo() {
         for s in shapes() {
-            let src: Vec<f32> = filled(s.in_len()).iter().map(|&v| v as f32).collect();
-            let mut a = vec![0f32; s.col_len()];
-            let mut b = vec![1f32; s.col_len()];
-            im2col_f32_scalar_body(&src, &s, &mut a);
-            im2col_rows_runs(&src, &s, &mut b, |r, d| d.copy_from_slice(r));
-            assert_eq!(a, b, "{s:?}");
-            if s.rows_shift_planes() {
-                let mut c = vec![2f32; s.col_len()];
-                im2col_shifted_planes(&src, &s, &mut c, |r, d| d.copy_from_slice(r));
-                assert_eq!(a, c, "{s:?}");
-            }
+            let src = filled(s.in_len());
+            let src_f32: Vec<f32> = src.iter().map(|&v| v as f32).collect();
+            check_rowmajor_bodies(&s, &src_f32, [3.0, 1.0, 2.0]);
+            check_rowmajor_bodies(&s, &src, [3, 1, 2]);
+            let src_i8: Vec<i8> = src.iter().map(|&v| v as i8).collect();
+            check_rowmajor_bodies(&s, &src_i8, [3, 1, 2]);
         }
     }
 
@@ -641,7 +679,7 @@ mod tests {
         let src: Vec<f32> = (0..s.in_len()).map(|i| i as f32).collect();
         let mut rows = vec![0f32; s.col_len()];
         let mut patches = vec![0f32; s.col_len()];
-        im2col_f32_scalar(&src, &s, &mut rows);
+        im2col_rows_scalar(&src, &s, &mut rows);
         im2col_patches_scalar(&src, &s, &mut patches);
         let (k, n) = (s.k(), s.out_hw());
         for ki in 0..k {
@@ -664,9 +702,15 @@ mod tests {
         let fsrc: Vec<f32> = src.iter().map(|&v| v as f32).collect();
         let mut fspec = vec![0f32; s.col_len()];
         let mut fgot = vec![0f32; s.col_len()];
-        im2col_f32_scalar(&fsrc, &s, &mut fspec);
-        im2col_f32(&fsrc, &s, &mut fgot);
+        im2col_rows_scalar(&fsrc, &s, &mut fspec);
+        im2col_rows(&fsrc, &s, &mut fgot);
         assert_eq!(fspec, fgot);
+
+        let mut rspec = vec![0i16; s.col_len()];
+        let mut rgot = vec![1i16; s.col_len()];
+        im2col_rows_scalar(&src, &s, &mut rspec);
+        im2col_rows(&src, &s, &mut rgot);
+        assert_eq!(rspec, rgot);
     }
 
     #[test]

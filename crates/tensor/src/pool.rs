@@ -10,8 +10,8 @@
 //!   the window in `(ky, kx)` order from `-inf` — among equal maxima the
 //!   lexicographically first element wins, which pins both the argmax and
 //!   the result *bits* (`+0.0` vs `-0.0`).
-//! * i16 / i8 ([`maxpool2d_i16_scalar`], [`maxpool2d_i8`]): plain integer
-//!   window max, as the Q15/Q8 graph evaluators compute it.
+//! * i16 / i8 ([`maxpool2d_i16_scalar`], [`maxpool2d_i8_scalar`]): plain
+//!   integer window max, as the Q15/Q8 graph evaluators compute it.
 //!
 //! # Exactness contract
 //!
@@ -24,11 +24,14 @@
 //! window row *first* (left-wins-ties pair max) and then across rows
 //! (first-row-wins) — the same lexicographic winner as the scalar scan.
 //! Integer max is associative and commutative with no representative
-//! ambiguity, so the i16 bodies fold in any order via `_mm256_max_epi16`.
+//! ambiguity, so the integer bodies fold in any order via
+//! `_mm256_max_epi16` / `_mm256_max_epi8`.
 //!
 //! Vectorized paths cover the window shapes the model zoo uses: `kw == 1`
-//! (vertical pooling, 8/16 output lanes) and `kw == 2` (pair-deinterleave,
-//! 8/16 outputs per step). A `[h, 1]` plane pooled `(kh, 1)` — the 1-D HAR
+//! (vertical pooling, 8/16/32 output lanes for f32/i16/i8) and `kw == 2`
+//! (pair-deinterleave, 8/16/32 outputs per step). Output columns past the
+//! last whole vector — all of them on planes narrower than one vector —
+//! take a scalar tail inside the same body. A `[h, 1]` plane pooled `(kh, 1)` — the 1-D HAR
 //! layout — is first re-expressed as a `[1, h]` plane pooled `(1, kh)`,
 //! which is the identical element sequence per window and routes the 1-D
 //! case onto the `kw == 2` vector path. Other widths fall back to the
@@ -242,11 +245,11 @@ pub fn maxpool2d_i16(src: &[i16], h: usize, w: usize, kh: usize, kw: usize, dst:
     if simd::simd_level() == SimdLevel::Avx2 && (kw == 1 || kw == 2) {
         // SAFETY: level only reports Avx2 on CPUs with avx2; geometry
         // asserted above.
-        unsafe { avx2::maxpool_i16(src, h, w, kh, kw, dst) };
+        unsafe { avx2::maxpool_int(src, h, w, kh, kw, dst) };
         return;
     }
     let _ = simd::simd_level();
-    maxpool2d_i16_scalar_body(src, h, w, kh, kw, dst);
+    maxpool_int_scalar_body(src, h, w, kh, kw, dst);
 }
 
 /// The i16 scalar spec: integer window max from `i16::MIN`, exactly the
@@ -264,46 +267,68 @@ pub fn maxpool2d_i16_scalar(
     dst: &mut [i16],
 ) {
     assert_pool(src, h, w, kh, kw, dst.len());
-    maxpool2d_i16_scalar_body(src, h, w, kh, kw, dst);
+    maxpool_int_scalar_body(src, h, w, kh, kw, dst);
 }
 
-fn maxpool2d_i16_scalar_body(
-    src: &[i16],
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    dst: &mut [i16],
-) {
-    let _ = h;
-    let (ho, wo) = (dst.len() / (w / kw).max(1), w / kw);
-    for oy in 0..ho {
-        for ox in 0..wo {
-            let mut best = i16::MIN;
-            for ky in 0..kh {
-                for kx in 0..kw {
-                    best = best.max(src[(oy * kh + ky) * w + ox * kw + kx]);
-                }
-            }
-            dst[oy * wo + ox] = best;
-        }
-    }
-}
-
-/// Max-pools one i8 plane (integer window max). The Q8 evaluator's pooling
-/// volume is half the Q15 one and far off the hot path, so this stays the
-/// scalar loop at every dispatch level — trivially level-exact.
+/// Max-pools one i8 plane, dispatched on the process SIMD level. Bitwise
+/// equal to [`maxpool2d_i8_scalar`] for every input (integer max has no
+/// tie ambiguity).
 ///
 /// # Panics
 ///
 /// Panics if slice lengths disagree with the pool geometry.
 pub fn maxpool2d_i8(src: &[i8], h: usize, w: usize, kh: usize, kw: usize, dst: &mut [i8]) {
     assert_pool(src, h, w, kh, kw, dst.len());
-    let (_, w, kh, kw) = canonical(h, w, kh, kw);
+    let (h, w, kh, kw) = canonical(h, w, kh, kw);
+    #[cfg(target_arch = "x86_64")]
+    if simd::simd_level() == SimdLevel::Avx2 && (kw == 1 || kw == 2) {
+        // SAFETY: level only reports Avx2 on CPUs with avx2; geometry
+        // asserted above.
+        unsafe { avx2::maxpool_int(src, h, w, kh, kw, dst) };
+        return;
+    }
+    let _ = simd::simd_level();
+    maxpool_int_scalar_body(src, h, w, kh, kw, dst);
+}
+
+/// The i8 scalar spec: integer window max from `i8::MIN`, exactly the Q8
+/// graph evaluator's loop.
+///
+/// # Panics
+///
+/// Panics if slice lengths disagree with the pool geometry.
+pub fn maxpool2d_i8_scalar(src: &[i8], h: usize, w: usize, kh: usize, kw: usize, dst: &mut [i8]) {
+    assert_pool(src, h, w, kh, kw, dst.len());
+    maxpool_int_scalar_body(src, h, w, kh, kw, dst);
+}
+
+/// An integer pool element: window maxima start from `MIN`.
+trait PoolInt: Copy + Ord {
+    const MIN: Self;
+}
+
+impl PoolInt for i16 {
+    const MIN: Self = i16::MIN;
+}
+
+impl PoolInt for i8 {
+    const MIN: Self = i8::MIN;
+}
+
+/// The integer scalar spec body, shared by i16 and i8.
+fn maxpool_int_scalar_body<T: PoolInt>(
+    src: &[T],
+    h: usize,
+    w: usize,
+    kh: usize,
+    kw: usize,
+    dst: &mut [T],
+) {
+    let _ = h;
     let (ho, wo) = (dst.len() / (w / kw).max(1), w / kw);
     for oy in 0..ho {
         for ox in 0..wo {
-            let mut best = i8::MIN;
+            let mut best = T::MIN;
             for ky in 0..kh {
                 for kx in 0..kw {
                     best = best.max(src[(oy * kh + ky) * w + ox * kw + kx]);
@@ -480,83 +505,125 @@ mod avx2 {
         }
     }
 
-    /// Left-column pair max of 16 adjacent i16 pairs (32 consecutive i16),
-    /// in output order. Integer max — no tie ambiguity to preserve.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn pairmax_i16(v0: __m256i, v1: __m256i) -> __m256i {
-        // pair max lands in the low 16 bits of each i32 lane (the high
-        // half compares against a zero-shifted-in value and is discarded)
-        let m0 = _mm256_max_epi16(v0, _mm256_srli_epi32(v0, 16));
-        let m1 = _mm256_max_epi16(v1, _mm256_srli_epi32(v1, 16));
-        // sign-extend the low halves and re-pack; values are genuine i16
-        // so the pack saturation never fires
-        let e0 = _mm256_srai_epi32(_mm256_slli_epi32(m0, 16), 16);
-        let e1 = _mm256_srai_epi32(_mm256_slli_epi32(m1, 16), 16);
-        let packed = _mm256_packs_epi32(e0, e1);
-        _mm256_permute4x64_epi64(packed, 0b11_01_10_00)
+    /// An integer element in 256-bit vectors: its lane count, lane-wise
+    /// max, and the pair max of `2 * LANES` consecutive elements.
+    pub(super) trait Lanes: super::PoolInt {
+        const LANES: usize;
+
+        /// Lane-wise max.
+        ///
+        /// # Safety
+        ///
+        /// Requires avx2.
+        unsafe fn max_lanes(a: __m256i, b: __m256i) -> __m256i;
+
+        /// Left-column pair max of the `LANES` adjacent pairs in `v0` then
+        /// `v1`, in output order. Integer max — no tie ambiguity to
+        /// preserve.
+        ///
+        /// # Safety
+        ///
+        /// Requires avx2.
+        unsafe fn pairmax(v0: __m256i, v1: __m256i) -> __m256i;
     }
 
-    /// i16 forward for `kw == 1` / `kw == 2`: rows fold with
-    /// `_mm256_max_epi16` (order-free), pairs collapse once at the end for
-    /// `kw == 2`.
+    impl Lanes for i16 {
+        const LANES: usize = 16;
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn max_lanes(a: __m256i, b: __m256i) -> __m256i {
+            _mm256_max_epi16(a, b)
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn pairmax(v0: __m256i, v1: __m256i) -> __m256i {
+            // pair max lands in the low 16 bits of each i32 lane (the high
+            // half compares against a zero-shifted-in value and is
+            // discarded)
+            let m0 = _mm256_max_epi16(v0, _mm256_srli_epi32(v0, 16));
+            let m1 = _mm256_max_epi16(v1, _mm256_srli_epi32(v1, 16));
+            // sign-extend the low halves and re-pack; values are genuine
+            // i16 so the pack saturation never fires
+            let e0 = _mm256_srai_epi32(_mm256_slli_epi32(m0, 16), 16);
+            let e1 = _mm256_srai_epi32(_mm256_slli_epi32(m1, 16), 16);
+            let packed = _mm256_packs_epi32(e0, e1);
+            _mm256_permute4x64_epi64(packed, 0b11_01_10_00)
+        }
+    }
+
+    impl Lanes for i8 {
+        const LANES: usize = 32;
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn max_lanes(a: __m256i, b: __m256i) -> __m256i {
+            _mm256_max_epi8(a, b)
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn pairmax(v0: __m256i, v1: __m256i) -> __m256i {
+            // the i16 body one lane width down: pair max in the low byte
+            // of each i16 lane, sign-extended and re-packed
+            let m0 = _mm256_max_epi8(v0, _mm256_srli_epi16(v0, 8));
+            let m1 = _mm256_max_epi8(v1, _mm256_srli_epi16(v1, 8));
+            let e0 = _mm256_srai_epi16(_mm256_slli_epi16(m0, 8), 8);
+            let e1 = _mm256_srai_epi16(_mm256_slli_epi16(m1, 8), 8);
+            let packed = _mm256_packs_epi16(e0, e1);
+            _mm256_permute4x64_epi64(packed, 0b11_01_10_00)
+        }
+    }
+
+    /// Integer forward for `kw == 1` / `kw == 2`, i16 or i8: rows fold
+    /// with the lane-wise max (order-free), pairs collapse once at the
+    /// end for `kw == 2`; output columns past the last whole vector take
+    /// the scalar tail.
     ///
     /// # Safety
     ///
     /// Requires avx2 and `src`/`dst` matching the pool geometry.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn maxpool_i16(
-        src: &[i16],
+    pub(super) unsafe fn maxpool_int<T: Lanes>(
+        src: &[T],
         _h: usize,
         w: usize,
         kh: usize,
         kw: usize,
-        dst: &mut [i16],
+        dst: &mut [T],
     ) {
         debug_assert!(kw == 1 || kw == 2);
         let wo = w / kw;
         let ho = dst.len() / wo.max(1);
         let sp = src.as_ptr();
-        let wo16 = wo & !15;
+        let load = |off: usize| _mm256_loadu_si256(sp.add(off) as *const __m256i);
+        let lanes = T::LANES;
+        let wov = wo - wo % lanes;
         for oy in 0..ho {
             let row0 = oy * kh * w;
             let mut ox = 0usize;
-            while ox < wo16 {
+            while ox < wov {
                 let (mut a0, mut a1) = if kw == 2 {
-                    (
-                        _mm256_loadu_si256(sp.add(row0 + 2 * ox) as *const __m256i),
-                        _mm256_loadu_si256(sp.add(row0 + 2 * ox + 16) as *const __m256i),
-                    )
+                    (load(row0 + 2 * ox), load(row0 + 2 * ox + lanes))
                 } else {
-                    (
-                        _mm256_loadu_si256(sp.add(row0 + ox) as *const __m256i),
-                        _mm256_setzero_si256(),
-                    )
+                    (load(row0 + ox), _mm256_setzero_si256())
                 };
                 for ky in 1..kh {
                     let row = row0 + ky * w;
                     if kw == 2 {
-                        a0 = _mm256_max_epi16(
-                            a0,
-                            _mm256_loadu_si256(sp.add(row + 2 * ox) as *const __m256i),
-                        );
-                        a1 = _mm256_max_epi16(
-                            a1,
-                            _mm256_loadu_si256(sp.add(row + 2 * ox + 16) as *const __m256i),
-                        );
+                        a0 = T::max_lanes(a0, load(row + 2 * ox));
+                        a1 = T::max_lanes(a1, load(row + 2 * ox + lanes));
                     } else {
-                        a0 = _mm256_max_epi16(
-                            a0,
-                            _mm256_loadu_si256(sp.add(row + ox) as *const __m256i),
-                        );
+                        a0 = T::max_lanes(a0, load(row + ox));
                     }
                 }
-                let out = if kw == 2 { pairmax_i16(a0, a1) } else { a0 };
+                let out = if kw == 2 { T::pairmax(a0, a1) } else { a0 };
                 _mm256_storeu_si256(dst.as_mut_ptr().add(oy * wo + ox) as *mut __m256i, out);
-                ox += 16;
+                ox += lanes;
             }
-            for ox in wo16..wo {
-                let mut best = i16::MIN;
+            for ox in wov..wo {
+                let mut best = T::MIN;
                 for ky in 0..kh {
                     for kx in 0..kw {
                         best = best.max(*sp.add(row0 + ky * w + ox * kw + kx));
@@ -667,6 +734,31 @@ mod tests {
                     }
                 }
                 assert_eq!(db[j], expect, "{kh}x{kw} at {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn i8_vector_body_matches_scalar_spec_on_wide_planes() {
+        // full i8 range; widths with whole 32-lane vectors, a tail, and a
+        // 1-D plane that canonicalizes onto the pair path
+        let src: Vec<i8> =
+            (0..6 * 140).map(|i| (i as i64 * 2_654_435_761 % 256) as u8 as i8).collect();
+        for &(h, w, kh, kw) in
+            &[(4usize, 64usize, 2usize, 2usize), (6, 70, 3, 2), (5, 40, 2, 1), (130, 1, 2, 1)]
+        {
+            let (ho, wo) = (h / kh, w / kw);
+            let mut spec = vec![0i8; ho * wo];
+            maxpool2d_i8_scalar(&src[..h * w], h, w, kh, kw, &mut spec);
+            let mut got = vec![0i8; ho * wo];
+            maxpool2d_i8(&src[..h * w], h, w, kh, kw, &mut got);
+            assert_eq!(got, spec, "{h}x{w} pooled {kh}x{kw}");
+            #[cfg(target_arch = "x86_64")]
+            if crate::simd::avx2_supported() {
+                let (ch, cw, ckh, ckw) = canonical(h, w, kh, kw);
+                let mut simd = vec![0i8; ho * wo];
+                unsafe { avx2::maxpool_int(&src[..h * w], ch, cw, ckh, ckw, &mut simd) };
+                assert_eq!(simd, spec, "avx2 {h}x{w} pooled {kh}x{kw}");
             }
         }
     }

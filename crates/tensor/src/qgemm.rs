@@ -25,16 +25,27 @@
 //! `i16::MIN`, so the precondition holds structurally on the evaluation
 //! path; the dispatched entry debug-asserts it.
 //!
+//! # Block kernels: the row form
+//!
 //! The device engine's accelerator jobs run on [`q15_block_acc`], which
 //! accumulates one BSR weight block into a strip of i64 accumulators. Its
 //! scalar spec ([`q15_block_acc_scalar`]) is the engine's per-job loop; its
 //! AVX2 body pairs two reduction columns per `_mm256_madd_epi16` and is
 //! bitwise equal to the spec under the same precondition on the block.
+//! The host Q15 convolutions (`models::qeval`) run on the same kernel: the
+//! input packed row-major as `[k][out_hw]`, one call per alive column
+//! strip of each 4-row block row of the layer's
+//! [`crate::sparse::SparseIndex`], the bias preloaded into the
+//! accumulators and [`q15_requantize_relu`] — the engine's tile
+//! write-back — as the epilogue. The host Q8 convolutions run on its i8
+//! twin [`q8_block_acc`] (sign-extend, `madd`, wrapping i32) and
+//! [`q8_requantize_relu`]. Fully-connected layers, one output column
+//! each, keep the dot form.
 //!
-//! The int8 deployment tier ([`q8_gemm`]) shares the operand layout but
-//! accumulates i8×i8 products in a *wrapping* i32 with the bias preloaded
-//! at accumulator scale; its SIMD body is bitwise-equal to the scalar spec
-//! for **all** inputs (see its docs).
+//! The int8 deployment tier ([`q8_gemm`]) shares the dot-form operand
+//! layout but accumulates i8×i8 products in a *wrapping* i32 with the bias
+//! preloaded at accumulator scale; its SIMD bodies are bitwise-equal to
+//! their scalar specs for **all** inputs (see [`q8_gemm`]).
 
 use crate::quant::{requantize, requantize8};
 use crate::simd::{self, q15_dot_i64, q8_dot_i32, SimdLevel};
@@ -239,6 +250,28 @@ fn q15_block_acc_body(
     }
 }
 
+/// The Q15 epilogue: `out[s] = requantize(acc[s], in_frac, w_frac,
+/// out_frac)`, clamped at zero when `relu` is set. The device engine's
+/// tile write-back and the host conv path share it.
+///
+/// # Panics
+///
+/// Panics if `acc` and `out` differ in length.
+pub fn q15_requantize_relu(
+    acc: &[i64],
+    out: &mut [i16],
+    in_frac: u8,
+    w_frac: u8,
+    out_frac: u8,
+    relu: bool,
+) {
+    assert_eq!(acc.len(), out.len(), "epilogue length");
+    for (o, &a) in out.iter_mut().zip(acc) {
+        let v = requantize(a, in_frac, w_frac, out_frac);
+        *o = if relu && v < 0 { 0 } else { v };
+    }
+}
+
 /// Q8 GEMM dispatched on the process SIMD level — the int8 deployment
 /// tier. Same dot-form operand layout as [`q15_gemm`] (`a` is `[m][k]` i8
 /// weight rows, `b` is `[n][k]` i8 activation columns), but the bias is
@@ -332,6 +365,126 @@ fn q8_gemm_body(
             }
             c[i * n + j] = v;
         }
+    }
+}
+
+/// Q8 block accumulate dispatched on the process SIMD level: the i8 twin
+/// of [`q15_block_acc`],
+///
+/// `acc[r*s_len + s] += Σ_{c<cols} block[r*bc + c] * x[c*s_len + s]`
+///
+/// for `r < rows`, `s < s_len`, every i8×i8 product added in a
+/// **wrapping** i32 — [`q8_gemm`]'s accumulator. Same operand layout as
+/// [`q15_block_acc`]. Bitwise equal to [`q8_block_acc_scalar`] for **all**
+/// inputs: the AVX2 body sign-extends the i8 lanes, pairs two reduction
+/// columns per `_mm256_madd_epi16` (exact pair sums) and adds in wrapping
+/// i32 lanes, and wrapping addition reassociates freely.
+///
+/// # Panics
+///
+/// Panics if `cols > bc` or the slice lengths are inconsistent with
+/// `(rows, cols, s_len, bc)`.
+pub fn q8_block_acc(
+    block: &[i8],
+    x: &[i8],
+    acc: &mut [i32],
+    rows: usize,
+    cols: usize,
+    s_len: usize,
+    bc: usize,
+) {
+    let use_avx2 = simd::simd_level() == SimdLevel::Avx2;
+    q8_block_acc_body(block, x, acc, rows, cols, s_len, bc, use_avx2);
+}
+
+/// Scalar-spec Q8 block accumulate: one wrapping i32 product per nonzero
+/// weight and position, identical at any SIMD dispatch level.
+///
+/// # Panics
+///
+/// Panics if `cols > bc` or the slice lengths are inconsistent with
+/// `(rows, cols, s_len, bc)`.
+pub fn q8_block_acc_scalar(
+    block: &[i8],
+    x: &[i8],
+    acc: &mut [i32],
+    rows: usize,
+    cols: usize,
+    s_len: usize,
+    bc: usize,
+) {
+    q8_block_acc_body(block, x, acc, rows, cols, s_len, bc, false);
+}
+
+#[allow(clippy::too_many_arguments)]
+fn q8_block_acc_body(
+    block: &[i8],
+    x: &[i8],
+    acc: &mut [i32],
+    rows: usize,
+    cols: usize,
+    s_len: usize,
+    bc: usize,
+    use_avx2: bool,
+) {
+    assert!(cols <= bc, "block columns exceed the block width");
+    assert!(rows == 0 || block.len() >= (rows - 1) * bc + cols, "block length");
+    assert_eq!(x.len(), cols * s_len, "strip length");
+    assert_eq!(acc.len(), rows * s_len, "accumulator length");
+    #[cfg(target_arch = "x86_64")]
+    {
+        if use_avx2 {
+            // SAFETY: the dispatch level only reports Avx2 on CPUs with
+            // avx2; the slice geometry is asserted above.
+            unsafe {
+                simd::avx2::q8_block_acc(
+                    block.as_ptr(),
+                    x.as_ptr(),
+                    acc.as_mut_ptr(),
+                    rows,
+                    cols,
+                    s_len,
+                    bc,
+                );
+            }
+            return;
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = use_avx2;
+    for r in 0..rows {
+        let wrow = &block[r * bc..r * bc + cols];
+        let acc_row = &mut acc[r * s_len..(r + 1) * s_len];
+        for (c, &wv) in wrow.iter().enumerate() {
+            if wv == 0 {
+                continue;
+            }
+            let xrow = &x[c * s_len..(c + 1) * s_len];
+            for (a, &xv) in acc_row.iter_mut().zip(xrow.iter()) {
+                *a = a.wrapping_add(wv as i32 * xv as i32);
+            }
+        }
+    }
+}
+
+/// The Q8 epilogue: `out[s] = requantize8(acc[s], in_frac, w_frac,
+/// out_frac)`, clamped at zero when `relu` is set.
+///
+/// # Panics
+///
+/// Panics if `acc` and `out` differ in length.
+pub fn q8_requantize_relu(
+    acc: &[i32],
+    out: &mut [i8],
+    in_frac: u8,
+    w_frac: u8,
+    out_frac: u8,
+    relu: bool,
+) {
+    assert_eq!(acc.len(), out.len(), "epilogue length");
+    for (o, &a) in out.iter_mut().zip(acc) {
+        let v = requantize8(a, in_frac, w_frac, out_frac);
+        *o = if relu && v < 0 { 0 } else { v };
     }
 }
 
@@ -476,6 +629,53 @@ mod tests {
                 assert_eq!(simd, expect, "avx2 {rows}x{cols} bc {bc} s_len {s_len}");
             }
         }
+    }
+
+    #[test]
+    fn q8_block_acc_matches_naive_triple_loop() {
+        let mut next = xorshift(0x0b10_c8a8);
+        for &(rows, cols, bc, s_len) in
+            &[(1usize, 1usize, 1usize, 1usize), (4, 16, 16, 33), (3, 5, 7, 16), (4, 3, 3, 9)]
+        {
+            // full i8 range, i8::MIN included, on both operands
+            let mut block: Vec<i8> = (0..rows * bc).map(|_| next() as i8).collect();
+            block[0] = i8::MIN;
+            let x: Vec<i8> = (0..cols * s_len).map(|_| next() as i8).collect();
+            let start: Vec<i32> = (0..rows * s_len).map(|_| next() as i32).collect();
+            let mut expect = start.clone();
+            for r in 0..rows {
+                for s in 0..s_len {
+                    for c in 0..cols {
+                        let p = block[r * bc + c] as i32 * x[c * s_len + s] as i32;
+                        expect[r * s_len + s] = expect[r * s_len + s].wrapping_add(p);
+                    }
+                }
+            }
+            let mut spec = start.clone();
+            q8_block_acc_scalar(&block, &x, &mut spec, rows, cols, s_len, bc);
+            assert_eq!(spec, expect, "spec {rows}x{cols} bc {bc} s_len {s_len}");
+            if simd::avx2_supported() {
+                let mut simd = start;
+                q8_block_acc_body(&block, &x, &mut simd, rows, cols, s_len, bc, true);
+                assert_eq!(simd, expect, "avx2 {rows}x{cols} bc {bc} s_len {s_len}");
+            }
+        }
+    }
+
+    #[test]
+    fn epilogues_requantize_and_clamp_like_the_gemms() {
+        let acc = [-(5i64 << 20), 3 << 20, i64::from(i32::MAX) << 8];
+        let mut out = [0i16; 3];
+        q15_requantize_relu(&acc, &mut out, 15, 14, 15, true);
+        assert_eq!(out, [0, requantize(acc[1], 15, 14, 15), i16::MAX]);
+        q15_requantize_relu(&acc, &mut out, 15, 14, 15, false);
+        assert_eq!(out[0], requantize(acc[0], 15, 14, 15));
+        let acc8 = [-(5i32 << 10), 3 << 10, i32::MAX];
+        let mut out8 = [0i8; 3];
+        q8_requantize_relu(&acc8, &mut out8, 7, 6, 7, true);
+        assert_eq!(out8, [0, requantize8(acc8[1], 7, 6, 7), i8::MAX]);
+        q8_requantize_relu(&acc8, &mut out8, 7, 6, 7, false);
+        assert_eq!(out8[0], requantize8(acc8[0], 7, 6, 7));
     }
 
     #[test]

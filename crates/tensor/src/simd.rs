@@ -68,7 +68,9 @@
 //! in **wrapping** i32 lanes. Every pair sum is exact (≤ 2·2¹⁴) and
 //! wrapping addition is associative and commutative mod 2³², so the SIMD
 //! body equals the scalar spec for **all** inputs — the Q8 tier needs no
-//! operand precondition at all.
+//! operand precondition at all. The Q8 block kernel
+//! ([`crate::qgemm::q8_block_acc`]) pairs two reduction columns the same
+//! way and inherits the same unconditional contract.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -641,6 +643,74 @@ pub(crate) mod avx2 {
     // -----------------------------------------------------------------
     // Q8 integer GEMM body.
     // -----------------------------------------------------------------
+    /// Q8 block accumulate, the i8 twin of [`q15_block_acc`]:
+    /// `acc[r*s_len + s] += Σ_{c<cols} block[r*bc + c] * x[c*s_len + s]` in
+    /// wrapping i32. Reduction columns go in pairs: the two `x` rows'
+    /// bytes are interleaved by `unpack{lo,hi}_epi8` and sign-extended to
+    /// `(x0[s], x1[s])` i16 pairs for 8 positions each, so one
+    /// `_mm256_madd_epi16` against the broadcast weight pair yields
+    /// `w0*x0[s] + w1*x1[s]` per position, in position order — exact (at
+    /// most 2·2¹⁴ in magnitude). The pair sums add into sixteen
+    /// register-resident wrapping i32 accumulators per row; an odd last
+    /// column pairs with a zero weight, an all-zero pair is skipped, and
+    /// positions past the last multiple of 16 take the scalar tail.
+    /// Exactly equal to `qgemm::q8_block_acc_scalar` for **all** inputs:
+    /// wrapping addition reassociates freely.
+    ///
+    /// # Safety
+    ///
+    /// Requires avx2; `block` must hold `(rows - 1) * bc + cols` elements,
+    /// `x` `cols * s_len`, and `acc` `rows * s_len`.
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn q8_block_acc(
+        block: *const i8,
+        x: *const i8,
+        acc: *mut i32,
+        rows: usize,
+        cols: usize,
+        s_len: usize,
+        bc: usize,
+    ) {
+        let s16 = s_len & !15;
+        for r in 0..rows {
+            let w = block.add(r * bc);
+            let a = acc.add(r * s_len);
+            let pair = |c: usize| {
+                let c1 = if c + 1 < cols { c + 1 } else { c };
+                let w1 = if c + 1 < cols { *w.add(c + 1) } else { 0 };
+                (*w.add(c), w1, x.add(c * s_len), x.add(c1 * s_len))
+            };
+            for s in (0..s16).step_by(16) {
+                let mut v = [
+                    _mm256_loadu_si256(a.add(s) as *const __m256i),
+                    _mm256_loadu_si256(a.add(s + 8) as *const __m256i),
+                ];
+                for c in (0..cols).step_by(2) {
+                    let (w0, w1, x0, x1) = pair(c);
+                    if w0 == 0 && w1 == 0 {
+                        continue;
+                    }
+                    let wp = _mm256_set1_epi32(weight_pair(w0 as i16, w1 as i16));
+                    let xa = _mm_loadu_si128(x0.add(s) as *const __m128i);
+                    let xb = _mm_loadu_si128(x1.add(s) as *const __m128i);
+                    // (x0[s], x1[s]) pairs for s0..7 and s8..15
+                    let lo = _mm256_cvtepi8_epi16(_mm_unpacklo_epi8(xa, xb));
+                    let hi = _mm256_cvtepi8_epi16(_mm_unpackhi_epi8(xa, xb));
+                    v[0] = _mm256_add_epi32(v[0], _mm256_madd_epi16(lo, wp));
+                    v[1] = _mm256_add_epi32(v[1], _mm256_madd_epi16(hi, wp));
+                }
+                _mm256_storeu_si256(a.add(s) as *mut __m256i, v[0]);
+                _mm256_storeu_si256(a.add(s + 8) as *mut __m256i, v[1]);
+            }
+            for s in s16..s_len {
+                let mut t = *a.add(s);
+                for c in 0..cols {
+                    t = t.wrapping_add(*w.add(c) as i32 * *x.add(c * s_len + s) as i32);
+                }
+                *a.add(s) = t;
+            }
+        }
+    }
 
     /// Q8 dot product: 32 i8 per load pair, sign-extended halves
     /// (`_mm256_cvtepi8_epi16`) multiplied pairwise into i32 by

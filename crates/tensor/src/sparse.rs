@@ -22,6 +22,15 @@
 //! [`dispatched`] is the one dispatch decision (density threshold or a
 //! forced [`DispatchMode`]) and [`weight_index`] the one index builder;
 //! `Param` and the sensitivity probes' `WeightOverride` both use them.
+//!
+//! The same index also serves the host Q15/Q8 engines (`models::qeval`):
+//! each quantized layer builds one from its quantized weights' nonzeros
+//! at quantize time ([`SparseIndex::from_mask`] takes any element type),
+//! and each conv runs the block kernels ([`crate::qgemm::q15_block_acc`],
+//! [`crate::qgemm::q8_block_acc`]) once per alive strip of each block row
+//! ([`SparseIndex::strips_of`]), so all-zero blocks cost nothing there
+//! either. That path has no density threshold: an exact integer sum is
+//! the same however many blocks it skips.
 
 use crate::Tensor;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -126,13 +135,15 @@ pub struct SparseIndex {
 }
 
 impl SparseIndex {
-    /// Builds the index from a flat row-major mask (`0.0` = pruned) with
-    /// the default host block shape.
+    /// Builds the index from a flat row-major mask with the default host
+    /// block shape. An entry equal to `T::default()` (`0.0`, either sign,
+    /// for an f32 mask; `0` for quantized weights) is pruned; a block is
+    /// alive when any entry in it is not.
     ///
     /// # Panics
     ///
     /// Panics if `mask.len() != rows * cols`.
-    pub fn from_mask(mask: &[f32], rows: usize, cols: usize) -> Self {
+    pub fn from_mask<T: Copy + Default + PartialEq>(mask: &[T], rows: usize, cols: usize) -> Self {
         Self::with_blocks(mask, rows, cols, BLOCK_ROWS, BLOCK_COLS)
     }
 
@@ -142,7 +153,13 @@ impl SparseIndex {
     /// # Panics
     ///
     /// Panics if `mask.len() != rows * cols` or a block dimension is zero.
-    pub fn with_blocks(mask: &[f32], rows: usize, cols: usize, br: usize, bc: usize) -> Self {
+    pub fn with_blocks<T: Copy + Default + PartialEq>(
+        mask: &[T],
+        rows: usize,
+        cols: usize,
+        br: usize,
+        bc: usize,
+    ) -> Self {
         assert!(br > 0 && bc > 0, "block dims must be positive");
         assert_eq!(mask.len(), rows * cols, "mask length");
         let rbs = rows.div_ceil(br);
@@ -159,7 +176,7 @@ impl SparseIndex {
                 let c0 = cb * bc;
                 let c1 = (c0 + bc).min(cols);
                 let alive = (rb * br..r1)
-                    .any(|r| mask[r * cols + c0..r * cols + c1].iter().any(|&v| v != 0.0));
+                    .any(|r| mask[r * cols + c0..r * cols + c1].iter().any(|&v| v != T::default()));
                 if alive {
                     alive_blocks += 1;
                     alive_cells += (r1 - rb * br) * (c1 - c0);
@@ -233,7 +250,7 @@ impl SparseIndex {
 
     /// Coalesced alive strips of block-row `rb` as `(col_start, col_end)`
     /// cell ranges, ascending and disjoint (adjacent alive blocks merged).
-    pub(crate) fn strips_of(&self, rb: usize) -> &[(usize, usize)] {
+    pub fn strips_of(&self, rb: usize) -> &[(usize, usize)] {
         &self.strips[self.strip_ptr[rb] as usize..self.strip_ptr[rb + 1] as usize]
     }
 }
@@ -300,6 +317,20 @@ mod tests {
         let empty = SparseIndex::from_mask(&vec![0.0; 60], 6, 10);
         assert_eq!(empty.alive_blocks(), 0);
         assert_eq!(empty.alive_fraction(), 0.0);
+    }
+
+    #[test]
+    fn integer_nonzeros_build_the_same_index_as_their_mask() {
+        // block (0, 0) of the 8x40 matrix is all zero, the rest alive
+        let w: Vec<i8> =
+            (0..8 * 40).map(|i| if i / 40 < 4 && i % 40 < 16 { 0 } else { 3 }).collect();
+        let mask: Vec<f32> = w.iter().map(|&v| if v == 0 { 0.0 } else { 1.0 }).collect();
+        let idx = SparseIndex::from_mask(&w, 8, 40);
+        assert_eq!(idx, SparseIndex::from_mask(&mask, 8, 40));
+        assert_eq!((idx.alive_blocks(), idx.total_blocks()), (5, 6));
+        assert_eq!((idx.strips_of(0), idx.strips_of(1)), (&[(16, 40)][..], &[(0, 40)][..]));
+        let dead = SparseIndex::from_mask(&[0i16; 12], 3, 4);
+        assert_eq!((dead.alive_blocks(), dead.strips_of(0)), (0, &[][..]));
     }
 
     #[test]

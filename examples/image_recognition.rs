@@ -49,7 +49,7 @@ fn main() {
     }
 
     // Step 0b: sensitivity analysis
-    let sens = analyze(&mut model, &states, &val.take(48), 0.3, 32);
+    let sens = analyze(&model, &states, &val.take(48), 0.3, 32);
     println!();
     println!("sensitivity (accuracy drop at a 30% probe): ");
     for (p, d) in model.info.prunables.clone().iter().zip(&sens.drops) {

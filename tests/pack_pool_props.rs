@@ -10,23 +10,26 @@
 //!   equal to its spec too, accumulating onto a nonzero buffer: on every
 //!   conv of the three zoo models and on random stride-1 same-width
 //!   geometries (the shifted-plane bodies), 1-wide planes and kernels as
-//!   wide as the padded input included.
+//!   wide as the padded input included. On the same geometries the
+//!   row-major im2col of i16 and i8 data (the host Q15/Q8 conv layout)
+//!   equals its scalar spec and the transpose of the patch-major spec.
 //! * max-pooling agrees with a naive per-window reference for square and
 //!   rectangular windows, ignores odd tails (rows/columns that don't fill
 //!   a window), records first-wins argmax offsets, and routes gradients
-//!   back through exactly those offsets.
+//!   back through exactly those offsets; the i16 and i8 pools agree with
+//!   the per-window integer max.
 //! * the Q8 GEMM's dispatched body is bitwise equal to the wrapping-i32
 //!   scalar spec on full-range i8 operands.
 
 use iprune_repro::models::arch::PrunableKind;
 use iprune_repro::models::zoo::App;
 use iprune_repro::tensor::pack::{
-    col2im_f32, col2im_f32_scalar, im2col_f32, im2col_f32_scalar, im2col_patches,
-    im2col_patches_scalar, ConvShape,
+    col2im_f32, col2im_f32_scalar, im2col_patches, im2col_patches_scalar, im2col_rows,
+    im2col_rows_scalar, ConvShape, PackElem,
 };
 use iprune_repro::tensor::pool::{
     maxpool2d_backward_f32, maxpool2d_f32, maxpool2d_f32_argmax, maxpool2d_f32_scalar,
-    maxpool2d_i16,
+    maxpool2d_i16, maxpool2d_i8,
 };
 use iprune_repro::tensor::qgemm::{q8_gemm, q8_gemm_scalar};
 use proptest::prelude::*;
@@ -126,15 +129,21 @@ fn conv_shape(
 
 /// Checks, bit for bit, that the dispatched im2col equals its scalar spec
 /// and that the dispatched col2im equals its spec when both accumulate onto
-/// the same nonzero input-gradient buffer. Every destination starts filled
+/// the same nonzero input-gradient buffer; then that the row-major im2col
+/// of the same input quantized to i16 and to i8 equals its spec and the
+/// transpose of the patch-major spec. Every destination starts filled
 /// with a different value, so an element a body forgets to write shows.
 fn check_pack_and_unpack(s: &ConvShape, seed: u64) {
     let src = operand(s.in_len(), seed);
     let mut got = vec![0.125f32; s.col_len()];
-    im2col_f32(&src, s, &mut got);
+    im2col_rows(&src, s, &mut got);
     let mut spec = vec![0.25f32; s.col_len()];
-    im2col_f32_scalar(&src, s, &mut spec);
+    im2col_rows_scalar(&src, s, &mut spec);
     assert_eq!(bits(&got), bits(&spec), "im2col {s:?}");
+    let src_i16: Vec<i16> = src.iter().map(|&v| (v * 65535.0) as i16).collect();
+    check_int_rows(s, &src_i16, [3, 5, 9]);
+    let src_i8: Vec<i8> = src.iter().map(|&v| (v * 255.0) as i8).collect();
+    check_int_rows(s, &src_i8, [3, 5, 9]);
 
     let grad_col = operand(s.col_len(), seed ^ 0xC0FFEE);
     let start: Vec<f32> = operand(s.in_len(), seed ^ 0xBEEF).iter().map(|v| v + 1.0).collect();
@@ -143,6 +152,29 @@ fn check_pack_and_unpack(s: &ConvShape, seed: u64) {
     let mut gx_spec = start;
     col2im_f32_scalar(&grad_col, s, &mut gx_spec);
     assert_eq!(bits(&gx), bits(&gx_spec), "col2im {s:?}");
+}
+
+/// The row-major im2col of integer data equals its scalar spec and the
+/// transpose of the patch-major spec; `fills` start the three
+/// destinations at distinct values.
+fn check_int_rows<T: PackElem + PartialEq + std::fmt::Debug>(
+    s: &ConvShape,
+    src: &[T],
+    fills: [T; 3],
+) {
+    let mut got = vec![fills[0]; s.col_len()];
+    im2col_rows(src, s, &mut got);
+    let mut spec = vec![fills[1]; s.col_len()];
+    im2col_rows_scalar(src, s, &mut spec);
+    assert_eq!(got, spec, "integer rows {s:?}");
+    let mut patches = vec![fills[2]; s.col_len()];
+    im2col_patches_scalar(src, s, &mut patches);
+    let (k, n) = (s.k(), s.out_hw());
+    for ki in 0..k {
+        for j in 0..n {
+            assert_eq!(got[ki * n + j], patches[j * k + ki], "transpose {s:?} at ({ki}, {j})");
+        }
+    }
 }
 
 /// Every conv geometry of the three zoo models. SQN's stride-2 first conv
@@ -235,10 +267,10 @@ proptest! {
         let want = naive_im2col_rows(&src, &s);
 
         let mut rows = vec![0.125f32; s.col_len()];
-        im2col_f32(&src, &s, &mut rows);
+        im2col_rows(&src, &s, &mut rows);
         prop_assert_eq!(bits(&rows), bits(&want));
         let mut rows_spec = vec![0.25f32; s.col_len()];
-        im2col_f32_scalar(&src, &s, &mut rows_spec);
+        im2col_rows_scalar(&src, &s, &mut rows_spec);
         prop_assert_eq!(bits(&rows_spec), bits(&want));
 
         // patch layout is the transpose of the row layout
@@ -302,15 +334,20 @@ proptest! {
         let src_i16: Vec<i16> = src.iter().map(|&v| (v * 1000.0) as i16).collect();
         let mut dst16 = vec![0i16; ho * wo];
         maxpool2d_i16(&src_i16, h, w, kh, kw, &mut dst16);
-        for (o, &d) in dst16.iter().enumerate() {
-            let mut best = i16::MIN;
+        let src_i8: Vec<i8> = src.iter().map(|&v| (v * 255.0) as i8).collect();
+        let mut dst8 = vec![0i8; ho * wo];
+        maxpool2d_i8(&src_i8, h, w, kh, kw, &mut dst8);
+        for (o, (&d, &d8)) in dst16.iter().zip(&dst8).enumerate() {
+            let (mut best, mut best8) = (i16::MIN, i8::MIN);
             let (oy, ox) = (o / wo, o % wo);
             for ky in 0..kh {
                 for kx in 0..kw {
                     best = best.max(src_i16[(oy * kh + ky) * w + ox * kw + kx]);
+                    best8 = best8.max(src_i8[(oy * kh + ky) * w + ox * kw + kx]);
                 }
             }
             prop_assert_eq!(d, best);
+            prop_assert_eq!(d8, best8);
         }
     }
 

@@ -16,7 +16,7 @@ use iprune_repro::pruning::Criterion;
 use iprune_repro::tensor::par;
 
 /// Bit patterns of every weight tensor in the model, in layer order.
-fn weight_bits(model: &mut iprune_repro::models::model::Model) -> Vec<u32> {
+fn weight_bits(model: &iprune_repro::models::model::Model) -> Vec<u32> {
     model.snapshot().iter().flat_map(|t| t.data().iter().map(|x| x.to_bits())).collect()
 }
 
@@ -28,7 +28,7 @@ fn train_and_evaluate_are_thread_count_invariant() {
         let ds = App::Har.dataset(48, 9);
         let loss = train_sgd(&mut m, &ds, &TrainConfig { epochs: 1, ..Default::default() });
         let acc = evaluate(&m, &ds, 16);
-        let weights = weight_bits(&mut m);
+        let weights = weight_bits(&m);
         par::set_threads(0);
         (loss.to_bits(), acc.to_bits(), weights)
     };
@@ -54,7 +54,7 @@ fn sensitivity_analysis_is_thread_count_invariant() {
             &TimingModel::default(),
             &EnergyModel::default(),
         );
-        let sens = analyze(&mut m, &states, &ds.take(24), 0.3, 12);
+        let sens = analyze(&m, &states, &ds.take(24), 0.3, 12);
         par::set_threads(0);
         (sens.baseline.to_bits(), sens.drops.iter().map(|d| d.to_bits()).collect::<Vec<u64>>())
     };

@@ -4,8 +4,9 @@
 //! spec and the AVX2 bodies (FMA fuses roundings, so bitwise equality is
 //! not expected); the block-sparse forms promise *bitwise* agreement with
 //! the dense calls under AVX2 on mask-pruned operands (shared per-element
-//! operation schedule); and the Q15 GEMM and the device engine's Q15 block
-//! kernel promise *bitwise* agreement between their scalar and
+//! operation schedule); and the integer GEMMs and block kernels (the
+//! device engine's Q15 block kernel and its Q8 twin, which the host convs
+//! also run on) promise *bitwise* agreement between their scalar and
 //! `madd`-based bodies. Each property is exercised
 //! by forcing the process dispatch level both ways; on hosts without AVX2
 //! every test degrades to a scalar self-check and the forced-AVX2 legs are
@@ -19,14 +20,16 @@ use iprune_repro::tensor::matmul::{
     matmul_a_bt, matmul_a_bt_scalar, matmul_acc, matmul_acc_scalar, matmul_at_b, matmul_at_b_scalar,
 };
 use iprune_repro::tensor::pack::{
-    im2col_f32, im2col_f32_scalar, im2col_patches, im2col_patches_scalar, ConvShape,
+    im2col_patches, im2col_patches_scalar, im2col_rows, im2col_rows_scalar, ConvShape,
 };
 use iprune_repro::tensor::par;
 use iprune_repro::tensor::pool::{
     maxpool2d_f32, maxpool2d_f32_argmax, maxpool2d_f32_argmax_scalar, maxpool2d_f32_scalar,
-    maxpool2d_i16, maxpool2d_i16_scalar, maxpool2d_i8,
+    maxpool2d_i16, maxpool2d_i16_scalar, maxpool2d_i8, maxpool2d_i8_scalar,
 };
-use iprune_repro::tensor::qgemm::{q15_block_acc, q15_block_acc_scalar, q15_gemm, q8_gemm};
+use iprune_repro::tensor::qgemm::{
+    q15_block_acc, q15_block_acc_scalar, q15_gemm, q8_block_acc, q8_block_acc_scalar, q8_gemm,
+};
 use iprune_repro::tensor::simd::{avx2_supported, set_simd_level, simd_level, SimdLevel};
 use iprune_repro::tensor::sparse::SparseIndex;
 use std::sync::{Mutex, MutexGuard};
@@ -369,7 +372,8 @@ fn conv_shape(t: &[usize; 8]) -> ConvShape {
 }
 
 /// im2col is pure data movement, so both layouts promise *bitwise*
-/// equality across dispatch levels for every geometry and element type.
+/// equality across dispatch levels for every geometry and element type
+/// (the row-major bodies serve f32, i16 and i8 alike).
 #[test]
 fn im2col_is_bitwise_exact_across_levels() {
     let _g = hold_level();
@@ -380,11 +384,15 @@ fn im2col_is_bitwise_exact_across_levels() {
         let src_i8: Vec<i8> = src.iter().map(|&v| (v * 127.0) as i8).collect();
 
         let mut spec = vec![0.0f32; s.col_len()];
-        im2col_f32_scalar(&src, &s, &mut spec);
+        im2col_rows_scalar(&src, &s, &mut spec);
         let mut spec_i16 = vec![0i16; s.col_len()];
         im2col_patches_scalar(&src_i16, &s, &mut spec_i16);
         let mut spec_i8 = vec![0i8; s.col_len()];
         im2col_patches_scalar(&src_i8, &s, &mut spec_i8);
+        let mut rows_spec_i16 = vec![0i16; s.col_len()];
+        im2col_rows_scalar(&src_i16, &s, &mut rows_spec_i16);
+        let mut rows_spec_i8 = vec![0i8; s.col_len()];
+        im2col_rows_scalar(&src_i8, &s, &mut rows_spec_i8);
 
         let levels: &[SimdLevel] = if avx2_supported() {
             &[SimdLevel::Scalar, SimdLevel::Avx2]
@@ -394,7 +402,7 @@ fn im2col_is_bitwise_exact_across_levels() {
         for &lvl in levels {
             set_simd_level(lvl);
             let mut col = vec![0.5f32; s.col_len()];
-            im2col_f32(&src, &s, &mut col);
+            im2col_rows(&src, &s, &mut col);
             assert_eq!(bits(&col), bits(&spec), "f32 shape {ti} at {lvl:?}");
             let mut col16 = vec![7i16; s.col_len()];
             im2col_patches(&src_i16, &s, &mut col16);
@@ -402,6 +410,12 @@ fn im2col_is_bitwise_exact_across_levels() {
             let mut col8 = vec![7i8; s.col_len()];
             im2col_patches(&src_i8, &s, &mut col8);
             assert_eq!(col8, spec_i8, "i8 shape {ti} at {lvl:?}");
+            let mut rows16 = vec![5i16; s.col_len()];
+            im2col_rows(&src_i16, &s, &mut rows16);
+            assert_eq!(rows16, rows_spec_i16, "i16 rows shape {ti} at {lvl:?}");
+            let mut rows8 = vec![5i8; s.col_len()];
+            im2col_rows(&src_i8, &s, &mut rows8);
+            assert_eq!(rows8, rows_spec_i8, "i8 rows shape {ti} at {lvl:?}");
         }
     }
 }
@@ -412,7 +426,9 @@ fn im2col_is_bitwise_exact_across_levels() {
 #[test]
 fn maxpool_is_bitwise_exact_across_levels() {
     let _g = hold_level();
-    // (h, w, kh, kw): vector kw∈{1,2} paths, scalar kw=3 fallback, 1-D
+    // (h, w, kh, kw): vector kw∈{1,2} paths, scalar kw=3 fallback, 1-D;
+    // the last four are wide enough for whole 32-lane i8 vectors plus a
+    // tail
     let shapes: &[(usize, usize, usize, usize)] = &[
         (4, 8, 2, 2),
         (8, 16, 2, 2),
@@ -421,6 +437,10 @@ fn maxpool_is_bitwise_exact_across_levels() {
         (12, 1, 2, 1),
         (7, 9, 2, 3),
         (3, 33, 3, 2),
+        (4, 64, 2, 2),
+        (6, 70, 3, 2),
+        (5, 40, 2, 1),
+        (130, 1, 2, 1),
     ];
     for (ti, &(h, w, kh, kw)) in shapes.iter().enumerate() {
         let src = operand(h * w, 0x9001 + ti as u64);
@@ -435,6 +455,8 @@ fn maxpool_is_bitwise_exact_across_levels() {
         maxpool2d_f32_argmax_scalar(&src, h, w, kh, kw, &mut spec_arg_dst, &mut spec_arg);
         let mut spec_i16 = vec![0i16; ho * wo];
         maxpool2d_i16_scalar(&src_i16, h, w, kh, kw, &mut spec_i16);
+        let mut spec_i8 = vec![0i8; ho * wo];
+        maxpool2d_i8_scalar(&src_i8, h, w, kh, kw, &mut spec_i8);
 
         let levels: &[SimdLevel] = if avx2_supported() {
             &[SimdLevel::Scalar, SimdLevel::Avx2]
@@ -456,7 +478,8 @@ fn maxpool_is_bitwise_exact_across_levels() {
             assert_eq!(dst16, spec_i16, "i16 shape {ti} at {lvl:?}");
             let mut dst8 = vec![0i8; ho * wo];
             maxpool2d_i8(&src_i8, h, w, kh, kw, &mut dst8);
-            // i8 is scalar at every level: compare level-to-level via i16
+            assert_eq!(dst8, spec_i8, "i8 shape {ti} at {lvl:?}");
+            // and against the i16 spec on the widened values
             let as16: Vec<i16> = dst8.iter().map(|&v| v as i16).collect();
             let src8_as16: Vec<i16> = src_i8.iter().map(|&v| v as i16).collect();
             let mut want8 = vec![0i16; ho * wo];
@@ -586,5 +609,76 @@ fn q15_block_acc_simd_is_bitwise_exact_vs_scalar() {
             q15_block_acc(&block, &x, &mut got, 4, 4, 64, 4);
             assert_eq!(got, spec, "extremes, w = {w}");
         }
+    }
+}
+
+/// The Q8 block kernel is *bitwise* exact across dispatch levels for
+/// arbitrary i8 operands, `i8::MIN` included, on the shapes the Q15 block
+/// kernel's test walks: odd `cols`, `s_len % 16 != 0`, and `bc > cols`.
+#[test]
+fn q8_block_acc_simd_is_bitwise_exact_vs_scalar() {
+    let _g = hold_level();
+    let mut s = 0xb18c_u64;
+    let mut next = move || {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        s
+    };
+    for rows in 1..=16usize {
+        for cols in 1..=4usize {
+            let bc = cols + rows % 2;
+            for s_len in [1usize, 7, 8, 9, 16, 25, 64] {
+                // full-range weights, ~1/4 zeros, an all-zero column pair in
+                // every other row, and i8::MIN in the last used weight
+                let mut block: Vec<i8> = (0..rows * bc)
+                    .map(|_| if next() % 4 == 0 { 0 } else { next() as i8 })
+                    .collect();
+                for r in (0..rows).step_by(2) {
+                    block[r * bc..r * bc + cols.min(2)].fill(0);
+                }
+                block[(rows - 1) * bc + cols - 1] = i8::MIN;
+                let mut x: Vec<i8> = (0..cols * s_len).map(|_| next() as i8).collect();
+                x[0] = i8::MIN;
+                x[cols * s_len - 1] = i8::MAX;
+                // accumulators near the i32 edges, so the wrap shows
+                let start: Vec<i32> =
+                    (0..rows * s_len)
+                        .map(|i| {
+                            if i % 3 == 0 {
+                                i32::MAX - (next() % 64) as i32
+                            } else {
+                                next() as i32
+                            }
+                        })
+                        .collect();
+                let mut spec = start.clone();
+                q8_block_acc_scalar(&block, &x, &mut spec, rows, cols, s_len, bc);
+                for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+                    if level == SimdLevel::Avx2 && !avx2_supported() {
+                        continue;
+                    }
+                    set_simd_level(level);
+                    let mut got = start.clone();
+                    q8_block_acc(&block, &x, &mut got, rows, cols, s_len, bc);
+                    assert_eq!(
+                        got, spec,
+                        "{level:?} rows {rows} cols {cols} bc {bc} s_len {s_len}"
+                    );
+                }
+            }
+        }
+    }
+    // the extreme pair sum: 2 * (-128) * (-128) = 2^15, exact in the madd
+    let block = vec![i8::MIN; 4 * 4];
+    let x = vec![i8::MIN; 4 * 32];
+    let mut spec = vec![0i32; 4 * 32];
+    q8_block_acc_scalar(&block, &x, &mut spec, 4, 4, 32, 4);
+    assert_eq!(spec[0], 4 * 128 * 128);
+    if avx2_supported() {
+        set_simd_level(SimdLevel::Avx2);
+        let mut got = vec![0i32; 4 * 32];
+        q8_block_acc(&block, &x, &mut got, 4, 4, 32, 4);
+        assert_eq!(got, spec, "extremes");
     }
 }
