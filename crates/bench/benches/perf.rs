@@ -3,12 +3,14 @@
 //! integer GEMMs (with deterministic output checksums — the SIMD bodies
 //! are exact, so the hashes must agree across dispatch levels), im2col
 //! packing and max-pooling throughput (bitwise data-movement checksums),
-//! the host integer convs in the patch-major dot form and in the row
-//! form over alive blocks (per zoo layer, one output checksum both forms
-//! reproduce), end-to-end quantized inference at both dispatch levels,
-//! f32-vs-Q15/Q8 evaluation accuracy per zoo app, block-sparse vs dense
-//! kernels at 30/50/80 % block sparsity, and prune-pipeline wall-clock at
-//! 1/2/4/8 requested threads.
+//! the integer max-pools of every zoo layer whose output rows are
+//! narrower than one vector, the Q15/Q8 requantize + ReLU epilogues in ns
+//! per output, the host integer convs in the patch-major dot form and in
+//! the row form over alive blocks (per zoo layer, one output checksum
+//! both forms reproduce), end-to-end quantized inference at both dispatch
+//! levels, f32-vs-Q15/Q8 evaluation accuracy per zoo app, block-sparse vs
+//! dense kernels at 30/50/80 % block sparsity, and prune-pipeline
+//! wall-clock at 1/2/4/8 requested threads.
 //!
 //! The JSON header records the detected CPU features and the effective
 //! SIMD dispatch level (`IPRUNE_SIMD=0` forces scalar), so a recorded
@@ -50,11 +52,15 @@ use iprune_tensor::matmul::{
 use iprune_tensor::pack::{self, ConvShape};
 use iprune_tensor::par;
 use iprune_tensor::pool;
-use iprune_tensor::qgemm::{q15_gemm, q15_gemm_scalar, q8_gemm, q8_gemm_scalar};
+use iprune_tensor::qgemm::{
+    q15_gemm, q15_gemm_scalar, q15_requantize_relu, q15_requantize_relu_scalar, q8_gemm,
+    q8_gemm_scalar, q8_requantize_relu, q8_requantize_relu_scalar,
+};
 use iprune_tensor::simd::{self, SimdLevel};
 use iprune_tensor::sparse::{self, SparseIndex};
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::time::Instant;
 
 /// Whether the host offers FMA — detected independently of the combined
@@ -493,6 +499,155 @@ fn bench_pool() -> Vec<PoolRow> {
     });
     par::set_threads(0);
     rows
+}
+
+struct PoolLayerRow {
+    variant: &'static str,
+    layer: &'static str,
+    scalar_us: f64,
+    simd_us: f64,
+    checksum: u64,
+}
+
+/// Times the integer max-pools on the zoo layers whose output rows are
+/// narrower than one vector — both SQN pools, both CKS pools (CKS's 61-row
+/// planes drop a row and a column each) and HAR's 16-output plane — as
+/// the graph walk calls them: one call over the layer's whole plane stack,
+/// scalar spec vs dispatched, µs per call, on full-range values.
+fn bench_pool_layers() -> Vec<PoolLayerRow> {
+    let layers: [(&str, usize, usize, usize, usize, usize); 5] = [
+        ("sqn 80x16x16", 80, 16, 16, 2, 2),
+        ("sqn 144x8x8", 144, 8, 8, 2, 2),
+        ("cks 32x61x13", 32, 61, 13, 2, 2),
+        ("cks 48x30x6", 48, 30, 6, 2, 2),
+        ("har 64x32x1", 64, 32, 1, 2, 1),
+    ];
+    let mut rows = Vec::new();
+    for (li, &(layer, c, h, w, kh, kw)) in layers.iter().enumerate() {
+        let mut s = 0x9001_u64 + li as u64;
+        let raw: Vec<u64> = (0..c * h * w)
+            .map(|_| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                s
+            })
+            .collect();
+        let geometry = (h, w, kh, kw);
+        let src16: Vec<i16> = raw.iter().map(|&r| (r >> 7) as i16).collect();
+        let (scalar_us, simd_us, dst16) =
+            time_pool(&src16, geometry, pool::maxpool2d_i16_scalar, pool::maxpool2d_i16);
+        let checksum = fnv64(&dst16);
+        rows.push(PoolLayerRow { variant: "i16", layer, scalar_us, simd_us, checksum });
+        let src8: Vec<i8> = raw.iter().map(|&r| (r >> 9) as i8).collect();
+        let (scalar_us, simd_us, dst8) =
+            time_pool(&src8, geometry, pool::maxpool2d_i8_scalar, pool::maxpool2d_i8);
+        let checksum = fnv64_bytes(dst8.iter().map(|&v| v as u8));
+        rows.push(PoolLayerRow { variant: "i8", layer, scalar_us, simd_us, checksum });
+    }
+    rows
+}
+
+/// An integer pool entry: `(src, h, w, kh, kw, dst)`.
+type IntPool<T> = fn(&[T], usize, usize, usize, usize, &mut [T]);
+
+/// µs per call of `spec` and `pool` on one plane stack (median of 31
+/// timed loops of 10 calls), and the dispatched output, asserted equal to
+/// the spec's.
+fn time_pool<T: Copy + Default + PartialEq + std::fmt::Debug>(
+    src: &[T],
+    (h, w, kh, kw): (usize, usize, usize, usize),
+    spec: IntPool<T>,
+    pool: IntPool<T>,
+) -> (f64, f64, Vec<T>) {
+    let (reps, calls) = (31, 10);
+    let out = src.len() / (h * w) * (h / kh) * (w / kw);
+    let (mut want, mut got) = (vec![T::default(); out], vec![T::default(); out]);
+    let t_scalar = time_median(reps, || {
+        for _ in 0..calls {
+            spec(src, h, w, kh, kw, &mut want);
+        }
+    });
+    let t_simd = time_median(reps, || {
+        for _ in 0..calls {
+            pool(src, h, w, kh, kw, &mut got);
+        }
+    });
+    assert_eq!(got, want, "{h}x{w} pool: dispatched differs from the spec");
+    (t_scalar / calls as f64 * 1e6, t_simd / calls as f64 * 1e6, got)
+}
+
+struct EpilogueRow {
+    precision: &'static str,
+    outputs: usize,
+    shift: u8,
+    scalar_ns: f64,
+    simd_ns: f64,
+    checksum: u64,
+}
+
+/// Times the requantize + ReLU epilogues at CKS conv0's output (32 × 793
+/// accumulators), scalar spec vs dispatched, in ns per output. The
+/// accumulators carry random signs and magnitudes up to twice the clamp,
+/// as a conv's pre-activation sums do, so neither the sign nor the clamp
+/// is predictable; the fracs pass through `black_box`, so the shift is a
+/// runtime value as in inference.
+fn bench_epilogue() -> Vec<EpilogueRow> {
+    let n = 32 * 793;
+    let mut s = 0xe9_1109_u64;
+    let mut next = move || {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        s
+    };
+    // Q15: net shift 12 + 14 − 11 = 15; outputs up to ±2^16
+    let fracs15 = black_box((12u8, 14u8, 11u8));
+    let acc15: Vec<i64> = (0..n).map(|_| (next() as i64) >> (32 + next() % 8)).collect();
+    let (scalar_ns, simd_ns, got15) =
+        time_epilogue(&acc15, fracs15, q15_requantize_relu_scalar, q15_requantize_relu);
+    let q15 = EpilogueRow {
+        precision: "q15",
+        outputs: n,
+        shift: fracs15.0 + fracs15.1 - fracs15.2,
+        scalar_ns,
+        simd_ns,
+        checksum: fnv64(&got15),
+    };
+    // Q8: net shift 5 + 6 − 4 = 7; outputs up to ±2^8
+    let fracs8 = black_box((5u8, 6u8, 4u8));
+    let acc8: Vec<i32> = (0..n).map(|_| (next() as i32) >> (16 + next() % 8)).collect();
+    let (scalar_ns, simd_ns, got8) =
+        time_epilogue(&acc8, fracs8, q8_requantize_relu_scalar, q8_requantize_relu);
+    let q8 = EpilogueRow {
+        precision: "q8",
+        outputs: n,
+        shift: fracs8.0 + fracs8.1 - fracs8.2,
+        scalar_ns,
+        simd_ns,
+        checksum: fnv64_bytes(got8.iter().map(|&v| v as u8)),
+    };
+    vec![q15, q8]
+}
+
+/// An epilogue entry: `(acc, out, in_frac, w_frac, out_frac, relu)`.
+type Epilogue<A, O> = fn(&[A], &mut [O], u8, u8, u8, bool);
+
+/// ns per output of `spec` and `epilogue` under ReLU (median of 31 timed
+/// calls), and the dispatched output, asserted equal to the spec's.
+fn time_epilogue<A, O: Copy + Default + PartialEq + std::fmt::Debug>(
+    acc: &[A],
+    (in_frac, w_frac, out_frac): (u8, u8, u8),
+    spec: Epilogue<A, O>,
+    epilogue: Epilogue<A, O>,
+) -> (f64, f64, Vec<O>) {
+    let reps = 31;
+    let (mut want, mut got) = (vec![O::default(); acc.len()], vec![O::default(); acc.len()]);
+    let t_scalar = time_median(reps, || spec(acc, &mut want, in_frac, w_frac, out_frac, true));
+    let t_simd = time_median(reps, || epilogue(acc, &mut got, in_frac, w_frac, out_frac, true));
+    assert_eq!(got, want, "epilogue: dispatched differs from the spec");
+    let per_output = |t: f64| t / acc.len() as f64 * 1e9;
+    (per_output(t_scalar), per_output(t_simd), got)
 }
 
 struct Q8Row {
@@ -1091,6 +1246,40 @@ fn main() {
         );
     }
 
+    let pool_layer_rows = bench_pool_layers();
+    println!();
+    println!(
+        "integer max-pool per zoo layer, one call per plane stack (serial, dispatch={dispatch}):"
+    );
+    for r in &pool_layer_rows {
+        println!(
+            "  {:<4} {:<14} scalar {:>7.2} us  simd {:>7.2} us  ({:.2}x)  checksum {:#018x}",
+            r.variant,
+            r.layer,
+            r.scalar_us,
+            r.simd_us,
+            r.scalar_us / r.simd_us,
+            r.checksum
+        );
+    }
+
+    // The requantize + ReLU epilogues of the host convs and the engine.
+    let epilogue_rows = bench_epilogue();
+    println!();
+    println!("requantize + ReLU epilogue, CKS conv0 32x793 outputs (serial, dispatch={dispatch}):");
+    for r in &epilogue_rows {
+        println!(
+            "  {:<4} shift {:>2}  scalar {:>6.3} ns/output  simd {:>6.3} ns/output  ({:.2}x)  \
+             checksum {:#018x}",
+            r.precision,
+            r.shift,
+            r.scalar_ns,
+            r.simd_ns,
+            r.scalar_ns / r.simd_ns,
+            r.checksum
+        );
+    }
+
     // End-to-end quantized inference at both dispatch levels.
     let e2e_rows = bench_quant_e2e();
     println!();
@@ -1107,9 +1296,8 @@ fn main() {
             assert!(speedup >= 1.3, "Q15 end-to-end SIMD speedup below 1.3x: {speedup:.2}x");
         }
         if dispatch == "avx2" {
-            // q8 on HAR is bound by per-element requantization and the
-            // small-k scalar tails, so its SIMD win is thin; the guard only
-            // catches a real regression, not timer noise
+            // a loose floor for both engines: the guard only catches a
+            // real regression, not timer noise
             assert!(
                 speedup >= 0.9,
                 "{} end-to-end SIMD slower than scalar: {speedup:.2}x",
@@ -1368,6 +1556,18 @@ fn main() {
     }
     json.push_str("  ],\n");
     json.push_str("  \"pool\": [\n");
+    for r in &pool_layer_rows {
+        let _ = writeln!(
+            json,
+            "    {{\"variant\": \"{}\", \"layer\": \"{}\", \"scalar_us\": {:.3}, \
+             \"simd_us\": {:.3}, \"speedup\": {:.4}}},",
+            r.variant,
+            r.layer,
+            r.scalar_us,
+            r.simd_us,
+            r.scalar_us / r.simd_us
+        );
+    }
     for (i, r) in pool_rows.iter().enumerate() {
         let _ = write!(
             json,
@@ -1384,6 +1584,13 @@ fn main() {
     // Structural: pooled output (and argmax sum) hashed — the vector max
     // replicates scalar first-wins tie-breaking bitwise.
     json.push_str("  \"pool_checksums\": [\n");
+    for r in &pool_layer_rows {
+        let _ = writeln!(
+            json,
+            "    {{\"variant\": \"{}\", \"layer\": \"{}\", \"out_checksum\": \"{:#018x}\"}},",
+            r.variant, r.layer, r.checksum
+        );
+    }
     for (i, r) in pool_rows.iter().enumerate() {
         let _ = write!(
             json,
@@ -1473,6 +1680,34 @@ fn main() {
             r.checksum
         );
         json.push_str(if i + 1 < qconv_rows.len() { ",\n" } else { "\n" });
+    }
+    json.push_str("  ],\n");
+    json.push_str("  \"epilogue\": [\n");
+    for (i, r) in epilogue_rows.iter().enumerate() {
+        let _ = write!(
+            json,
+            "    {{\"precision\": \"{}\", \"outputs\": {}, \"scalar_ns\": {:.4}, \
+             \"simd_ns\": {:.4}, \"speedup\": {:.4}}}",
+            r.precision,
+            r.outputs,
+            r.scalar_ns,
+            r.simd_ns,
+            r.scalar_ns / r.simd_ns
+        );
+        json.push_str(if i + 1 < epilogue_rows.len() { ",\n" } else { "\n" });
+    }
+    json.push_str("  ],\n");
+    // Structural: each epilogue's outputs hashed — the dispatched body
+    // equals the scalar spec (asserted above) at every dispatch level.
+    json.push_str("  \"epilogue_checksums\": [\n");
+    for (i, r) in epilogue_rows.iter().enumerate() {
+        let _ = write!(
+            json,
+            "    {{\"precision\": \"{}\", \"outputs\": {}, \"shift\": {}, \"relu\": true, \
+             \"out_checksum\": \"{:#018x}\"}}",
+            r.precision, r.outputs, r.shift, r.checksum
+        );
+        json.push_str(if i + 1 < epilogue_rows.len() { ",\n" } else { "\n" });
     }
     json.push_str("  ],\n");
     // acc_f32 rides the float kernels, whose ULPs legitimately differ

@@ -23,7 +23,8 @@ pub trait Activation: Copy {
     fn take(ctx: &mut ExecCtx, len: usize) -> Vec<Self>;
     /// Returns a loaned buffer to `ctx`.
     fn put(ctx: &mut ExecCtx, buf: Vec<Self>);
-    /// Max-pools one `[h, w]` plane with window = stride = `(kh, kw)`.
+    /// Max-pools every `[h, w]` plane stacked in `src` into its
+    /// `[h / kh, w / kw]` plane of `dst`, window = stride = `(kh, kw)`.
     fn max_pool(src: &[Self], h: usize, w: usize, kh: usize, kw: usize, dst: &mut [Self]);
     /// The average of one plane.
     fn mean(plane: &[Self]) -> Self;
@@ -37,7 +38,10 @@ impl Activation for f32 {
         ctx.put(buf);
     }
     fn max_pool(src: &[f32], h: usize, w: usize, kh: usize, kw: usize, dst: &mut [f32]) {
-        pool::maxpool2d_f32(src, h, w, kh, kw, dst);
+        let out_len = (h / kh) * (w / kw);
+        for (s, d) in src.chunks_exact(h * w).zip(dst.chunks_exact_mut(out_len)) {
+            pool::maxpool2d_f32(s, h, w, kh, kw, d);
+        }
     }
     fn mean(plane: &[f32]) -> f32 {
         let inv = 1.0 / plane.len() as f32;
@@ -145,19 +149,9 @@ pub fn max_pool<E: Activation>(
     kh: usize,
     kw: usize,
 ) {
-    let (sd, dd) = (&info.buffers[src].dims, &info.buffers[dst].dims);
-    let (c, ih, iw, oh, ow) = (sd[0], sd[1], sd[2], dd[1], dd[2]);
+    let (ih, iw) = (info.buffers[src].dims[1], info.buffers[src].dims[2]);
     let (s, d) = split_bufs(bufs, src, dst);
-    for ch in 0..c {
-        E::max_pool(
-            &s[ch * ih * iw..(ch + 1) * ih * iw],
-            ih,
-            iw,
-            kh,
-            kw,
-            &mut d[ch * oh * ow..(ch + 1) * oh * ow],
-        );
-    }
+    E::max_pool(s, ih, iw, kh, kw, d);
 }
 
 /// Averages every channel plane of buffer `src` into one element of `dst`.

@@ -344,12 +344,19 @@ impl Layer for Conv2d {
 
     fn infer(&self, x: &Tensor, ctx: &mut ExecCtx) -> Tensor {
         let (mut out, out_len, col_len) = self.start(x);
-        if !par::in_worker() && par::workers_for(x.dims()[0]) > 1 {
-            // Batched call from the coordinating thread: fan samples over
-            // the worker pool exactly like `forward` (per-worker scratch).
+        let n = x.dims()[0];
+        let workers = par::workers_for(n);
+        if !par::in_worker() && workers > 1 {
+            // Batched call from the coordinating thread: one contiguous
+            // group of samples per worker, each group re-using one im2col
+            // scratch across its samples (the pass overwrites it whole).
             let w = ctx.weights_for(&self.w);
-            par::par_chunks_map(out.data_mut(), out_len, |s, out_s| {
-                self.forward_sample(x, s, w, &mut vec![0.0f32; col_len], out_s);
+            let per = n.div_ceil(workers);
+            par::par_blocks(out.data_mut(), per * out_len, |g, out_g| {
+                let mut col = vec![0.0f32; col_len];
+                for (j, out_s) in out_g.chunks_exact_mut(out_len).enumerate() {
+                    self.forward_sample(x, g * per + j, w, &mut col, out_s);
+                }
             });
         } else {
             // Serial (or nested-in-worker) call: re-use the context's im2col

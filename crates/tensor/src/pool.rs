@@ -1,17 +1,20 @@
 //! Non-overlapping max-pool kernels behind the runtime SIMD dispatch level.
 //!
-//! One call pools a single `[h, w]` channel plane with window = stride =
-//! `(kh, kw)` (floor semantics: trailing rows/columns that do not fill a
-//! window are ignored, matching [`crate::layer::MaxPool2d`]). The scalar
-//! specs are the original per-window loops and remain the executable
-//! reference:
+//! An f32 call pools a single `[h, w]` channel plane with window = stride
+//! = `(kh, kw)` (floor semantics: trailing rows/columns that do not fill a
+//! window are ignored, matching [`crate::layer::MaxPool2d`]); an integer
+//! call pools a stack of such planes stored back to back — one plane, or
+//! every channel of an activation buffer in one call, as the graph walk
+//! makes it. The scalar specs are the original per-window loops and
+//! remain the executable reference:
 //!
 //! * f32 ([`maxpool2d_f32_scalar`]): strict-greater replacement scanning
 //!   the window in `(ky, kx)` order from `-inf` — among equal maxima the
 //!   lexicographically first element wins, which pins both the argmax and
 //!   the result *bits* (`+0.0` vs `-0.0`).
 //! * i16 / i8 ([`maxpool2d_i16_scalar`], [`maxpool2d_i8_scalar`]): plain
-//!   integer window max, as the Q15/Q8 graph evaluators compute it.
+//!   integer window max, plane by plane, as the Q15/Q8 graph evaluators
+//!   compute it.
 //!
 //! # Exactness contract
 //!
@@ -29,9 +32,18 @@
 //!
 //! Vectorized paths cover the window shapes the model zoo uses: `kw == 1`
 //! (vertical pooling, 8/16/32 output lanes for f32/i16/i8) and `kw == 2`
-//! (pair-deinterleave, 8/16/32 outputs per step). Output columns past the
-//! last whole vector — all of them on planes narrower than one vector —
-//! take a scalar tail inside the same body. A `[h, 1]` plane pooled `(kh, 1)` — the 1-D HAR
+//! (pair-deinterleave, 8/16/32 outputs per step). The f32 bodies give the
+//! output columns past a row's last whole vector a scalar tail. One
+//! generic AVX2 body serves i16 and i8 with no scalar tail: output rows of
+//! at least one vector end on a vector that overlaps the previous one, and
+//! narrower rows — every SQN and CKS pool, and HAR's 16-output i8 plane —
+//! run several output rows per vector. Their window rows fold into a
+//! staging buffer, each output row's used columns right after the
+//! previous row's, and the buffer then pools as one flat row: with the
+//! dropped rows and columns never staged, its column pairs are exactly
+//! the windows', and the output rows come out back to back, across plane
+//! boundaries too (CKS's 61-row planes drop a row each, so a stack is not
+//! one tall plane). A `[h, 1]` plane pooled `(kh, 1)` — the 1-D HAR
 //! layout — is first re-expressed as a `[1, h]` plane pooled `(1, kh)`,
 //! which is the identical element sequence per window and routes the 1-D
 //! case onto the `kw == 2` vector path. Other widths fall back to the
@@ -231,29 +243,21 @@ pub fn maxpool2d_backward_f32(arg: &[usize], grad: &[f32], gx: &mut [f32]) {
 // Integer forward
 // ---------------------------------------------------------------------
 
-/// Max-pools one i16 plane, dispatched on the process SIMD level. Bitwise
-/// equal to [`maxpool2d_i16_scalar`] for every input (integer max has no
-/// tie ambiguity).
+/// Max-pools a stack of i16 planes, dispatched on the process SIMD level:
+/// `src` holds `c ≥ 0` back-to-back `[h, w]` planes and `dst` their `c`
+/// pooled `[h / kh, w / kw]` planes. Bitwise equal to
+/// [`maxpool2d_i16_scalar`] for every input (integer max has no tie
+/// ambiguity).
 ///
 /// # Panics
 ///
 /// Panics if slice lengths disagree with the pool geometry.
 pub fn maxpool2d_i16(src: &[i16], h: usize, w: usize, kh: usize, kw: usize, dst: &mut [i16]) {
-    assert_pool(src, h, w, kh, kw, dst.len());
-    let (h, w, kh, kw) = canonical(h, w, kh, kw);
-    #[cfg(target_arch = "x86_64")]
-    if simd::simd_level() == SimdLevel::Avx2 && (kw == 1 || kw == 2) {
-        // SAFETY: level only reports Avx2 on CPUs with avx2; geometry
-        // asserted above.
-        unsafe { avx2::maxpool_int(src, h, w, kh, kw, dst) };
-        return;
-    }
-    let _ = simd::simd_level();
-    maxpool_int_scalar_body(src, h, w, kh, kw, dst);
+    maxpool_int(src, h, w, kh, kw, dst);
 }
 
 /// The i16 scalar spec: integer window max from `i16::MIN`, exactly the
-/// Q15 graph evaluator's loop.
+/// Q15 graph evaluator's loop, plane by plane over the stack.
 ///
 /// # Panics
 ///
@@ -266,40 +270,39 @@ pub fn maxpool2d_i16_scalar(
     kw: usize,
     dst: &mut [i16],
 ) {
-    assert_pool(src, h, w, kh, kw, dst.len());
+    assert_planes(src, h, w, kh, kw, dst.len());
     maxpool_int_scalar_body(src, h, w, kh, kw, dst);
 }
 
-/// Max-pools one i8 plane, dispatched on the process SIMD level. Bitwise
-/// equal to [`maxpool2d_i8_scalar`] for every input (integer max has no
-/// tie ambiguity).
+/// Max-pools a stack of i8 planes, dispatched on the process SIMD level;
+/// the layout of [`maxpool2d_i16`]. Bitwise equal to
+/// [`maxpool2d_i8_scalar`] for every input.
 ///
 /// # Panics
 ///
 /// Panics if slice lengths disagree with the pool geometry.
 pub fn maxpool2d_i8(src: &[i8], h: usize, w: usize, kh: usize, kw: usize, dst: &mut [i8]) {
-    assert_pool(src, h, w, kh, kw, dst.len());
-    let (h, w, kh, kw) = canonical(h, w, kh, kw);
-    #[cfg(target_arch = "x86_64")]
-    if simd::simd_level() == SimdLevel::Avx2 && (kw == 1 || kw == 2) {
-        // SAFETY: level only reports Avx2 on CPUs with avx2; geometry
-        // asserted above.
-        unsafe { avx2::maxpool_int(src, h, w, kh, kw, dst) };
-        return;
-    }
-    let _ = simd::simd_level();
-    maxpool_int_scalar_body(src, h, w, kh, kw, dst);
+    maxpool_int(src, h, w, kh, kw, dst);
 }
 
 /// The i8 scalar spec: integer window max from `i8::MIN`, exactly the Q8
-/// graph evaluator's loop.
+/// graph evaluator's loop, plane by plane over the stack.
 ///
 /// # Panics
 ///
 /// Panics if slice lengths disagree with the pool geometry.
 pub fn maxpool2d_i8_scalar(src: &[i8], h: usize, w: usize, kh: usize, kw: usize, dst: &mut [i8]) {
-    assert_pool(src, h, w, kh, kw, dst.len());
+    assert_planes(src, h, w, kh, kw, dst.len());
     maxpool_int_scalar_body(src, h, w, kh, kw, dst);
+}
+
+/// Checks a plane stack: `src` holds whole `[h, w]` planes and `dst` one
+/// pooled plane per source plane.
+fn assert_planes<T>(src: &[T], h: usize, w: usize, kh: usize, kw: usize, dst_len: usize) {
+    assert!(kh > 0 && kw > 0, "pool window");
+    let planes = src.len().checked_div(h * w).unwrap_or(0);
+    assert_eq!(src.len(), planes * h * w, "pool src length");
+    assert_eq!(dst_len, planes * (h / kh) * (w / kw), "pool dst length");
 }
 
 /// An integer pool element: window maxima start from `MIN`.
@@ -315,7 +318,29 @@ impl PoolInt for i8 {
     const MIN: Self = i8::MIN;
 }
 
-/// The integer scalar spec body, shared by i16 and i8.
+/// The dispatched integer pool, shared by i16 and i8.
+#[cfg(target_arch = "x86_64")]
+fn maxpool_int<T: avx2::Lanes>(src: &[T], h: usize, w: usize, kh: usize, kw: usize, dst: &mut [T]) {
+    assert_planes(src, h, w, kh, kw, dst.len());
+    let (h, w, kh, kw) = canonical(h, w, kh, kw);
+    if simd::simd_level() == SimdLevel::Avx2 && (kw == 1 || kw == 2) && !dst.is_empty() {
+        // SAFETY: level only reports Avx2 on CPUs with avx2; geometry
+        // asserted above.
+        unsafe { avx2::maxpool_int(src, h, w, kh, kw, dst) };
+        return;
+    }
+    maxpool_int_scalar_body(src, h, w, kh, kw, dst);
+}
+
+/// The dispatched integer pool, shared by i16 and i8.
+#[cfg(not(target_arch = "x86_64"))]
+fn maxpool_int<T: PoolInt>(src: &[T], h: usize, w: usize, kh: usize, kw: usize, dst: &mut [T]) {
+    assert_planes(src, h, w, kh, kw, dst.len());
+    maxpool_int_scalar_body(src, h, w, kh, kw, dst);
+}
+
+/// The integer scalar spec body, shared by i16 and i8: the per-window
+/// loop over each plane of the stack.
 fn maxpool_int_scalar_body<T: PoolInt>(
     src: &[T],
     h: usize,
@@ -324,17 +349,21 @@ fn maxpool_int_scalar_body<T: PoolInt>(
     kw: usize,
     dst: &mut [T],
 ) {
-    let _ = h;
-    let (ho, wo) = (dst.len() / (w / kw).max(1), w / kw);
-    for oy in 0..ho {
-        for ox in 0..wo {
-            let mut best = T::MIN;
-            for ky in 0..kh {
-                for kx in 0..kw {
-                    best = best.max(src[(oy * kh + ky) * w + ox * kw + kx]);
+    let (ho, wo) = (h / kh, w / kw);
+    if ho * wo == 0 {
+        return;
+    }
+    for (plane, out) in src.chunks_exact(h * w).zip(dst.chunks_exact_mut(ho * wo)) {
+        for oy in 0..ho {
+            for ox in 0..wo {
+                let mut best = T::MIN;
+                for ky in 0..kh {
+                    for kx in 0..kw {
+                        best = best.max(plane[(oy * kh + ky) * w + ox * kw + kx]);
+                    }
                 }
+                out[oy * wo + ox] = best;
             }
-            dst[oy * wo + ox] = best;
         }
     }
 }
@@ -576,60 +605,158 @@ mod avx2 {
         }
     }
 
-    /// Integer forward for `kw == 1` / `kw == 2`, i16 or i8: rows fold
-    /// with the lane-wise max (order-free), pairs collapse once at the
-    /// end for `kw == 2`; output columns past the last whole vector take
-    /// the scalar tail.
+    /// Loads one vector of `T` from `src[off..]`; lanes past the end of
+    /// `src` read as zero.
     ///
     /// # Safety
     ///
-    /// Requires avx2 and `src`/`dst` matching the pool geometry.
+    /// Requires avx2 and `off < src.len()`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn load_within<T: Lanes>(src: &[T], off: usize) -> __m256i {
+        if off + T::LANES <= src.len() {
+            return _mm256_loadu_si256(src.as_ptr().add(off) as *const __m256i);
+        }
+        let mut tail = _mm256_setzero_si256();
+        core::ptr::copy_nonoverlapping(
+            src.as_ptr().add(off),
+            &mut tail as *mut __m256i as *mut T,
+            src.len() - off,
+        );
+        tail
+    }
+
+    /// Vectors of staging for [`maxpool_int`]'s narrow planes (2 KiB).
+    const STAGE_VECTORS: usize = 64;
+
+    /// Integer forward for `kw == 1` / `kw == 2`, i16 or i8, over a stack
+    /// of planes; integer max is order-free, so any fold order is exact.
+    ///
+    /// * Rows of at least one vector of outputs (`w / kw ≥ LANES`) run
+    ///   whole vectors along each output row: the window rows fold with
+    ///   the lane-wise max, pairs collapse once at the end for `kw == 2`,
+    ///   and a row whose width is not a multiple of the vector ends with
+    ///   one vector that overlaps the previous one.
+    /// * Narrower rows — every SQN and CKS pool, and HAR's i8 plane — run
+    ///   several output rows per vector. The window rows of each output
+    ///   row fold into a stage, one output row's `kw · (w / kw)` used
+    ///   columns after the other (a vector's lanes past them are
+    ///   overwritten by the next row), and the stage then pools flat: its
+    ///   columns pair up exactly as the windows do, so output rows come
+    ///   out back to back as `dst` holds them, across plane boundaries
+    ///   too. Dropped rows and columns are never staged.
+    ///
+    /// # Safety
+    ///
+    /// Requires avx2, `kw ∈ {1, 2}`, a non-empty `dst` and `src`/`dst`
+    /// matching the plane-stack geometry.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn maxpool_int<T: Lanes>(
         src: &[T],
-        _h: usize,
+        h: usize,
         w: usize,
         kh: usize,
         kw: usize,
         dst: &mut [T],
     ) {
         debug_assert!(kw == 1 || kw == 2);
-        let wo = w / kw;
-        let ho = dst.len() / wo.max(1);
-        let sp = src.as_ptr();
-        let load = |off: usize| _mm256_loadu_si256(sp.add(off) as *const __m256i);
         let lanes = T::LANES;
-        let wov = wo - wo % lanes;
-        for oy in 0..ho {
-            let row0 = oy * kh * w;
-            let mut ox = 0usize;
-            while ox < wov {
-                let (mut a0, mut a1) = if kw == 2 {
-                    (load(row0 + 2 * ox), load(row0 + 2 * ox + lanes))
-                } else {
-                    (load(row0 + ox), _mm256_setzero_si256())
-                };
-                for ky in 1..kh {
-                    let row = row0 + ky * w;
-                    if kw == 2 {
-                        a0 = T::max_lanes(a0, load(row + 2 * ox));
-                        a1 = T::max_lanes(a1, load(row + 2 * ox + lanes));
+        let (ho, wo) = (h / kh, w / kw);
+        let rows = dst.len() / wo;
+        let sp = src.as_ptr();
+        let dp = dst.as_mut_ptr();
+        // output row `oy` of plane `p` reads the window rows from here on
+        let base = |p: usize, oy: usize| p * h * w + oy * kh * w;
+        if wo >= lanes {
+            let load = |off: usize| _mm256_loadu_si256(sp.add(off) as *const __m256i);
+            for r in 0..rows {
+                let base = base(r / ho, r % ho);
+                let mut ox = 0;
+                loop {
+                    let (mut a0, mut a1) = if kw == 2 {
+                        (load(base + 2 * ox), load(base + 2 * ox + lanes))
                     } else {
-                        a0 = T::max_lanes(a0, load(row + ox));
+                        (load(base + ox), _mm256_setzero_si256())
+                    };
+                    for ky in 1..kh {
+                        let row = base + ky * w;
+                        if kw == 2 {
+                            a0 = T::max_lanes(a0, load(row + 2 * ox));
+                            a1 = T::max_lanes(a1, load(row + 2 * ox + lanes));
+                        } else {
+                            a0 = T::max_lanes(a0, load(row + ox));
+                        }
                     }
+                    let out = if kw == 2 { T::pairmax(a0, a1) } else { a0 };
+                    _mm256_storeu_si256(dp.add(r * wo + ox) as *mut __m256i, out);
+                    if ox + lanes == wo {
+                        break;
+                    }
+                    ox = (ox + lanes).min(wo - lanes);
                 }
-                let out = if kw == 2 { T::pairmax(a0, a1) } else { a0 };
-                _mm256_storeu_si256(dst.as_mut_ptr().add(oy * wo + ox) as *mut __m256i, out);
-                ox += lanes;
             }
-            for ox in wov..wo {
-                let mut best = T::MIN;
-                for ky in 0..kh {
-                    for kx in 0..kw {
-                        best = best.max(*sp.add(row0 + ky * w + ox * kw + kx));
-                    }
+            return;
+        }
+        let mut stage = [_mm256_setzero_si256(); STAGE_VECTORS];
+        let st = stage.as_mut_ptr() as *mut T;
+        let seg = kw * wo;
+        // a chunk's last row stores up to a vector past its columns, and
+        // the flat pass reads up to two vectors past them; chunks hold a
+        // whole number of output vectors where the capacity allows
+        let fit = (STAGE_VECTORS * lanes - 2 * lanes) / seg;
+        let per_vector = lanes >> wo.trailing_zeros().min(lanes.trailing_zeros());
+        let chunk = (fit - fit % per_vector).max(1);
+        let stage_len = chunk * seg;
+        // the window-row max of `seg` columns from `src[base..]`, staged at
+        // `st[i..]`
+        let fold_row = |base: usize, i: usize| {
+            let mut x = 0;
+            while x < seg {
+                let mut m = load_within(src, base + x);
+                for ky in 1..kh {
+                    m = T::max_lanes(m, load_within(src, base + ky * w + x));
                 }
-                dst[oy * wo + ox] = best;
+                _mm256_storeu_si256(st.add(i + x) as *mut __m256i, m);
+                x += lanes;
+            }
+        };
+        let (mut r0, mut r, mut i) = (0, 0, 0);
+        for p in 0..rows / ho {
+            for oy in 0..ho {
+                fold_row(base(p, oy), i);
+                i += seg;
+                r += 1;
+                if i < stage_len && r < rows {
+                    continue;
+                }
+                i = 0;
+                // the flat pass over the staged rows `r0..r`
+                let n = (r - r0) * wo;
+                let out = dp.add(r0 * wo);
+                let mut o = 0;
+                while o < n {
+                    let v = if kw == 2 {
+                        let pairs = st.add(2 * o);
+                        T::pairmax(
+                            _mm256_loadu_si256(pairs as *const __m256i),
+                            _mm256_loadu_si256(pairs.add(lanes) as *const __m256i),
+                        )
+                    } else {
+                        _mm256_loadu_si256(st.add(o) as *const __m256i)
+                    };
+                    if o + lanes <= n {
+                        _mm256_storeu_si256(out.add(o) as *mut __m256i, v);
+                    } else {
+                        let last = [v];
+                        core::ptr::copy_nonoverlapping(
+                            last.as_ptr() as *const T,
+                            out.add(o),
+                            n - o,
+                        );
+                    }
+                    o += lanes;
+                }
+                r0 = r;
             }
         }
     }

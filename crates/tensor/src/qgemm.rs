@@ -46,6 +46,30 @@
 //! layout but accumulates i8×i8 products in a *wrapping* i32 with the bias
 //! preloaded at accumulator scale; its SIMD bodies are bitwise-equal to
 //! their scalar specs for **all** inputs (see [`q8_gemm`]).
+//!
+//! # Requantize epilogues
+//!
+//! One epilogue per precision serves the host convs and, for Q15, the
+//! engine's tile write-back: [`q15_requantize_relu`] (i64 → i16) and
+//! [`q8_requantize_relu`] (i32 → i8). Their scalar specs,
+//! [`q15_requantize_relu_scalar`] and [`q8_requantize_relu_scalar`], are
+//! one [`requantize`] / [`requantize8`] plus the ReLU clamp per output.
+//! The AVX2 bodies compute the net shift `s = in_frac + w_frac − out_frac`
+//! once per call and round, clamp and apply the ReLU without branches;
+//! outputs past their last whole vector, and every shift outside their
+//! range (`s ≤ 0` included), take the spec itself.
+//!
+//! * Q15: AVX2 has no 64-bit arithmetic shift, so the body clamps the
+//!   accumulator to the range that rounds onto `[lo, i16::MAX]` first and
+//!   then shifts its non-negative offset from the range's bottom
+//!   logically (see `simd::avx2::q15_requantize`). Bitwise equal to the
+//!   spec for every accumulator whose rounding add `acc + 2^(s−1)` does
+//!   not overflow i64 — the spec's own precondition in debug builds, and
+//!   true of every sum a Q15 layer produces (products below 2³⁰ each).
+//! * Q8: the rounding shift stays in i32 through the exact identity
+//!   `(a + 2^(s−1)) >> s = (a >> s) + (((a & (2^s − 1)) + 2^(s−1)) >> s)`,
+//!   and two saturating packs clamp. Bitwise equal to the spec for
+//!   **all** inputs, `i32::MIN` and `i32::MAX` included.
 
 use crate::quant::{requantize, requantize8};
 use crate::simd::{self, q15_dot_i64, q8_dot_i32, SimdLevel};
@@ -250,14 +274,54 @@ fn q15_block_acc_body(
     }
 }
 
-/// The Q15 epilogue: `out[s] = requantize(acc[s], in_frac, w_frac,
-/// out_frac)`, clamped at zero when `relu` is set. The device engine's
-/// tile write-back and the host conv path share it.
+/// The Q15 epilogue dispatched on the process SIMD level: `out[s] =
+/// requantize(acc[s], in_frac, w_frac, out_frac)`, clamped at zero when
+/// `relu` is set. The device engine's tile write-back and the host conv
+/// path share it.
+///
+/// Bitwise equal to [`q15_requantize_relu_scalar`] for every accumulator
+/// whose rounding add `acc + 2^(s−1)` (`s = in_frac + w_frac − out_frac`)
+/// does not overflow i64 — every sum of a Q15 layer (see module docs).
 ///
 /// # Panics
 ///
 /// Panics if `acc` and `out` differ in length.
 pub fn q15_requantize_relu(
+    acc: &[i64],
+    out: &mut [i16],
+    in_frac: u8,
+    w_frac: u8,
+    out_frac: u8,
+    relu: bool,
+) {
+    assert_eq!(acc.len(), out.len(), "epilogue length");
+    let shift = i32::from(in_frac) + i32::from(w_frac) - i32::from(out_frac);
+    #[cfg(target_arch = "x86_64")]
+    let done = if simd::simd_level() == SimdLevel::Avx2
+        && (1..=simd::avx2::Q15_REQUANTIZE_MAX_SHIFT).contains(&shift)
+    {
+        // SAFETY: the dispatch level only reports Avx2 on CPUs with avx2;
+        // the shift is in the body's range.
+        unsafe { simd::avx2::q15_requantize(acc, out, shift as u32, relu) }
+    } else {
+        0
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let done = {
+        let _ = shift;
+        0
+    };
+    // the outputs past the body's last whole vector, or all of them
+    q15_requantize_relu_scalar(&acc[done..], &mut out[done..], in_frac, w_frac, out_frac, relu);
+}
+
+/// Scalar-spec Q15 epilogue: one [`requantize`] and ReLU per output,
+/// identical at any SIMD dispatch level.
+///
+/// # Panics
+///
+/// Panics if `acc` and `out` differ in length.
+pub fn q15_requantize_relu_scalar(
     acc: &[i64],
     out: &mut [i16],
     in_frac: u8,
@@ -467,13 +531,50 @@ fn q8_block_acc_body(
     }
 }
 
-/// The Q8 epilogue: `out[s] = requantize8(acc[s], in_frac, w_frac,
-/// out_frac)`, clamped at zero when `relu` is set.
+/// The Q8 epilogue dispatched on the process SIMD level: `out[s] =
+/// requantize8(acc[s], in_frac, w_frac, out_frac)`, clamped at zero when
+/// `relu` is set. Bitwise equal to [`q8_requantize_relu_scalar`] for every
+/// input.
 ///
 /// # Panics
 ///
 /// Panics if `acc` and `out` differ in length.
 pub fn q8_requantize_relu(
+    acc: &[i32],
+    out: &mut [i8],
+    in_frac: u8,
+    w_frac: u8,
+    out_frac: u8,
+    relu: bool,
+) {
+    assert_eq!(acc.len(), out.len(), "epilogue length");
+    let shift = i32::from(in_frac) + i32::from(w_frac) - i32::from(out_frac);
+    #[cfg(target_arch = "x86_64")]
+    let done = if simd::simd_level() == SimdLevel::Avx2
+        && (1..=simd::avx2::Q8_REQUANTIZE_MAX_SHIFT).contains(&shift)
+    {
+        // SAFETY: the dispatch level only reports Avx2 on CPUs with avx2;
+        // the shift is in the body's range.
+        unsafe { simd::avx2::q8_requantize(acc, out, shift as u32, relu) }
+    } else {
+        0
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let done = {
+        let _ = shift;
+        0
+    };
+    // the outputs past the body's last whole vector, or all of them
+    q8_requantize_relu_scalar(&acc[done..], &mut out[done..], in_frac, w_frac, out_frac, relu);
+}
+
+/// Scalar-spec Q8 epilogue: one [`requantize8`] and ReLU per output,
+/// identical at any SIMD dispatch level.
+///
+/// # Panics
+///
+/// Panics if `acc` and `out` differ in length.
+pub fn q8_requantize_relu_scalar(
     acc: &[i32],
     out: &mut [i8],
     in_frac: u8,

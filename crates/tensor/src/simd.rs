@@ -71,6 +71,14 @@
 //! operand precondition at all. The Q8 block kernel
 //! ([`crate::qgemm::q8_block_acc`]) pairs two reduction columns the same
 //! way and inherits the same unconditional contract.
+//!
+//! # Requantize epilogues
+//!
+//! The bodies of [`crate::qgemm::q15_requantize_relu`] (clamp, then a
+//! logical shift of the non-negative offset, `packus` and a sign flip) and
+//! [`crate::qgemm::q8_requantize_relu`] (the exact i32 rounding identity
+//! and saturating packs) live here too; their exactness arguments are in
+//! [`crate::qgemm`]'s module docs.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -765,6 +773,146 @@ pub(crate) mod avx2 {
             acc = acc.wrapping_add(*a.add(q) as i32 * *b.add(q) as i32);
         }
         acc
+    }
+
+    // -----------------------------------------------------------------
+    // Requantize epilogues.
+    // -----------------------------------------------------------------
+
+    /// The largest net shift [`q15_requantize`] takes: `i16::MIN << s`
+    /// must fit an i64.
+    pub(crate) const Q15_REQUANTIZE_MAX_SHIFT: i32 = 47;
+
+    /// The largest net shift [`q8_requantize`] takes: the rounding carry is
+    /// summed in a u32 lane.
+    pub(crate) const Q8_REQUANTIZE_MAX_SHIFT: i32 = 31;
+
+    /// Q15 epilogue over the leading whole groups of 4 outputs:
+    /// `out[i] = clamp((acc[i] + 2^(s−1)) >> s, lo, i16::MAX)`, `lo` being
+    /// 0 under ReLU and `i16::MIN` otherwise. AVX2 has no 64-bit
+    /// arithmetic shift, so the body clamps first: the rounding
+    /// `f(a) = (a + 2^(s−1)) >> s` is monotone, so clamping `a` to
+    /// `[a_lo, a_hi]` — the accumulators that round onto `lo` and
+    /// `i16::MAX` — and then rounding equals rounding and then clamping.
+    /// On that range `f(a) = ((a − a_lo) >> s) + lo` with a non-negative
+    /// operand, which the logical shift computes; the result lies in
+    /// `[0, 65535]`, so `_mm256_packus_epi32` narrows it exactly and
+    /// flipping bit 15 adds `lo = −32768`. Bitwise equal to
+    /// `quant::requantize` plus the ReLU clamp for every `a` whose
+    /// `a + 2^(s−1)` does not overflow i64.
+    /// Returns the number of outputs written, `len − len % 4`.
+    ///
+    /// # Safety
+    ///
+    /// Requires avx2 and `1 <= shift <= Q15_REQUANTIZE_MAX_SHIFT`.
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn q15_requantize(
+        acc: &[i64],
+        out: &mut [i16],
+        shift: u32,
+        relu: bool,
+    ) -> usize {
+        debug_assert!((1..=Q15_REQUANTIZE_MAX_SHIFT as u32).contains(&shift));
+        let lo = if relu { 0 } else { i64::from(i16::MIN) };
+        let half = 1i64 << (shift - 1);
+        let a_lo = _mm256_set1_epi64x((lo << shift) - half);
+        let a_hi = _mm256_set1_epi64x(((i64::from(i16::MAX) + 1) << shift) - half - 1);
+        let count = _mm_cvtsi32_si128(shift as i32);
+        let flip = _mm256_set1_epi16(if relu { 0 } else { i16::MIN });
+        // `(clamp(a) − a_lo) >> s` for 4 accumulators, each in the low
+        // dword of its lane
+        let offsets = |p: *const i64| {
+            let v = _mm256_loadu_si256(p as *const __m256i);
+            let v = _mm256_blendv_epi8(v, a_lo, _mm256_cmpgt_epi64(a_lo, v));
+            let v = _mm256_blendv_epi8(v, a_hi, _mm256_cmpgt_epi64(v, a_hi));
+            _mm256_srl_epi64(_mm256_sub_epi64(v, a_lo), count)
+        };
+        // words `[00 10 01 11 20 30 21 31 | 02 12 03 13 22 32 23 33]` (group,
+        // lane) after the pack: swap the middle words of each 4-word run,
+        // then interleave the two halves' dwords
+        let words = _mm256_setr_epi8(
+            0, 1, 4, 5, 2, 3, 6, 7, 8, 9, 12, 13, 10, 11, 14, 15, 0, 1, 4, 5, 2, 3, 6, 7, 8, 9, 12,
+            13, 10, 11, 14, 15,
+        );
+        let dwords = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+        let (a, o) = (acc.as_ptr(), out.as_mut_ptr());
+        let n = acc.len().min(out.len());
+        let mut i = 0;
+        while i + 16 <= n {
+            let y0 = offsets(a.add(i));
+            let y1 = offsets(a.add(i + 4));
+            let y2 = offsets(a.add(i + 8));
+            let y3 = offsets(a.add(i + 12));
+            let p01 = _mm256_blend_epi32(y0, _mm256_slli_epi64(y1, 32), 0b1010_1010);
+            let p23 = _mm256_blend_epi32(y2, _mm256_slli_epi64(y3, 32), 0b1010_1010);
+            let w = _mm256_packus_epi32(p01, p23);
+            let w = _mm256_permutevar8x32_epi32(_mm256_shuffle_epi8(w, words), dwords);
+            _mm256_storeu_si256(o.add(i) as *mut __m256i, _mm256_xor_si256(w, flip));
+            i += 16;
+        }
+        let low_dwords = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
+        while i + 4 <= n {
+            let y =
+                _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(offsets(a.add(i)), low_dwords));
+            let w = _mm_xor_si128(_mm_packus_epi32(y, y), _mm256_castsi256_si128(flip));
+            _mm_storel_epi64(o.add(i) as *mut __m128i, w);
+            i += 4;
+        }
+        i
+    }
+
+    /// Q8 epilogue over the leading whole groups of 8 outputs:
+    /// `out[i] = clamp((acc[i] + 2^(s−1)) >> s, lo, i8::MAX)`, `lo` being
+    /// 0 under ReLU and `i8::MIN` otherwise, all in i32 lanes through the
+    /// exact identity `(a + 2^(s−1)) >> s = (a >> s) + (((a & (2^s − 1)) +
+    /// 2^(s−1)) >> s)`: the floor quotient plus a rounding carry of 0 or 1,
+    /// the carry's sum taken unsigned so it cannot overflow. The two
+    /// saturating packs (i32 → i16 → i8) clamp to `[i8::MIN, i8::MAX]` and
+    /// one byte max applies the ReLU. Bitwise equal to
+    /// `quant::requantize8` plus the ReLU clamp for every input. Returns the
+    /// number of outputs written, `len − len % 8`.
+    ///
+    /// # Safety
+    ///
+    /// Requires avx2 and `1 <= shift <= Q8_REQUANTIZE_MAX_SHIFT`.
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn q8_requantize(
+        acc: &[i32],
+        out: &mut [i8],
+        shift: u32,
+        relu: bool,
+    ) -> usize {
+        debug_assert!((1..=Q8_REQUANTIZE_MAX_SHIFT as u32).contains(&shift));
+        let count = _mm_cvtsi32_si128(shift as i32);
+        let frac = _mm256_set1_epi32(((1u32 << shift) - 1) as i32);
+        let half = _mm256_set1_epi32(1 << (shift - 1));
+        let floor = _mm256_set1_epi8(if relu { 0 } else { i8::MIN });
+        let round = |p: *const i32| {
+            let a = _mm256_loadu_si256(p as *const __m256i);
+            let carry = _mm256_add_epi32(_mm256_and_si256(a, frac), half);
+            _mm256_add_epi32(_mm256_sra_epi32(a, count), _mm256_srl_epi32(carry, count))
+        };
+        // bytes land as dwords `[q0 q1 q2 q3 | q0' q1' q2' q3']` (low and
+        // high halves of each input register) after the two packs
+        let dwords = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+        let (a, o) = (acc.as_ptr(), out.as_mut_ptr());
+        let n = acc.len().min(out.len());
+        let mut i = 0;
+        while i + 32 <= n {
+            let w01 = _mm256_packs_epi32(round(a.add(i)), round(a.add(i + 8)));
+            let w23 = _mm256_packs_epi32(round(a.add(i + 16)), round(a.add(i + 24)));
+            let b = _mm256_permutevar8x32_epi32(_mm256_packs_epi16(w01, w23), dwords);
+            _mm256_storeu_si256(o.add(i) as *mut __m256i, _mm256_max_epi8(b, floor));
+            i += 32;
+        }
+        while i + 8 <= n {
+            let q = round(a.add(i));
+            let w = _mm_packs_epi32(_mm256_castsi256_si128(q), _mm256_extracti128_si256(q, 1));
+            let b = _mm_max_epi8(_mm_packs_epi16(w, w), _mm256_castsi256_si128(floor));
+            _mm_storel_epi64(o.add(i) as *mut __m128i, b);
+            i += 8;
+        }
+        i
     }
 }
 

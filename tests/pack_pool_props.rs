@@ -17,11 +17,13 @@
 //!   rectangular windows, ignores odd tails (rows/columns that don't fill
 //!   a window), records first-wins argmax offsets, and routes gradients
 //!   back through exactly those offsets; the i16 and i8 pools agree with
-//!   the per-window integer max.
+//!   the per-window integer max. On every zoo pool's plane stack, and on
+//!   random narrow and wide stacks, the dispatched integer pools equal
+//!   their scalar specs, pooled as one stack or plane by plane.
 //! * the Q8 GEMM's dispatched body is bitwise equal to the wrapping-i32
 //!   scalar spec on full-range i8 operands.
 
-use iprune_repro::models::arch::PrunableKind;
+use iprune_repro::models::arch::{GraphOp, PrunableKind};
 use iprune_repro::models::zoo::App;
 use iprune_repro::tensor::pack::{
     col2im_f32, col2im_f32_scalar, im2col_patches, im2col_patches_scalar, im2col_rows,
@@ -29,7 +31,7 @@ use iprune_repro::tensor::pack::{
 };
 use iprune_repro::tensor::pool::{
     maxpool2d_backward_f32, maxpool2d_f32, maxpool2d_f32_argmax, maxpool2d_f32_scalar,
-    maxpool2d_i16, maxpool2d_i8,
+    maxpool2d_i16, maxpool2d_i16_scalar, maxpool2d_i8, maxpool2d_i8_scalar,
 };
 use iprune_repro::tensor::qgemm::{q8_gemm, q8_gemm_scalar};
 use proptest::prelude::*;
@@ -174,6 +176,99 @@ fn check_int_rows<T: PackElem + PartialEq + std::fmt::Debug>(
         for j in 0..n {
             assert_eq!(got[ki * n + j], patches[j * k + ki], "transpose {s:?} at ({ki}, {j})");
         }
+    }
+}
+
+/// Pools a stack of `planes` full-range `[h, w]` planes (`MIN` and `MAX`
+/// planted at its ends) with `pool`, whole and plane by plane, and checks
+/// both against `spec` on the whole stack.
+fn check_int_pool<T: Copy + Default + PartialEq + std::fmt::Debug>(
+    (planes, h, w, kh, kw): (usize, usize, usize, usize, usize),
+    seed: u64,
+    draw: fn(u64) -> T,
+    (lo, hi): (T, T),
+    pool: fn(&[T], usize, usize, usize, usize, &mut [T]),
+    spec: fn(&[T], usize, usize, usize, usize, &mut [T]),
+) {
+    let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut src: Vec<T> = (0..planes * h * w)
+        .map(|_| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            draw(s)
+        })
+        .collect();
+    src[0] = lo;
+    *src.last_mut().unwrap() = hi;
+    let (plane, out) = (h * w, (h / kh) * (w / kw));
+    let mut want = vec![T::default(); planes * out];
+    spec(&src, h, w, kh, kw, &mut want);
+    let mut per_plane = vec![T::default(); planes * out];
+    for (p, d) in per_plane.chunks_exact_mut(out.max(1)).enumerate() {
+        spec(&src[p * plane..(p + 1) * plane], h, w, kh, kw, d);
+    }
+    assert_eq!(per_plane, want, "spec per plane, {planes}x{h}x{w} pooled {kh}x{kw}");
+    let mut got = vec![T::default(); planes * out];
+    pool(&src, h, w, kh, kw, &mut got);
+    assert_eq!(got, want, "stack of {planes}x{h}x{w} pooled {kh}x{kw}");
+    got.fill(T::default());
+    for (p, d) in got.chunks_exact_mut(out.max(1)).enumerate() {
+        pool(&src[p * plane..(p + 1) * plane], h, w, kh, kw, d);
+    }
+    assert_eq!(got, want, "planes of {planes}x{h}x{w} pooled {kh}x{kw}");
+}
+
+/// Both integer pools against their specs on one geometry.
+fn check_int_pools(geometry: (usize, usize, usize, usize, usize), seed: u64) {
+    check_int_pool(
+        geometry,
+        seed,
+        |r| (r >> 7) as i16,
+        (i16::MIN, i16::MAX),
+        maxpool2d_i16,
+        maxpool2d_i16_scalar,
+    );
+    check_int_pool(
+        geometry,
+        seed,
+        |r| (r >> 9) as i8,
+        (i8::MIN, i8::MAX),
+        maxpool2d_i8,
+        maxpool2d_i8_scalar,
+    );
+}
+
+/// Every zoo max-pool's plane stack, the narrow planes that run several
+/// output rows per vector included: SQN 80×16×16 and 144×8×8, CKS
+/// 32×61×13 (a dropped row and column per plane) and 48×30×6, and HAR's
+/// 1-D planes (64, 32 and 16 outputs).
+#[test]
+fn integer_pools_equal_their_specs_on_zoo_planes() {
+    let mut shapes = Vec::new();
+    for app in App::all() {
+        let info = app.build().info;
+        for op in &info.graph {
+            if let GraphOp::MaxPool { src, kh, kw, .. } = *op {
+                let d = &info.buffers[src].dims;
+                shapes.push((d[0], d[1], d[2], kh, kw));
+            }
+        }
+    }
+    assert_eq!(
+        shapes,
+        [
+            (80, 16, 16, 2, 2),
+            (144, 8, 8, 2, 2),
+            (16, 128, 1, 2, 1),
+            (32, 64, 1, 2, 1),
+            (64, 32, 1, 2, 1),
+            (32, 61, 13, 2, 2),
+            (48, 30, 6, 2, 2),
+        ]
+    );
+    for (i, &shape) in shapes.iter().enumerate() {
+        check_int_pools(shape, 0x9001 + i as u64);
     }
 }
 
@@ -382,5 +477,25 @@ proptest! {
         if relu {
             prop_assert!(c.iter().all(|&v| v >= 0));
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    // Random plane stacks with widths 1..=40 under `kw ∈ {1, 2}`: rows
+    // narrower than one vector (several output rows per vector), wider
+    // ones (whole vectors plus an overlapping last one), odd heights and
+    // widths whose last row or column no window reads.
+    #[test]
+    fn integer_pools_equal_their_specs_on_random_widths(
+        planes in 1usize..5,
+        h in 1usize..13,
+        w in 1usize..41,
+        kh in 1usize..4,
+        kw in 1usize..3,
+        seed in 0u64..1 << 32,
+    ) {
+        check_int_pools((planes, h, w, kh.min(h), kw.min(w)), seed);
     }
 }

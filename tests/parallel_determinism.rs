@@ -13,6 +13,7 @@ use iprune_repro::models::zoo::App;
 use iprune_repro::pruning::blocks::build_states;
 use iprune_repro::pruning::sensitivity::analyze;
 use iprune_repro::pruning::Criterion;
+use iprune_repro::tensor::exec::ExecCtx;
 use iprune_repro::tensor::par;
 
 /// Bit patterns of every weight tensor in the model, in layer order.
@@ -20,8 +21,13 @@ fn weight_bits(model: &iprune_repro::models::model::Model) -> Vec<u32> {
     model.snapshot().iter().flat_map(|t| t.data().iter().map(|x| x.to_bits())).collect()
 }
 
+/// Training, batched evaluation and one whole-batch `infer` (whose convs
+/// fan groups of samples over the workers from the calling thread) give
+/// the same bits at 1, 2 and 4 threads. The core cap is lifted so the
+/// parallel arms run on single-core hosts too.
 #[test]
 fn train_and_evaluate_are_thread_count_invariant() {
+    par::set_host_cores(8);
     let run = |threads: usize| {
         par::set_threads(threads);
         let mut m = App::Har.build();
@@ -29,8 +35,11 @@ fn train_and_evaluate_are_thread_count_invariant() {
         let loss = train_sgd(&mut m, &ds, &TrainConfig { epochs: 1, ..Default::default() });
         let acc = evaluate(&m, &ds, 16);
         let weights = weight_bits(&m);
+        let (batch, _) = ds.batches(ds.len()).next().expect("one batch");
+        let logits = m.infer(&batch, &mut ExecCtx::new());
+        let logits: Vec<u32> = logits.data().iter().map(|x| x.to_bits()).collect();
         par::set_threads(0);
-        (loss.to_bits(), acc.to_bits(), weights)
+        (loss.to_bits(), acc.to_bits(), weights, logits)
     };
     let serial = run(1);
     for threads in [2usize, 4] {
@@ -38,7 +47,9 @@ fn train_and_evaluate_are_thread_count_invariant() {
         assert_eq!(parallel.0, serial.0, "final loss differs at {threads} threads");
         assert_eq!(parallel.1, serial.1, "accuracy differs at {threads} threads");
         assert_eq!(parallel.2, serial.2, "weights differ at {threads} threads");
+        assert_eq!(parallel.3, serial.3, "batched logits differ at {threads} threads");
     }
+    par::set_host_cores(0);
 }
 
 #[test]

@@ -28,7 +28,8 @@ use iprune_repro::tensor::pool::{
     maxpool2d_i16, maxpool2d_i16_scalar, maxpool2d_i8, maxpool2d_i8_scalar,
 };
 use iprune_repro::tensor::qgemm::{
-    q15_block_acc, q15_block_acc_scalar, q15_gemm, q8_block_acc, q8_block_acc_scalar, q8_gemm,
+    q15_block_acc, q15_block_acc_scalar, q15_gemm, q15_requantize_relu, q15_requantize_relu_scalar,
+    q8_block_acc, q8_block_acc_scalar, q8_gemm, q8_requantize_relu, q8_requantize_relu_scalar,
 };
 use iprune_repro::tensor::simd::{avx2_supported, set_simd_level, simd_level, SimdLevel};
 use iprune_repro::tensor::sparse::SparseIndex;
@@ -681,4 +682,127 @@ fn q8_block_acc_simd_is_bitwise_exact_vs_scalar() {
         q8_block_acc(&block, &x, &mut got, 4, 4, 32, 4);
         assert_eq!(got, spec, "extremes");
     }
+}
+
+/// The fracs of a net requantize shift `s` (`in + w − out = s`), with a
+/// nonzero output format so negative shifts come out too.
+fn fracs_for_shift(s: i32) -> (u8, u8, u8) {
+    let up = (s + 4) as u8;
+    (up / 2, up - up / 2, 4)
+}
+
+/// Accumulators that round onto each side of `t − ½` at shift `s`:
+/// `t·2^s − 2^(s−1) + {−1, 0, 1}`, kept inside `[lo, hi]`.
+fn rounding_edges(s: i32, targets: &[i64], (lo, hi): (i64, i64)) -> Vec<i64> {
+    let half = if s > 0 { 1i64 << (s - 1) } else { 0 };
+    let scale = 1i64 << s.max(0);
+    targets
+        .iter()
+        .flat_map(|&t| (-1..=1).map(move |d| t * scale - half + d))
+        .filter(|&a| (lo..=hi).contains(&a))
+        .collect()
+}
+
+/// Runs `check(acc, shift, relu)` over every epilogue case: shifts
+/// −2..=30 (`pools[i]` holds the values for shift `i − 2`), ReLU on and
+/// off, and runs of the shift's pool of every length 0..=67 (so every
+/// vector body and tail length shows) and of the whole pool, each from
+/// two starting points, which moves every value across the lanes.
+fn for_each_epilogue_case<A: Copy>(pools: &[Vec<A>], mut check: impl FnMut(&[A], i32, bool)) {
+    for (shift, pool) in (-2..=30).zip(pools) {
+        for relu in [false, true] {
+            for len in (0..=67).chain([pool.len()]) {
+                for offset in [0, 5] {
+                    let acc: Vec<A> = pool.iter().cycle().skip(offset).take(len).copied().collect();
+                    check(&acc, shift, relu);
+                }
+            }
+        }
+    }
+}
+
+/// The Q15 epilogue (the host conv's and the engine write-back's) is
+/// *bitwise* equal to its scalar spec at both dispatch levels: random
+/// accumulators of every magnitude up to ±2^62, and values rounding onto
+/// either side of ±32767.5, 0 and −32768.5, where the clamp and the
+/// rounding meet. No value overflows the spec's `acc + 2^(s−1)`.
+#[test]
+fn q15_requantize_relu_is_bitwise_exact_vs_scalar() {
+    let _g = hold_level();
+    let mut s = 0xe915_u64;
+    let mut next = move || {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        s
+    };
+    let span = (-(1i64 << 62), 1i64 << 62);
+    let random: Vec<i64> = (0..97).map(|_| (next() as i64) >> (1 + next() % 63)).collect();
+    let levels: &[SimdLevel] =
+        if avx2_supported() { &[SimdLevel::Scalar, SimdLevel::Avx2] } else { &[SimdLevel::Scalar] };
+    let mut pools = Vec::new();
+    for shift in -2..=30 {
+        let targets = [32767, 32768, 0, 1, -32767, -32768, -32769];
+        let mut pool = rounding_edges(shift, &targets, span);
+        pool.extend([span.0, span.1, -1, 0, 1]);
+        pool.extend(&random);
+        pools.push(pool);
+    }
+    for_each_epilogue_case(&pools, |acc, shift, relu| {
+        let (in_frac, w_frac, out_frac) = fracs_for_shift(shift);
+        let mut spec = vec![0i16; acc.len()];
+        q15_requantize_relu_scalar(acc, &mut spec, in_frac, w_frac, out_frac, relu);
+        for &level in levels {
+            set_simd_level(level);
+            let mut got = vec![0x5a5ai16; acc.len()];
+            q15_requantize_relu(acc, &mut got, in_frac, w_frac, out_frac, relu);
+            let len = acc.len();
+            assert_eq!(got, spec, "{level:?} shift {shift} relu {relu} len {len}");
+        }
+    });
+}
+
+/// The Q8 epilogue is *bitwise* equal to its scalar spec at both dispatch
+/// levels for every i32 accumulator: `i32::MIN` and `i32::MAX`, values
+/// whose `a + 2^(s−1)` would overflow i32 (the vector body keeps its sum
+/// in i32 lanes), values rounding onto either side of ±127.5, 0 and
+/// −128.5, and random values of every magnitude.
+#[test]
+fn q8_requantize_relu_is_bitwise_exact_vs_scalar() {
+    let _g = hold_level();
+    let mut s = 0xe908_u64;
+    let mut next = move || {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        s
+    };
+    let span = (i64::from(i32::MIN), i64::from(i32::MAX));
+    let random: Vec<i32> = (0..97).map(|_| (next() as i32) >> (next() % 32)).collect();
+    let levels: &[SimdLevel] =
+        if avx2_supported() { &[SimdLevel::Scalar, SimdLevel::Avx2] } else { &[SimdLevel::Scalar] };
+    let mut pools = Vec::new();
+    for shift in -2..=30 {
+        let targets = [127, 128, 0, 1, -127, -128, -129];
+        let mut pool: Vec<i32> =
+            rounding_edges(shift, &targets, span).iter().map(|&a| a as i32).collect();
+        let half = if shift > 0 { 1i32 << (shift - 1) } else { 0 };
+        // `a + half` overflows i32 from `i32::MAX − half + 1` up
+        let first_overflow = i32::MAX - (half - 1).max(0);
+        pool.extend([i32::MIN, i32::MIN + 1, i32::MAX, i32::MAX - half, first_overflow, -1, 0]);
+        pool.extend(&random);
+        pools.push(pool);
+    }
+    for_each_epilogue_case(&pools, |acc, shift, relu| {
+        let (in_frac, w_frac, out_frac) = fracs_for_shift(shift);
+        let mut spec = vec![0i8; acc.len()];
+        q8_requantize_relu_scalar(acc, &mut spec, in_frac, w_frac, out_frac, relu);
+        for &level in levels {
+            set_simd_level(level);
+            let mut got = vec![0x5ai8; acc.len()];
+            q8_requantize_relu(acc, &mut got, in_frac, w_frac, out_frac, relu);
+            let len = acc.len();
+            assert_eq!(got, spec, "{level:?} shift {shift} relu {relu} len {len}");
+        }
+    });
 }
