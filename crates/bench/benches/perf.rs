@@ -7,7 +7,9 @@
 //! narrower than one vector, the Q15/Q8 requantize + ReLU epilogues in ns
 //! per output, the host integer convs in the patch-major dot form and in
 //! the row form over alive blocks (per zoo layer, one output checksum
-//! both forms reproduce), end-to-end quantized inference at both dispatch
+//! both forms reproduce), the device engine's continuous-mode inference
+//! per zoo app (µs per inference and per job, one logits checksum it
+//! shares with host Q15), end-to-end quantized inference at both dispatch
 //! levels, f32-vs-Q15/Q8 evaluation accuracy per zoo app, block-sparse vs
 //! dense kernels at 30/50/80 % block sparsity, and prune-pipeline
 //! wall-clock at 1/2/4/8 requested threads.
@@ -39,6 +41,9 @@
 use iprune_bench::cache::workspace_root;
 use iprune_bench::run_app_pipelines;
 use iprune_bench::scale::SMOKE;
+use iprune_device::{DeviceSim, PowerStrength};
+use iprune_hawaii::deploy::deploy;
+use iprune_hawaii::exec::{infer, ExecMode};
 use iprune_models::arch::GraphOp;
 use iprune_models::qeval::{conv_rows, Quantized8Model, QuantizedModel};
 use iprune_models::train::{evaluate, train_sgd, TrainConfig};
@@ -785,6 +790,76 @@ fn bench_qconv() -> Vec<QConvRow> {
     rows
 }
 
+struct EngineRow {
+    app: &'static str,
+    samples: usize,
+    /// Accelerator jobs committed per inference.
+    jobs: u64,
+    /// Accelerator outputs per inference (the pruning criterion).
+    acc_outputs: usize,
+    /// Median wall time of one pass over the samples.
+    wall_ms: f64,
+    checksum: u64,
+}
+
+/// Times the device engine (`hawaii::exec::infer` in continuous mode, a
+/// fresh simulator per inference) on every zoo app at 50 % 4x16 block
+/// pruning, over a few deterministic samples: µs per inference, and per
+/// committed job. The engine's logits are asserted bit-equal to host
+/// Q15's on the same quantized model, so the checksum row is the engine ≡
+/// host contract, at every dispatch level. Serial, like the other rows.
+fn bench_engine() -> Vec<EngineRow> {
+    let (samples, reps) = (8, 5);
+    par::set_threads(1);
+    let rows = App::all()
+        .iter()
+        .map(|&app| {
+            let mut model = app.build();
+            let masks = model.block_magnitude_masks(500_000);
+            model.set_masks(&masks);
+            let calib = app.dataset(8, 302);
+            let dm = deploy(&mut model, &calib, 8);
+            let q15 = QuantizedModel::quantize(&mut model, &calib, 8);
+            let inputs = app.dataset(samples, 303);
+            let run = || {
+                let (mut logits, mut jobs) = (Vec::new(), 0);
+                for i in 0..samples {
+                    let mut sim = DeviceSim::new(PowerStrength::Continuous, 0);
+                    let out = infer(&dm, &inputs.sample(i), &mut sim, ExecMode::Continuous)
+                        .expect("continuous power never fails");
+                    logits.extend(out.logits);
+                    jobs += out.jobs;
+                }
+                (logits, jobs)
+            };
+            let wall = time_median(reps, || {
+                black_box(run());
+            });
+            let (logits, jobs) = run();
+            let mut ctx = ExecCtx::new();
+            let host: Vec<f32> = (0..samples)
+                .flat_map(|i| q15.forward_q15_with(&inputs.sample(i), &mut ctx))
+                .collect();
+            assert_eq!(
+                fnv64_f32(&logits),
+                fnv64_f32(&host),
+                "{}: device engine logits differ from host Q15",
+                app.name()
+            );
+            EngineRow {
+                app: app.name(),
+                samples,
+                jobs: jobs / samples as u64,
+                acc_outputs: dm.total_acc_outputs(),
+                wall_ms: wall * 1e3,
+                checksum: fnv64_f32(&logits),
+            }
+        })
+        .collect();
+    par::set_threads(0);
+    rows
+}
+
 struct E2eRow {
     engine: &'static str,
     samples: usize,
@@ -1321,6 +1396,24 @@ fn main() {
         );
     }
 
+    // The device engine, per zoo app.
+    let engine_rows = bench_engine();
+    println!();
+    println!("device engine, continuous mode, 50% block pruning (serial, dispatch={dispatch}):");
+    for r in &engine_rows {
+        let us = r.wall_ms * 1e3 / r.samples as f64;
+        println!(
+            "  {:<4} {:>9.1} us/inference {:>6.3} us/job  jobs {:>5}  acc outputs {:>7}  \
+             logits checksum {:#018x}",
+            r.app,
+            us,
+            us / r.jobs as f64,
+            r.jobs,
+            r.acc_outputs,
+            r.checksum
+        );
+    }
+
     // f32 vs quantized accuracy per zoo app.
     let qeval_rows = bench_q15_eval();
     println!();
@@ -1708,6 +1801,37 @@ fn main() {
             r.precision, r.outputs, r.shift, r.checksum
         );
         json.push_str(if i + 1 < epilogue_rows.len() { ",\n" } else { "\n" });
+    }
+    json.push_str("  ],\n");
+    // Timing lines carry `wall_ms`, so CI's grep and the history hash skip
+    // them.
+    json.push_str("  \"engine\": [\n");
+    for (i, r) in engine_rows.iter().enumerate() {
+        let us = r.wall_ms * 1e3 / r.samples as f64;
+        let _ = write!(
+            json,
+            "    {{\"app\": \"{}\", \"samples\": {}, \"wall_ms\": {:.4}, \
+             \"us_per_inference\": {:.2}, \"us_per_job\": {:.4}}}",
+            r.app,
+            r.samples,
+            r.wall_ms,
+            us,
+            us / r.jobs as f64
+        );
+        json.push_str(if i + 1 < engine_rows.len() { ",\n" } else { "\n" });
+    }
+    json.push_str("  ],\n");
+    // Structural: jobs, accelerator outputs and the engine's logits, which
+    // equal host Q15's (asserted above) at every dispatch level.
+    json.push_str("  \"engine_checksums\": [\n");
+    for (i, r) in engine_rows.iter().enumerate() {
+        let _ = write!(
+            json,
+            "    {{\"app\": \"{}\", \"samples\": {}, \"jobs\": {}, \"acc_outputs\": {}, \
+             \"logits_checksum\": \"{:#018x}\"}}",
+            r.app, r.samples, r.jobs, r.acc_outputs, r.checksum
+        );
+        json.push_str(if i + 1 < engine_rows.len() { ",\n" } else { "\n" });
     }
     json.push_str("  ],\n");
     // acc_f32 rides the float kernels, whose ULPs legitimately differ

@@ -8,8 +8,12 @@
 //! these arrays plus the preserved job counter.
 //!
 //! Block shape equals the accelerator-operation granularity chosen by the
-//! tile planner: `br` output features × `bc` reduction elements.
+//! tile planner: `br` output features × `bc` reduction elements. Each
+//! stored block is also one [`Segment`] of the shared Q15 block kernel
+//! (`qgemm::q15_block_acc`), so an output tile adds its whole block row in
+//! one kernel call over [`BsrMatrix::row_segments`].
 
+use iprune_tensor::qgemm::Segment;
 use iprune_tensor::quant::QFormat;
 
 /// A quantized weight matrix in BSR format.
@@ -27,6 +31,10 @@ pub struct BsrMatrix {
     /// Stored blocks, each `br*bc` values row-major (edge blocks are
     /// zero-padded).
     blocks: Vec<i16>,
+    /// Each stored block as a kernel segment into `blocks` (row stride
+    /// `bc`): its offset, its first reduction column, and its `cols`
+    /// columns inside the matrix.
+    segs: Vec<Segment>,
     format: QFormat,
 }
 
@@ -52,6 +60,7 @@ impl BsrMatrix {
         let mut row_ptr = Vec::with_capacity(rbs + 1);
         let mut col_idx = Vec::new();
         let mut blocks = Vec::new();
+        let mut segs = Vec::new();
         row_ptr.push(0u32);
         let mut buf = vec![0i16; br * bc];
         for rb in 0..rbs {
@@ -66,12 +75,17 @@ impl BsrMatrix {
                 }
                 if nonzero {
                     col_idx.push(cb as u32);
+                    segs.push(Segment {
+                        w: blocks.len(),
+                        x: cb * bc,
+                        cols: bc.min(cols - cb * bc),
+                    });
                     blocks.extend_from_slice(&buf);
                 }
             }
             row_ptr.push(col_idx.len() as u32);
         }
-        Self { rows, cols, br, bc, row_ptr, col_idx, blocks, format }
+        Self { rows, cols, br, bc, row_ptr, col_idx, blocks, segs, format }
     }
 
     /// Reconstructs the dense row-major matrix.
@@ -145,6 +159,19 @@ impl BsrMatrix {
     /// The values of stored block `slot` (`br*bc`, row-major).
     pub fn block(&self, slot: usize) -> &[i16] {
         &self.blocks[slot * self.br * self.bc..(slot + 1) * self.br * self.bc]
+    }
+
+    /// Every stored block's values, slot after slot: the weights
+    /// [`Self::row_segments`] point into, with row stride `bc`.
+    pub fn blocks(&self) -> &[i16] {
+        &self.blocks
+    }
+
+    /// The stored blocks of block-row `rb` as block-kernel segments, in
+    /// slot order: offset into [`Self::blocks`], first reduction column,
+    /// and the block's columns inside the matrix.
+    pub fn row_segments(&self, rb: usize) -> &[Segment] {
+        &self.segs[self.row_ptr[rb] as usize..self.row_ptr[rb + 1] as usize]
     }
 
     /// The fixed-point format of the stored values.
@@ -279,6 +306,13 @@ mod tests {
                 // every stored block, then one past the end
                 for i in 0..=bsr.row_nnz(rb) {
                     prop_assert_eq!(bsr.row_block(rb, i), bsr.row_blocks_iter(rb).nth(i));
+                }
+                // the kernel segments name the same blocks, in slot order
+                let segs = bsr.row_segments(rb);
+                prop_assert_eq!(segs.len(), bsr.row_nnz(rb));
+                for (g, (slot, cb)) in segs.iter().zip(bsr.row_blocks_iter(rb)) {
+                    prop_assert_eq!(&bsr.blocks()[g.w..g.w + br * bc], bsr.block(slot));
+                    prop_assert_eq!((g.x, g.cols), (cb * bc, bc.min(cols - cb * bc)));
                 }
             }
         }

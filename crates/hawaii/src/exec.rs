@@ -17,6 +17,19 @@
 //! All modes perform the *same* 16-bit fixed-point arithmetic, so their
 //! outputs are bit-identical — the crate's central tested invariant.
 //!
+//! The simulator is charged job by job: every non-zero weight block of an
+//! output tile is one accelerator job with its own reads, commit, counters,
+//! trace events and retries. The host-side arithmetic runs once per tile:
+//! when the tile's write-back has committed, one call of the shared Q15
+//! block kernel ([`q15_block_acc`], the host Q15 convs' kernel too) adds
+//! every stored block of the tile's block row into the bias-preloaded
+//! accumulators, over the op's input packed once by `pack::im2col_rows`,
+//! and [`q15_requantize_relu`] writes the outputs. Integer sums are exact,
+//! so this equals accumulating job by job; and since the accumulators are
+//! a function of the activation buffers, the cursor and the tile's chunk
+//! index, which [`Engine::state_fingerprint`] hashes, no accumulator needs
+//! to live in the engine state between jobs.
+//!
 //! Execution is driven by a resumable [`Engine`]: a cloneable state machine
 //! that advances one committed accelerator job per [`Engine::step`] call.
 //! [`infer`] is the convenience driver that steps a fresh engine to
@@ -27,11 +40,11 @@
 use crate::deploy::{DeployedLayer, DeployedModel};
 use iprune_device::sim::{Commit, DeviceSim, JobCost, SimError};
 use iprune_device::trace::SimStats;
-use iprune_models::arch::{GraphOp, PrunableKind};
+use iprune_models::arch::GraphOp;
 use iprune_models::graphref::{flatten, global_avg_pool, max_pool, LayerOp};
 use iprune_obs::TraceEvent;
 use iprune_tensor::metrics::argmax;
-use iprune_tensor::pack::valid_range;
+use iprune_tensor::pack::im2col_rows;
 use iprune_tensor::qgemm::{q15_block_acc, q15_requantize_relu};
 use iprune_tensor::quant::QFormat;
 use iprune_tensor::Tensor;
@@ -157,8 +170,10 @@ struct TileCursor {
     phase: TilePhase,
     /// Index into the row block's non-zero chunk sequence.
     chunk_idx: usize,
-    /// i64 accumulators (bias + committed chunks so far); empty at
-    /// [`TilePhase::Enter`].
+    /// The tile's i64 accumulators (the bias preload plus every stored
+    /// block of the block row), filled and consumed inside its write-back
+    /// and empty between steps, so clones and fingerprints carry no
+    /// accumulators. The allocation is kept from tile to tile.
     scratch: Vec<i64>,
     /// Tile re-execution count (task-atomic livelock guard).
     retries: u32,
@@ -184,12 +199,13 @@ impl TileCursor {
 struct GemmCursor {
     op_idx: usize,
     op: LayerOp,
-    geom: Geometry,
     bias_shift: u32,
     in_frac: u8,
     w_frac: u8,
     out_fmt: QFormat,
-    /// Current im2col strip `[k][s_len]`.
+    /// The op's input packed once at the op's start, `[k][n_spatial]`
+    /// (`pack::im2col_rows` for a conv, the input vector for an FC); a
+    /// tile reads its strip through the row stride `n_spatial`.
     col: Vec<i16>,
     strip_start: usize,
     s_len: usize,
@@ -304,8 +320,8 @@ impl<'m> Engine<'m> {
     }
 
     /// Whether two engines are in bit-identical execution state: same
-    /// activation buffers and same position (including in-tile accumulators
-    /// and the gathered input strip). Job counters are deliberately *not*
+    /// activation buffers and same position (including the tile's chunk
+    /// index and the op's packed input). Job counters are deliberately *not*
     /// compared — a forked execution that re-executed a tile has more
     /// commits than the recording it resynchronized with.
     pub fn state_matches(&self, other: &Engine<'_>) -> bool {
@@ -461,9 +477,9 @@ pub fn infer(
 }
 
 impl GemmCursor {
-    /// Builds the cursor for a GEMM op with the first strip gathered, or
-    /// `None` when the op has no work (no spatial positions or a fully
-    /// pruned-away weight matrix with no row blocks).
+    /// Builds the cursor for a GEMM op with its input packed, or `None`
+    /// when the op has no work (no spatial positions or a fully pruned-away
+    /// weight matrix with no row blocks).
     fn begin(
         dm: &DeployedModel,
         op_idx: usize,
@@ -475,26 +491,29 @@ impl GemmCursor {
         if plan.n_spatial == 0 || plan.row_blocks() == 0 {
             return None;
         }
-        let geom = conv_geometry(dm, op.layer_id);
         let in_fmt = dm.buf_fmts[op.src];
         let out_fmt = dm.buf_fmts[op.dst];
         let (in_frac, w_frac) = (in_fmt.frac_bits(), dl.bsr.format().frac_bits());
         let bias_shift = (in_frac + w_frac - dl.bias_fmt.frac_bits()) as u32;
-        let strip = plan.tile.strip;
-        let mut col = vec![0i16; plan.k * strip];
-        let s_len = strip.min(plan.n_spatial);
-        gather_strip(&geom, &bufs[op.src], plan.k, 0, s_len, &mut col);
+        let src = &bufs[op.src];
+        let col = match dm.info.prunables[op.layer_id].conv_shape() {
+            Some(s) => {
+                let mut col = vec![0i16; s.col_len()];
+                im2col_rows(&src[..s.in_len()], &s, &mut col);
+                col
+            }
+            None => src[..plan.k].to_vec(),
+        };
         Some(GemmCursor {
             op_idx,
             op,
-            geom,
             bias_shift,
             in_frac,
             w_frac,
             out_fmt,
             col,
             strip_start: 0,
-            s_len,
+            s_len: plan.tile.strip.min(plan.n_spatial),
             rb: 0,
             tile: TileCursor::enter(),
         })
@@ -524,18 +543,13 @@ fn gemm_phase(
                 rb: rb as u32,
                 strip: strip_start as u32,
             });
-            // bias goes into the accumulators before the first chunk
-            for &b in &dl.bias[gc.rb * br..gc.rb * br + rows] {
-                let preload = (b as i64) << gc.bias_shift;
-                gc.tile.scratch.extend(std::iter::repeat_n(preload, s_len));
-            }
             sim.run_read(2 * rows)?; // bias fetch
             gc.tile.phase = TilePhase::Chunk;
             gc.tile.chunk_idx = 0;
             Ok(GemmAdvance::NO_COMMIT)
         }
         TilePhase::Chunk => {
-            let Some((slot, cb)) = dl.bsr.row_block(gc.rb, gc.tile.chunk_idx) else {
+            let Some((_, cb)) = dl.bsr.row_block(gc.rb, gc.tile.chunk_idx) else {
                 gc.tile.phase = TilePhase::WriteBack;
                 return Ok(GemmAdvance::NO_COMMIT);
             };
@@ -566,13 +580,7 @@ fn gemm_phase(
                 }
             }
             counters.jobs += 1;
-            // The accumulators change only once the job has committed: a
-            // restart or an error returned above with `scratch` untouched,
-            // and the arithmetic is deterministic, so computing after the
-            // commit gives the same bits as computing before it.
-            let x = &gc.col[cb * bc * s_len..(cb * bc + cols) * s_len];
-            let block = dl.bsr.block(slot);
-            q15_block_acc(block, x, &mut gc.tile.scratch, rows, cols, s_len, bc);
+            // the job's arithmetic runs with its tile's, at the write-back
             gc.tile.chunk_idx += 1;
             Ok(GemmAdvance { committed: true, op_done: false })
         }
@@ -606,6 +614,19 @@ fn gemm_phase(
                 rb: rb as u32,
                 strip: strip_start as u32,
             });
+            // The tile's arithmetic runs once its write-back has committed:
+            // a restart or an error returned above before any of it, and
+            // integer sums are exact, so one kernel call over the block
+            // row gives the bits the jobs would have accumulated one by one.
+            tile_acc(
+                dl,
+                gc.bias_shift,
+                &gc.col,
+                gc.rb,
+                gc.strip_start,
+                s_len,
+                &mut gc.tile.scratch,
+            );
             // requantize + ReLU each output row into its contiguous run of
             // the destination: `[dst_c_off + row][strip_start..][..s_len]`
             let out_frac = gc.out_fmt.frac_bits();
@@ -626,14 +647,6 @@ fn gemm_phase(
                     true
                 } else {
                     gc.s_len = plan.tile.strip.min(plan.n_spatial - gc.strip_start);
-                    gather_strip(
-                        &gc.geom,
-                        &bufs[gc.op.src],
-                        plan.k,
-                        gc.strip_start,
-                        gc.s_len,
-                        &mut gc.col,
-                    );
                     gc.rb = 0;
                     gc.tile.reenter(0);
                     false
@@ -674,89 +687,27 @@ fn op_label(op: &GraphOp) -> String {
     }
 }
 
-/// Conv geometry needed for input gathering.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum Geometry {
-    Conv {
-        kh: usize,
-        kw: usize,
-        stride: usize,
-        pad_h: usize,
-        pad_w: usize,
-        in_h: usize,
-        in_w: usize,
-        oh: usize,
-        ow: usize,
-    },
-    Fc,
-}
-
-fn conv_geometry(dm: &DeployedModel, layer_id: usize) -> Geometry {
-    let p = &dm.info.prunables[layer_id];
-    match &p.kind {
-        PrunableKind::Conv { kh, kw, stride, pad_h, pad_w, in_h, in_w, .. } => {
-            let (oh, ow) = p.out_hw();
-            Geometry::Conv {
-                kh: *kh,
-                kw: *kw,
-                stride: *stride,
-                pad_h: *pad_h,
-                pad_w: *pad_w,
-                in_h: *in_h,
-                in_w: *in_w,
-                oh,
-                ow,
-            }
-        }
-        PrunableKind::Fc { .. } => Geometry::Fc,
-    }
-}
-
-/// Builds the im2col strip `[k][s_len]` for positions
-/// `[strip_start, strip_start + s_len)`, one strip row per `(c, ky, kx)`.
-/// The strip starts as zero padding. Each row is then walked by output-row
-/// runs; a run copies in the input values of the positions that
-/// `tensor::pack`'s [`valid_range`] brackets on both axes, `stride` apart.
-fn gather_strip(
-    geom: &Geometry,
-    src: &[i16],
-    k: usize,
+/// One output tile's accumulators: the bias of block row `rb` preloaded at
+/// accumulator scale (`<< bias_shift`), plus every stored block of the row
+/// over positions `[strip_start, strip_start + s_len)` of the op's packed
+/// input `col`, in one [`q15_block_acc`] call. `acc` ends as `[rows][s_len]`.
+fn tile_acc(
+    dl: &DeployedLayer,
+    bias_shift: u32,
+    col: &[i16],
+    rb: usize,
     strip_start: usize,
     s_len: usize,
-    out: &mut [i16],
+    acc: &mut Vec<i64>,
 ) {
-    let Geometry::Conv { kh, kw, stride, pad_h, pad_w, in_h, in_w, oh, ow } = *geom else {
-        debug_assert_eq!(s_len, 1);
-        out[..k].copy_from_slice(&src[..k]);
-        return;
-    };
-    let khw = kh * kw;
-    let strip = &mut out[..k * s_len];
-    strip.fill(0);
-    for (ki, row) in strip.chunks_exact_mut(s_len).enumerate() {
-        let (c, ky, kx) = (ki / khw, ki % khw / kw, ki % kw);
-        let (ylo, yhi) = valid_range(oh, stride, ky, pad_h, in_h);
-        let (xlo, xhi) = valid_range(ow, stride, kx, pad_w, in_w);
-        // the run covers output columns [ox0, ox0 + len) of output row oy,
-        // of which [a, b) read inside the input
-        let (mut oy, mut ox0, mut done) = (strip_start / ow, strip_start % ow, 0);
-        while done < s_len {
-            let len = (ow - ox0).min(s_len - done);
-            let (a, b) = (xlo.clamp(ox0, ox0 + len), xhi.clamp(ox0, ox0 + len));
-            if (ylo..yhi).contains(&oy) && a < b {
-                let i0 = (c * in_h + oy * stride + ky - pad_h) * in_w + a * stride + kx - pad_w;
-                let inside = &mut row[done + a - ox0..done + b - ox0];
-                if stride == 1 {
-                    inside.copy_from_slice(&src[i0..i0 + (b - a)]);
-                } else {
-                    for (d, &v) in inside.iter_mut().zip(src[i0..].iter().step_by(stride)) {
-                        *d = v;
-                    }
-                }
-            }
-            (oy, ox0, done) = (oy + 1, 0, done + len);
-        }
+    let plan = &dl.plan;
+    let (br, rows) = (plan.tile.br, plan.rows_in_block(rb));
+    acc.clear();
+    for &b in &dl.bias[rb * br..rb * br + rows] {
+        acc.extend(std::iter::repeat_n((b as i64) << bias_shift, s_len));
     }
+    let (w, segs) = (dl.bsr.blocks(), dl.bsr.row_segments(rb));
+    q15_block_acc(w, plan.tile.bc, segs, &col[strip_start..], plan.n_spatial, acc, rows, s_len);
 }
 
 /// Commits one job-granular accelerator job: issues its `read_bytes` input
@@ -1049,6 +1000,72 @@ mod tests {
         assert_eq!(a.latency_s.to_bits(), b.latency_s.to_bits());
         assert_eq!(a.stats, b.stats);
         assert!(eng.state_matches(&fork_eng));
+    }
+
+    /// Every tile's accumulators, computed once at its write-back over the
+    /// whole block row, equal the former job-by-job sequence: the bias
+    /// preload, then `q15_block_acc_scalar` over each stored block, in
+    /// commit order, on the tile's strip gathered as `[k][s_len]`. Covers
+    /// every zoo layer at its deploy plan, dense and block-pruned, so the
+    /// short last strips and the fully-connected tiles are in.
+    #[test]
+    fn tile_accumulators_equal_the_job_by_job_sequence() {
+        use iprune_tensor::qgemm::{q15_block_acc_scalar, Segment};
+        let mut seed = 0x7113_u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let (mut tiles, mut pruned_blocks) = (0usize, 0usize);
+        for app in App::all() {
+            for keep_ppm in [1_000_000, 400_000] {
+                let mut model = app.build();
+                let masks = model.block_magnitude_masks(keep_ppm);
+                model.set_masks(&masks);
+                let dm = deploy(&mut model, &app.dataset(2, 11), 2);
+                for dl in &dm.layers {
+                    let (plan, bsr) = (&dl.plan, &dl.bsr);
+                    let (n, bc) = (plan.n_spatial, plan.tile.bc);
+                    pruned_blocks += plan.row_blocks() * plan.chunks() - bsr.nnz_blocks();
+                    // activations over the full range, i16::MIN included
+                    let col: Vec<i16> = (0..plan.k * n).map(|_| (next() >> 16) as i16).collect();
+                    let mut tile = Vec::new();
+                    for rb in 0..plan.row_blocks() {
+                        let rows = plan.rows_in_block(rb);
+                        let mut strip_start = 0;
+                        while strip_start < n {
+                            let s_len = plan.tile.strip.min(n - strip_start);
+                            tile_acc(dl, 7, &col, rb, strip_start, s_len, &mut tile);
+                            let strip: Vec<i16> = (0..plan.k)
+                                .flat_map(|c| col[c * n + strip_start..][..s_len].iter().copied())
+                                .collect();
+                            let mut jobs: Vec<i64> = dl.bias[rb * plan.tile.br..][..rows]
+                                .iter()
+                                .flat_map(|&b| std::iter::repeat_n((b as i64) << 7, s_len))
+                                .collect();
+                            for (slot, cb) in bsr.row_blocks_iter(rb) {
+                                let cols = bc.min(plan.k - cb * bc);
+                                let x = &strip[cb * bc * s_len..(cb * bc + cols) * s_len];
+                                let seg = [Segment { w: 0, x: 0, cols }];
+                                let w = bsr.block(slot);
+                                q15_block_acc_scalar(w, bc, &seg, x, s_len, &mut jobs, rows, s_len);
+                            }
+                            let what = format!(
+                                "{} layer {} rb {rb} strip {strip_start}",
+                                app.name(),
+                                dl.layer_id
+                            );
+                            assert_eq!(tile, jobs, "{what} keep {keep_ppm} ppm");
+                            strip_start += s_len;
+                            tiles += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(tiles > 0 && pruned_blocks > 0, "{tiles} tiles, {pruned_blocks} pruned blocks");
     }
 
     #[test]

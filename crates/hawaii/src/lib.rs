@@ -10,9 +10,10 @@
 //! (Figure 2(a)) and as the functional reference.
 //!
 //! The engine *really computes* quantized inference: deployment quantizes a
-//! trained model to 16-bit fixed point, execution runs block-sparse GEMMs
-//! job by job against the device simulator, loses volatile state at every
-//! power failure, and resumes from the preserved job counter — so
+//! trained model to 16-bit fixed point, execution charges the device
+//! simulator job by job and computes each output tile's block-sparse GEMM
+//! once the tile's write-back commits, loses volatile state at every power
+//! failure, and resumes from the preserved job counter — so
 //! "intermittent output ≡ continuous output" is a testable invariant rather
 //! than an assumption.
 

@@ -9,12 +9,13 @@
 //! are bit-equal to the device engine's, at the host's SIMD throughput.
 //!
 //! Convolutions run in the engine's layout: the input packed row-major as
-//! `[k][out_hw]` ([`pack::im2col_rows`]), the bias preloaded into
-//! accumulators loaned from the [`ExecCtx`], the block kernel
-//! ([`qgemm::q15_block_acc`], the engine's own job kernel, or its i8 twin
-//! [`qgemm::q8_block_acc`]) called once per alive column strip of each
-//! 4-row block row, and the requantize + ReLU epilogue written straight
-//! into the destination rows. The strips come from each layer's
+//! `[k][out_hw]` ([`pack::im2col_rows`], the packing the engine's tiles
+//! read too), the bias preloaded into accumulators loaned from the
+//! [`ExecCtx`], the block kernel ([`qgemm::q15_block_acc`], the kernel the
+//! engine's output tiles run on, or its i8 twin [`qgemm::q8_block_acc`])
+//! called once per 4-row block row with that row's alive column strips as
+//! its segments, and the requantize + ReLU epilogue written straight into
+//! the destination rows. The strips come from each layer's
 //! [`SparseIndex`], built at quantize time from the quantized weights'
 //! nonzeros on the host's 4×16 grid, so all-zero blocks of a block-pruned
 //! model are skipped. Skipping them is exact: Q15 sums are exact in i64
@@ -53,7 +54,7 @@ use iprune_datasets::Dataset;
 use iprune_tensor::exec::ExecCtx;
 use iprune_tensor::metrics::argmax;
 use iprune_tensor::pack::{self, ConvShape, PackElem};
-use iprune_tensor::qgemm::{self, q15_gemm, q8_gemm};
+use iprune_tensor::qgemm::{self, q15_gemm, q8_gemm, Segment};
 use iprune_tensor::quant::{Q8Format, QFormat};
 use iprune_tensor::sparse::SparseIndex;
 use iprune_tensor::Tensor;
@@ -73,7 +74,7 @@ pub trait Precision: Sized {
     type Acc: Copy;
     /// Power-of-two fixed-point format.
     type Fmt: Copy + PartialEq + Debug;
-    /// The block kernel a conv runs once per alive strip (see
+    /// The block kernel a conv runs once per block row (see
     /// [`qgemm::q15_block_acc`] for the operand layout).
     const BLOCK_ACC: BlockAcc<Self>;
     /// The requantize + ReLU epilogue (see [`qgemm::q15_requantize_relu`]).
@@ -107,13 +108,15 @@ pub trait Precision: Sized {
 pub type Requantize<P> =
     fn(&[<P as Precision>::Acc], &mut [<P as Precision>::Elem], u8, u8, u8, bool);
 
-/// A block kernel's signature: `(block, x, acc, rows, cols, s_len, bc)`.
+/// A block kernel's signature: `(w, w_stride, segs, x, x_stride, acc,
+/// rows, s_len)`.
 pub type BlockAcc<P> = fn(
     &[<P as Precision>::Elem],
+    usize,
+    &[Segment],
     &[<P as Precision>::Elem],
+    usize,
     &mut [<P as Precision>::Acc],
-    usize,
-    usize,
     usize,
     usize,
 );
@@ -369,8 +372,9 @@ impl<P: Precision> Numerics for QModel<P> {
 /// Q15/Q8 conv runs: `out` (`m × out_hw`, row-major) = requantize(`w ·
 /// im2col_rows(src)` + bias), clamped at zero when `relu` is set, with
 /// `fracs` the `(in_frac, out_frac)` activation formats. The block kernel
-/// runs once per alive strip of each block row of the layer's index,
-/// accumulating onto the bias preload; scratch is loaned from `ctx`.
+/// runs once per block row of the layer's index, over that row's alive
+/// strips, accumulating onto the bias preload; scratch is loaned from
+/// `ctx`.
 /// Bitwise equal to the patch-major dot form (`im2col_patches` +
 /// `q15_gemm`/`q8_gemm`) at any SIMD level.
 ///
@@ -394,12 +398,13 @@ pub fn conv_rows<P: Precision>(
         acc.extend(std::iter::repeat_n(P::preload(ql, i, in_frac), n));
     }
     let br = ql.index.block_height();
+    let mut segs = Vec::new();
     for (rb, acc_rb) in acc.chunks_mut(br * n).enumerate() {
-        let (r0, rows) = (rb * br, acc_rb.len() / n);
-        for &(c0, c1) in ql.index.strips_of(rb) {
-            let block = &ql.w[r0 * k + c0..(r0 + rows - 1) * k + c1];
-            (P::BLOCK_ACC)(block, &col[c0 * n..c1 * n], acc_rb, rows, c1 - c0, n, k);
-        }
+        let strips = ql.index.strips_of(rb).iter();
+        segs.clear();
+        segs.extend(strips.map(|&(c0, c1)| Segment { w: c0, x: c0, cols: c1 - c0 }));
+        let w = &ql.w[rb * br * k..];
+        (P::BLOCK_ACC)(w, k, &segs, &col, n, acc_rb, acc_rb.len() / n, n);
     }
     (P::REQUANTIZE)(&acc, out, in_frac, ql.w_frac, out_frac, relu);
     (P::PUT_ACC)(ctx, acc);

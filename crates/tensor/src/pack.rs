@@ -6,11 +6,12 @@
 //! * **row-major** (`[cin*kh*kw, ho*wo]`, any element type) — the layout
 //!   every convolution runs in: the f32 path in [`crate::layer::Conv2d`],
 //!   consumed by the axpy-family GEMMs, and the host Q15/Q8 convolutions
-//!   of `models::qeval`, consumed by the block kernels
-//!   ([`crate::qgemm::q15_block_acc`], [`crate::qgemm::q8_block_acc`])
-//!   the way the device engine consumes its strips. [`col2im_f32`]
-//!   scatter-adds a gradient in this layout back onto the input (Conv2d's
-//!   backward pass);
+//!   of `models::qeval` and the device engine's output tiles
+//!   (`hawaii::exec` packs each op's input once, and each tile reads its
+//!   strip through the row stride), consumed by the block kernels
+//!   ([`crate::qgemm::q15_block_acc`], [`crate::qgemm::q8_block_acc`]).
+//!   [`col2im_f32`] scatter-adds a gradient in this layout back onto the
+//!   input (Conv2d's backward pass);
 //! * **patch-major** (`[ho*wo, cin*kh*kw]`, any element type) — one
 //!   k-contiguous patch per output position, the transposed layout the
 //!   dot-form Q15/Q8 GEMMs ([`crate::qgemm::q15_gemm`],
@@ -198,8 +199,8 @@ fn im2col_rows_scalar_body<T: PackElem>(src: &[T], s: &ConvShape, col: &mut [T])
 
 /// The valid output-position range `[lo, hi)` along one axis: positions `o`
 /// with `0 <= o*stride + koff - pad < extent`. Pure integer arithmetic —
-/// this is the run decomposition that replaces the per-element checks (in
-/// this module's bodies and in the device engine's strip gather).
+/// this is the run decomposition that replaces the per-element checks in
+/// this module's bodies.
 #[inline]
 pub fn valid_range(
     out: usize,

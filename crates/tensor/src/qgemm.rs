@@ -27,20 +27,27 @@
 //!
 //! # Block kernels: the row form
 //!
-//! The device engine's accelerator jobs run on [`q15_block_acc`], which
-//! accumulates one BSR weight block into a strip of i64 accumulators. Its
-//! scalar spec ([`q15_block_acc_scalar`]) is the engine's per-job loop; its
-//! AVX2 body pairs two reduction columns per `_mm256_madd_epi16` and is
-//! bitwise equal to the spec under the same precondition on the block.
-//! The host Q15 convolutions (`models::qeval`) run on the same kernel: the
-//! input packed row-major as `[k][out_hw]`, one call per alive column
-//! strip of each 4-row block row of the layer's
-//! [`crate::sparse::SparseIndex`], the bias preloaded into the
-//! accumulators and [`q15_requantize_relu`] — the engine's tile
-//! write-back — as the epilogue. The host Q8 convolutions run on its i8
-//! twin [`q8_block_acc`] (sign-extend, `madd`, wrapping i32) and
-//! [`q8_requantize_relu`]. Fully-connected layers, one output column
-//! each, keep the dot form.
+//! One Q15 accumulate kernel, [`q15_block_acc`], serves the device engine
+//! and the host convolutions. It adds a list of column [`Segment`]s of a
+//! block row into a tile of i64 accumulators, the activations read
+//! row-major as `[k][positions]`. The engine passes the alive BSR blocks of
+//! one block row, once per output tile, after the tile's write-back has
+//! committed; the host Q15 convolutions (`models::qeval`) pass the alive
+//! column strips of each 4-row block row of the layer's
+//! [`crate::sparse::SparseIndex`], once per block row. Both preload the
+//! bias into the accumulators and finish with [`q15_requantize_relu`].
+//! The scalar spec ([`q15_block_acc_scalar`]) is the engine's former
+//! per-job loop, applied segment by segment. The AVX2 body keeps each
+//! row's 16 position sums in registers across all segments: a `madd` pair
+//! sum `p` (`|p| < 2³¹` because the weights hold no `i16::MIN`) is split
+//! into `p >> 16` and `p & 0xFFFF`, each summed in its own i32 lane, and
+//! `(Σhi << 16) + Σlo` is added into the i64 accumulators at least every
+//! 32 768 pairs, the most whose low halves fit an i32. That value is the
+//! exact sum, so the body is bitwise equal to the spec. Fully-connected
+//! tiles (one position, two-column blocks) run row-vectorised instead.
+//! The host Q8 convolutions run on the i8 twin [`q8_block_acc`]
+//! (sign-extend, `madd`, wrapping i32) and [`q8_requantize_relu`]. Host
+//! fully-connected layers keep the dot form.
 //!
 //! The int8 deployment tier ([`q8_gemm`]) shares the dot-form operand
 //! layout but accumulates i8×i8 products in a *wrapping* i32 with the bias
@@ -166,111 +173,149 @@ fn q15_gemm_body(
     }
 }
 
-/// Q15 block accumulate dispatched on the process SIMD level: the
-/// arithmetic of one device-engine accelerator job,
-///
-/// `acc[r*s_len + s] += Σ_{c<cols} block[r*bc + c] * x[c*s_len + s]`
-///
-/// for `r < rows`, `s < s_len`, every product widened to i64. `block` is
-/// one stored BSR weight block, row-major with row stride `bc`, of which
-/// the first `cols <= bc` columns are used; `x` is the block's `cols` rows
-/// of the im2col strip (`[cols][s_len]`); `acc` holds the tile's
-/// accumulators (`[rows][s_len]`). The engine accumulates job by job
-/// because its accumulators are preserved partial state between jobs.
-///
-/// Bitwise equal to [`q15_block_acc_scalar`] under [`q15_gemm`]'s
-/// precondition: the block holds no `i16::MIN` (see module docs).
-///
-/// # Panics
-///
-/// Panics if `cols > bc` or the slice lengths are inconsistent with
-/// `(rows, cols, s_len, bc)`. Debug builds additionally assert the
-/// no-`i16::MIN` precondition on `block`.
-pub fn q15_block_acc(
-    block: &[i16],
-    x: &[i16],
-    acc: &mut [i64],
-    rows: usize,
-    cols: usize,
-    s_len: usize,
-    bc: usize,
-) {
-    debug_assert!(
-        !block.contains(&i16::MIN),
-        "q15_block_acc block contains i16::MIN; SIMD madd exactness not guaranteed"
-    );
-    let use_avx2 = simd::simd_level() == SimdLevel::Avx2;
-    q15_block_acc_body(block, x, acc, rows, cols, s_len, bc, use_avx2);
+/// One column segment of a block-kernel call: `cols` reduction columns
+/// whose weights start at offset `w` of the weight slice, one row every
+/// `w_stride` elements, and whose activations are rows `x..x + cols` of the
+/// strip. The device engine's segments are the stored blocks of one BSR
+/// block row; the host convs' are the alive strips of one block row of a
+/// [`crate::sparse::SparseIndex`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Segment {
+    /// Offset of the segment's first weight (row 0, column 0).
+    pub w: usize,
+    /// Strip row of the segment's first column.
+    pub x: usize,
+    /// Reduction columns.
+    pub cols: usize,
 }
 
-/// Scalar-spec Q15 block accumulate: the device engine's per-job loop,
-/// one i64 product per nonzero weight and position, identical at any SIMD
-/// dispatch level.
+/// Q15 block accumulate dispatched on the process SIMD level: one output
+/// tile of the device engine, or one block row of a host conv,
+///
+/// `acc[r*s_len + s] += Σ_{g ∈ segs} Σ_{c < g.cols} w[g.w + r*w_stride + c]
+/// * x[(g.x + c)*x_stride + s]`
+///
+/// for `r < rows`, `s < s_len`, every product widened to i64. `w` holds the
+/// weights the segments point into (row stride `w_stride`); `x` is the
+/// packed input, one row of positions per reduction index, rows
+/// `x_stride` apart; `acc` holds the tile's accumulators (`[rows][s_len]`).
+///
+/// Bitwise equal to [`q15_block_acc_scalar`] under [`q15_gemm`]'s
+/// precondition: the segments' weights hold no `i16::MIN` (see module
+/// docs).
 ///
 /// # Panics
 ///
-/// Panics if `cols > bc` or the slice lengths are inconsistent with
-/// `(rows, cols, s_len, bc)`.
-pub fn q15_block_acc_scalar(
-    block: &[i16],
+/// Panics if a segment reaches past `w` or `x`, or `acc` does not hold
+/// `rows * s_len` accumulators. Debug builds additionally assert the
+/// no-`i16::MIN` precondition on the segments' weights.
+#[allow(clippy::too_many_arguments)]
+pub fn q15_block_acc(
+    w: &[i16],
+    w_stride: usize,
+    segs: &[Segment],
     x: &[i16],
+    x_stride: usize,
     acc: &mut [i64],
     rows: usize,
-    cols: usize,
     s_len: usize,
-    bc: usize,
 ) {
-    q15_block_acc_body(block, x, acc, rows, cols, s_len, bc, false);
+    debug_assert!(
+        segs.iter()
+            .all(|g| (0..rows).all(|r| !w[g.w + r * w_stride..][..g.cols].contains(&i16::MIN))),
+        "q15_block_acc weights contain i16::MIN; SIMD madd exactness not guaranteed"
+    );
+    let use_avx2 = simd::simd_level() == SimdLevel::Avx2;
+    q15_block_acc_body(w, w_stride, segs, x, x_stride, acc, rows, s_len, use_avx2);
+}
+
+/// Scalar-spec Q15 block accumulate: the device engine's former per-job
+/// loop applied segment by segment, one i64 product per nonzero weight and
+/// position, identical at any SIMD dispatch level.
+///
+/// # Panics
+///
+/// Panics if a segment reaches past `w` or `x`, or `acc` does not hold
+/// `rows * s_len` accumulators.
+#[allow(clippy::too_many_arguments)]
+pub fn q15_block_acc_scalar(
+    w: &[i16],
+    w_stride: usize,
+    segs: &[Segment],
+    x: &[i16],
+    x_stride: usize,
+    acc: &mut [i64],
+    rows: usize,
+    s_len: usize,
+) {
+    q15_block_acc_body(w, w_stride, segs, x, x_stride, acc, rows, s_len, false);
 }
 
 #[allow(clippy::too_many_arguments)]
 fn q15_block_acc_body(
-    block: &[i16],
+    w: &[i16],
+    w_stride: usize,
+    segs: &[Segment],
     x: &[i16],
+    x_stride: usize,
     acc: &mut [i64],
     rows: usize,
-    cols: usize,
     s_len: usize,
-    bc: usize,
     use_avx2: bool,
 ) {
-    assert!(cols <= bc, "block columns exceed the block width");
-    assert!(rows == 0 || block.len() >= (rows - 1) * bc + cols, "block length");
-    assert_eq!(x.len(), cols * s_len, "strip length");
-    assert_eq!(acc.len(), rows * s_len, "accumulator length");
+    assert_segments(w.len(), w_stride, segs, x.len(), x_stride, acc.len(), rows, s_len);
     #[cfg(target_arch = "x86_64")]
     {
         if use_avx2 {
             // SAFETY: the dispatch level only reports Avx2 on CPUs with
-            // avx2; the slice geometry is asserted above.
-            unsafe {
-                simd::avx2::q15_block_acc(
-                    block.as_ptr(),
-                    x.as_ptr(),
-                    acc.as_mut_ptr(),
-                    rows,
-                    cols,
-                    s_len,
-                    bc,
-                );
-            }
+            // avx2; every segment lies inside `w` and `x` (asserted above).
+            unsafe { simd::avx2::q15_block_acc(w, w_stride, segs, x, x_stride, acc, rows, s_len) };
             return;
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = use_avx2;
-    for r in 0..rows {
-        let wrow = &block[r * bc..r * bc + cols];
-        let acc_row = &mut acc[r * s_len..(r + 1) * s_len];
-        for (c, &wv) in wrow.iter().enumerate() {
-            if wv == 0 {
-                continue;
-            }
-            let xrow = &x[c * s_len..(c + 1) * s_len];
-            for (a, &xv) in acc_row.iter_mut().zip(xrow.iter()) {
-                *a += (wv as i64) * (xv as i64);
+    for g in segs {
+        for r in 0..rows {
+            let wrow = &w[g.w + r * w_stride..][..g.cols];
+            let acc_row = &mut acc[r * s_len..(r + 1) * s_len];
+            for (c, &wv) in wrow.iter().enumerate() {
+                if wv == 0 {
+                    continue;
+                }
+                let xrow = &x[(g.x + c) * x_stride..][..s_len];
+                for (a, &xv) in acc_row.iter_mut().zip(xrow.iter()) {
+                    *a += (wv as i64) * (xv as i64);
+                }
             }
         }
+    }
+}
+
+/// Asserts a block-kernel call's geometry: every segment's weight rows lie
+/// inside `w` and its strip rows inside `x`, and `acc` holds `rows ×
+/// s_len` accumulators. The AVX2 bodies rely on it.
+#[allow(clippy::too_many_arguments)]
+fn assert_segments(
+    w_len: usize,
+    w_stride: usize,
+    segs: &[Segment],
+    x_len: usize,
+    x_stride: usize,
+    acc_len: usize,
+    rows: usize,
+    s_len: usize,
+) {
+    assert_eq!(acc_len, rows * s_len, "accumulator length");
+    if rows == 0 {
+        return;
+    }
+    for g in segs.iter().filter(|g| g.cols > 0) {
+        assert!(g.w + (rows - 1) * w_stride + g.cols <= w_len, "segment weights past the end");
+        assert!(
+            s_len == 0 || (g.x + g.cols - 1) * x_stride + s_len <= x_len,
+            "segment rows past the strip"
+        );
     }
 }
 
@@ -435,7 +480,8 @@ fn q8_gemm_body(
 /// Q8 block accumulate dispatched on the process SIMD level: the i8 twin
 /// of [`q15_block_acc`],
 ///
-/// `acc[r*s_len + s] += Σ_{c<cols} block[r*bc + c] * x[c*s_len + s]`
+/// `acc[r*s_len + s] += Σ_{g ∈ segs} Σ_{c < g.cols} w[g.w + r*w_stride + c]
+/// * x[(g.x + c)*x_stride + s]`
 ///
 /// for `r < rows`, `s < s_len`, every i8×i8 product added in a
 /// **wrapping** i32 — [`q8_gemm`]'s accumulator. Same operand layout as
@@ -446,86 +492,81 @@ fn q8_gemm_body(
 ///
 /// # Panics
 ///
-/// Panics if `cols > bc` or the slice lengths are inconsistent with
-/// `(rows, cols, s_len, bc)`.
+/// Panics if a segment reaches past `w` or `x`, or `acc` does not hold
+/// `rows * s_len` accumulators.
+#[allow(clippy::too_many_arguments)]
 pub fn q8_block_acc(
-    block: &[i8],
+    w: &[i8],
+    w_stride: usize,
+    segs: &[Segment],
     x: &[i8],
+    x_stride: usize,
     acc: &mut [i32],
     rows: usize,
-    cols: usize,
     s_len: usize,
-    bc: usize,
 ) {
     let use_avx2 = simd::simd_level() == SimdLevel::Avx2;
-    q8_block_acc_body(block, x, acc, rows, cols, s_len, bc, use_avx2);
+    q8_block_acc_body(w, w_stride, segs, x, x_stride, acc, rows, s_len, use_avx2);
 }
 
 /// Scalar-spec Q8 block accumulate: one wrapping i32 product per nonzero
-/// weight and position, identical at any SIMD dispatch level.
+/// weight and position, segment by segment, identical at any SIMD dispatch
+/// level.
 ///
 /// # Panics
 ///
-/// Panics if `cols > bc` or the slice lengths are inconsistent with
-/// `(rows, cols, s_len, bc)`.
+/// Panics if a segment reaches past `w` or `x`, or `acc` does not hold
+/// `rows * s_len` accumulators.
+#[allow(clippy::too_many_arguments)]
 pub fn q8_block_acc_scalar(
-    block: &[i8],
+    w: &[i8],
+    w_stride: usize,
+    segs: &[Segment],
     x: &[i8],
+    x_stride: usize,
     acc: &mut [i32],
     rows: usize,
-    cols: usize,
     s_len: usize,
-    bc: usize,
 ) {
-    q8_block_acc_body(block, x, acc, rows, cols, s_len, bc, false);
+    q8_block_acc_body(w, w_stride, segs, x, x_stride, acc, rows, s_len, false);
 }
 
 #[allow(clippy::too_many_arguments)]
 fn q8_block_acc_body(
-    block: &[i8],
+    w: &[i8],
+    w_stride: usize,
+    segs: &[Segment],
     x: &[i8],
+    x_stride: usize,
     acc: &mut [i32],
     rows: usize,
-    cols: usize,
     s_len: usize,
-    bc: usize,
     use_avx2: bool,
 ) {
-    assert!(cols <= bc, "block columns exceed the block width");
-    assert!(rows == 0 || block.len() >= (rows - 1) * bc + cols, "block length");
-    assert_eq!(x.len(), cols * s_len, "strip length");
-    assert_eq!(acc.len(), rows * s_len, "accumulator length");
+    assert_segments(w.len(), w_stride, segs, x.len(), x_stride, acc.len(), rows, s_len);
     #[cfg(target_arch = "x86_64")]
     {
         if use_avx2 {
             // SAFETY: the dispatch level only reports Avx2 on CPUs with
-            // avx2; the slice geometry is asserted above.
-            unsafe {
-                simd::avx2::q8_block_acc(
-                    block.as_ptr(),
-                    x.as_ptr(),
-                    acc.as_mut_ptr(),
-                    rows,
-                    cols,
-                    s_len,
-                    bc,
-                );
-            }
+            // avx2; every segment lies inside `w` and `x` (asserted above).
+            unsafe { simd::avx2::q8_block_acc(w, w_stride, segs, x, x_stride, acc, rows, s_len) };
             return;
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = use_avx2;
-    for r in 0..rows {
-        let wrow = &block[r * bc..r * bc + cols];
-        let acc_row = &mut acc[r * s_len..(r + 1) * s_len];
-        for (c, &wv) in wrow.iter().enumerate() {
-            if wv == 0 {
-                continue;
-            }
-            let xrow = &x[c * s_len..(c + 1) * s_len];
-            for (a, &xv) in acc_row.iter_mut().zip(xrow.iter()) {
-                *a = a.wrapping_add(wv as i32 * xv as i32);
+    for g in segs {
+        for r in 0..rows {
+            let wrow = &w[g.w + r * w_stride..][..g.cols];
+            let acc_row = &mut acc[r * s_len..(r + 1) * s_len];
+            for (c, &wv) in wrow.iter().enumerate() {
+                if wv == 0 {
+                    continue;
+                }
+                let xrow = &x[(g.x + c) * x_stride..][..s_len];
+                for (a, &xv) in acc_row.iter_mut().zip(xrow.iter()) {
+                    *a = a.wrapping_add(wv as i32 * xv as i32);
+                }
             }
         }
     }
@@ -696,38 +737,58 @@ mod tests {
         }
     }
 
+    /// The segments of `n_blocks` blocks of `bc` columns, stored `rows ×
+    /// bc` each, visited in a rotated order; the last block is `ragged`
+    /// columns short.
+    fn block_segments(n_blocks: usize, bc: usize, rows: usize, ragged: usize) -> Vec<Segment> {
+        let mut segs: Vec<Segment> = (0..n_blocks)
+            .map(|b| {
+                let cols = if b + 1 == n_blocks { bc - ragged } else { bc };
+                Segment { w: b * rows * bc, x: b * bc, cols }
+            })
+            .collect();
+        segs.rotate_left(n_blocks / 2);
+        segs
+    }
+
     #[test]
     fn block_acc_matches_naive_triple_loop() {
         let mut next = xorshift(0x0b10_cacc);
-        for &(rows, cols, bc, s_len) in &[
-            (1usize, 1usize, 1usize, 1usize),
-            (8, 3, 4, 9),
-            (16, 2, 2, 1),
-            (5, 4, 5, 64),
-            (3, 1, 3, 17),
+        for &(rows, n_blocks, bc, ragged, s_len, x_stride) in &[
+            (1usize, 1usize, 1usize, 0usize, 1usize, 1usize),
+            (8, 1, 4, 1, 9, 9),
+            (16, 3, 2, 0, 1, 1),
+            (5, 2, 5, 1, 64, 70),
+            (3, 4, 3, 2, 17, 20),
         ] {
-            let mut block = weights(rows * bc, &mut next);
-            block[0] = 0;
-            let x: Vec<i16> = (0..cols * s_len).map(|_| next() as i16).collect();
+            let segs = block_segments(n_blocks, bc, rows, ragged);
+            let k = n_blocks * bc - ragged;
+            let mut w = weights(n_blocks * rows * bc, &mut next);
+            w[0] = 0;
+            let x: Vec<i16> = (0..k * x_stride).map(|_| next() as i16).collect();
             let start: Vec<i64> = (0..rows * s_len).map(|_| (next() as i64) >> 20).collect();
             let mut expect = start.clone();
-            for r in 0..rows {
-                for s in 0..s_len {
-                    for c in 0..cols {
-                        expect[r * s_len + s] += block[r * bc + c] as i64 * x[c * s_len + s] as i64;
+            for g in &segs {
+                for r in 0..rows {
+                    for s in 0..s_len {
+                        for c in 0..g.cols {
+                            let wv = w[g.w + r * bc + c] as i64;
+                            expect[r * s_len + s] += wv * x[(g.x + c) * x_stride + s] as i64;
+                        }
                     }
                 }
             }
+            let what = format!("{rows} rows, {n_blocks}x{bc} - {ragged}, s_len {s_len}");
             let mut spec = start.clone();
-            q15_block_acc_scalar(&block, &x, &mut spec, rows, cols, s_len, bc);
-            assert_eq!(spec, expect, "spec {rows}x{cols} bc {bc} s_len {s_len}");
+            q15_block_acc_scalar(&w, bc, &segs, &x, x_stride, &mut spec, rows, s_len);
+            assert_eq!(spec, expect, "spec {what}");
             let mut got = start.clone();
-            q15_block_acc(&block, &x, &mut got, rows, cols, s_len, bc);
-            assert_eq!(got, expect, "dispatched {rows}x{cols} bc {bc} s_len {s_len}");
+            q15_block_acc(&w, bc, &segs, &x, x_stride, &mut got, rows, s_len);
+            assert_eq!(got, expect, "dispatched {what}");
             if simd::avx2_supported() {
                 let mut simd = start;
-                q15_block_acc_body(&block, &x, &mut simd, rows, cols, s_len, bc, true);
-                assert_eq!(simd, expect, "avx2 {rows}x{cols} bc {bc} s_len {s_len}");
+                q15_block_acc_body(&w, bc, &segs, &x, x_stride, &mut simd, rows, s_len, true);
+                assert_eq!(simd, expect, "avx2 {what}");
             }
         }
     }
@@ -735,30 +796,38 @@ mod tests {
     #[test]
     fn q8_block_acc_matches_naive_triple_loop() {
         let mut next = xorshift(0x0b10_c8a8);
-        for &(rows, cols, bc, s_len) in
-            &[(1usize, 1usize, 1usize, 1usize), (4, 16, 16, 33), (3, 5, 7, 16), (4, 3, 3, 9)]
-        {
+        for &(rows, n_blocks, bc, ragged, s_len, x_stride) in &[
+            (1usize, 1usize, 1usize, 0usize, 1usize, 1usize),
+            (4, 1, 16, 0, 33, 33),
+            (3, 2, 7, 2, 16, 19),
+            (4, 3, 3, 1, 9, 9),
+        ] {
+            let segs = block_segments(n_blocks, bc, rows, ragged);
+            let k = n_blocks * bc - ragged;
             // full i8 range, i8::MIN included, on both operands
-            let mut block: Vec<i8> = (0..rows * bc).map(|_| next() as i8).collect();
-            block[0] = i8::MIN;
-            let x: Vec<i8> = (0..cols * s_len).map(|_| next() as i8).collect();
+            let mut w: Vec<i8> = (0..n_blocks * rows * bc).map(|_| next() as i8).collect();
+            w[0] = i8::MIN;
+            let x: Vec<i8> = (0..k * x_stride).map(|_| next() as i8).collect();
             let start: Vec<i32> = (0..rows * s_len).map(|_| next() as i32).collect();
             let mut expect = start.clone();
-            for r in 0..rows {
-                for s in 0..s_len {
-                    for c in 0..cols {
-                        let p = block[r * bc + c] as i32 * x[c * s_len + s] as i32;
-                        expect[r * s_len + s] = expect[r * s_len + s].wrapping_add(p);
+            for g in &segs {
+                for r in 0..rows {
+                    for s in 0..s_len {
+                        for c in 0..g.cols {
+                            let p = w[g.w + r * bc + c] as i32 * x[(g.x + c) * x_stride + s] as i32;
+                            expect[r * s_len + s] = expect[r * s_len + s].wrapping_add(p);
+                        }
                     }
                 }
             }
+            let what = format!("{rows} rows, {n_blocks}x{bc} - {ragged}, s_len {s_len}");
             let mut spec = start.clone();
-            q8_block_acc_scalar(&block, &x, &mut spec, rows, cols, s_len, bc);
-            assert_eq!(spec, expect, "spec {rows}x{cols} bc {bc} s_len {s_len}");
+            q8_block_acc_scalar(&w, bc, &segs, &x, x_stride, &mut spec, rows, s_len);
+            assert_eq!(spec, expect, "spec {what}");
             if simd::avx2_supported() {
                 let mut simd = start;
-                q8_block_acc_body(&block, &x, &mut simd, rows, cols, s_len, bc, true);
-                assert_eq!(simd, expect, "avx2 {rows}x{cols} bc {bc} s_len {s_len}");
+                q8_block_acc_body(&w, bc, &segs, &x, x_stride, &mut simd, rows, s_len, true);
+                assert_eq!(simd, expect, "avx2 {what}");
             }
         }
     }

@@ -57,9 +57,11 @@
 //! scalar spec provided one operand never holds `i16::MIN` (then no i32
 //! pair can wrap); quantized weights produced by
 //! [`crate::quant::QFormat::for_max_abs`] satisfy this by construction.
-//! The device engine's block kernel ([`crate::qgemm::q15_block_acc`]) uses
-//! the same pair sum over two reduction columns of one weight block, under
-//! the same precondition on the block.
+//! The block kernel of the device engine's tiles and the host convs
+//! ([`crate::qgemm::q15_block_acc`]) uses the same pair sum over two
+//! reduction columns of each segment, under the same precondition on the
+//! weights, and sums it exactly in split i32 halves (`p >> 16`,
+//! `p & 0xFFFF`) that it widens to i64 at least every 32 768 pairs.
 //!
 //! # Q8 integer GEMM
 //!
@@ -222,6 +224,7 @@ pub(crate) mod avx2 {
     //! The AVX2/FMA kernel bodies. Every `unsafe fn` here requires
     //! `avx2`+`fma` (checked by the dispatchers before any call) and
     //! in-bounds slice geometry (asserted by the public kernel entries).
+    use crate::qgemm::Segment;
     #[allow(clippy::wildcard_imports)]
     use core::arch::x86_64::*;
 
@@ -569,81 +572,260 @@ pub(crate) mod avx2 {
         (w0 as u16 as u32 | (w1 as u16 as u32) << 16) as i32
     }
 
-    /// Q15 block accumulate, one device-engine accelerator job:
-    /// `acc[r*s_len + s] += Σ_{c<cols} block[r*bc + c] * x[c*s_len + s]`.
-    /// Reduction columns go in pairs: the two weights broadcast as one i32
-    /// lane pattern, the two `x` rows interleaved by `unpack{lo,hi}_epi16`,
-    /// so one `_mm256_madd_epi16` yields `w0*x0[s] + w1*x1[s]` per position,
-    /// which is exact in i32 when the block holds no `i16::MIN` (see module
-    /// docs). Each pair sum is widened to i64 and added to sixteen
-    /// register-resident accumulators per row; an odd last column pairs
-    /// with a zero weight, and an all-zero pair is skipped. Positions past
-    /// the last multiple of 16 take the scalar tail.
-    /// Exactly equal to `qgemm::q15_block_acc_scalar` under that
-    /// precondition: every product lands in the same i64 sum.
+    /// Pair sums one split accumulator takes before it is flushed: the low
+    /// halves `p & 0xFFFF` (each at most `2^16 − 1`) of up to this many
+    /// pair sums fit an i32, and the high halves `p >> 16` (each at most
+    /// `2^15` in magnitude) of twice as many.
+    pub(crate) const Q15_FLUSH_PAIRS: usize = 32_768;
+
+    /// One `madd` pair sum `p` added into the split accumulators: `p >> 16`
+    /// into `hi`, `p & 0xFFFF` into `lo`, so that `p = (hi << 16) + lo`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn split_add(hi: &mut __m256i, lo: &mut __m256i, p: __m256i) {
+        *hi = _mm256_add_epi32(*hi, _mm256_srai_epi32(p, 16));
+        *lo = _mm256_add_epi32(*lo, _mm256_and_si256(p, _mm256_set1_epi32(0xFFFF)));
+    }
+
+    /// Widens four split sums (`hi`, `lo` i32 lanes) to `(hi << 16) + lo`
+    /// in i64 and adds them to `a[0..4]`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn flush4(a: *mut i64, hi: __m128i, lo: __m128i) {
+        let wide = _mm256_add_epi64(
+            _mm256_slli_epi64(_mm256_cvtepi32_epi64(hi), 16),
+            _mm256_cvtepi32_epi64(lo),
+        );
+        let a = a as *mut __m256i;
+        _mm256_storeu_si256(a, _mm256_add_epi64(_mm256_loadu_si256(a), wide));
+    }
+
+    /// Adds one row's 16 split position sums into `a[0..16]` and zeroes
+    /// them. `v[0]` holds positions `0..4 | 8..12`, `v[1]` `4..8 | 12..16`
+    /// (the `unpack{lo,hi}` order), as `(hi, lo)` pairs.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn flush16(a: *mut i64, v: &mut [(__m256i, __m256i); 2]) {
+        for (q, (hi, lo)) in v.iter().enumerate() {
+            flush4(a.add(4 * q), _mm256_castsi256_si128(*hi), _mm256_castsi256_si128(*lo));
+            flush4(
+                a.add(8 + 4 * q),
+                _mm256_extracti128_si256(*hi, 1),
+                _mm256_extracti128_si256(*lo, 1),
+            );
+        }
+        *v = [(_mm256_setzero_si256(), _mm256_setzero_si256()); 2];
+    }
+
+    /// Q15 block accumulate, one output tile or host block row:
+    /// `acc[r*s_len + s] += Σ_g Σ_{c<g.cols} w[g.w + r*w_stride + c] *
+    /// x[(g.x + c)*x_stride + s]`. Positions go 16 at a time, two rows per
+    /// pass ([`q15_chunk`]), in runs of 64 positions; positions past the
+    /// last multiple of 16 take the scalar tail. A tile of one position
+    /// whose weight rows are two-column pairs (the engine's fully-connected
+    /// tiles) runs row-vectorised instead ([`q15_fc`]). Exactly equal to
+    /// `qgemm::q15_block_acc_scalar` when the weights hold no `i16::MIN`:
+    /// every product lands in the same i64 sum.
     ///
     /// # Safety
     ///
-    /// Requires avx2; `block` must hold `(rows - 1) * bc + cols` elements,
-    /// `x` `cols * s_len`, and `acc` `rows * s_len`.
+    /// Requires avx2; every segment's weight rows must lie inside `w` and
+    /// its strip rows inside `x`, and `acc` must hold `rows * s_len`
+    /// accumulators (`qgemm::assert_segments`).
+    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2")]
     pub(crate) unsafe fn q15_block_acc(
-        block: *const i16,
-        x: *const i16,
-        acc: *mut i64,
+        w: &[i16],
+        w_stride: usize,
+        segs: &[Segment],
+        x: &[i16],
+        x_stride: usize,
+        acc: &mut [i64],
         rows: usize,
-        cols: usize,
         s_len: usize,
-        bc: usize,
     ) {
+        // one-position tiles over two-column pair rows whose every
+        // segment can be read as whole pairs
+        if s_len == 1
+            && w_stride == 2
+            && segs.iter().all(|g| g.cols <= 2 && g.w + 2 * rows <= w.len())
+        {
+            q15_fc(w.as_ptr(), segs, x.as_ptr(), x_stride, acc.as_mut_ptr(), rows);
+            return;
+        }
         let s16 = s_len & !15;
-        for r in 0..rows {
-            let w = block.add(r * bc);
-            let a = acc.add(r * s_len);
-            // column pairs (c, c + 1); an odd last column pairs with itself
-            // under a zero second weight
-            let pair = |c: usize| {
-                let c1 = if c + 1 < cols { c + 1 } else { c };
-                let w1 = if c + 1 < cols { *w.add(c + 1) } else { 0 };
-                (*w.add(c), w1, x.add(c * s_len), x.add(c1 * s_len))
-            };
-            for s in (0..s16).step_by(16) {
-                let mut v = [
-                    _mm256_loadu_si256(a.add(s) as *const __m256i),
-                    _mm256_loadu_si256(a.add(s + 4) as *const __m256i),
-                    _mm256_loadu_si256(a.add(s + 8) as *const __m256i),
-                    _mm256_loadu_si256(a.add(s + 12) as *const __m256i),
-                ];
-                for c in (0..cols).step_by(2) {
-                    let (w0, w1, x0, x1) = pair(c);
-                    if w0 == 0 && w1 == 0 {
-                        continue;
+        let (wp, xp, ap) = (w.as_ptr(), x.as_ptr(), acc.as_mut_ptr());
+        // positions in runs of 64, so that the strip rows a run reads stay
+        // cached across the row pairs
+        for run in (0..s16).step_by(64) {
+            let mut r = 0;
+            while r < rows {
+                for s in (run..s16.min(run + 64)).step_by(16) {
+                    let (wr, a) = (wp.add(r * w_stride), ap.add(r * s_len + s));
+                    if r + 2 <= rows {
+                        q15_chunk::<2>(wr, w_stride, segs, xp.add(s), x_stride, a, s_len);
+                    } else {
+                        q15_chunk::<1>(wr, w_stride, segs, xp.add(s), x_stride, a, s_len);
                     }
-                    let wp = _mm256_set1_epi32(weight_pair(w0, w1));
-                    let xa = _mm256_loadu_si256(x0.add(s) as *const __m256i);
-                    let xb = _mm256_loadu_si256(x1.add(s) as *const __m256i);
-                    // i32 sums: lo = s0..3 | s8..11, hi = s4..7 | s12..15
-                    let lo = _mm256_madd_epi16(_mm256_unpacklo_epi16(xa, xb), wp);
-                    let hi = _mm256_madd_epi16(_mm256_unpackhi_epi16(xa, xb), wp);
-                    let (lo_a, lo_b) =
-                        (_mm256_castsi256_si128(lo), _mm256_extracti128_si256(lo, 1));
-                    let (hi_a, hi_b) =
-                        (_mm256_castsi256_si128(hi), _mm256_extracti128_si256(hi, 1));
-                    v[0] = _mm256_add_epi64(v[0], _mm256_cvtepi32_epi64(lo_a));
-                    v[1] = _mm256_add_epi64(v[1], _mm256_cvtepi32_epi64(hi_a));
-                    v[2] = _mm256_add_epi64(v[2], _mm256_cvtepi32_epi64(lo_b));
-                    v[3] = _mm256_add_epi64(v[3], _mm256_cvtepi32_epi64(hi_b));
                 }
-                for (q, &vq) in v.iter().enumerate() {
-                    _mm256_storeu_si256(a.add(s + 4 * q) as *mut __m256i, vq);
+                r += 2;
+            }
+        }
+        if s16 < s_len {
+            for r in 0..rows {
+                let a = &mut acc[r * s_len + s16..(r + 1) * s_len];
+                for g in segs {
+                    for c in 0..g.cols {
+                        let wv = w[g.w + r * w_stride + c] as i64;
+                        let xrow = &x[(g.x + c) * x_stride + s16..][..a.len()];
+                        for (t, &xv) in a.iter_mut().zip(xrow) {
+                            *t += wv * xv as i64;
+                        }
+                    }
                 }
             }
-            for s in s16..s_len {
-                let mut t = *a.add(s);
-                for c in 0..cols {
-                    t += *w.add(c) as i64 * *x.add(c * s_len + s) as i64;
+        }
+    }
+
+    /// Split accumulators of `R` rows × 16 positions: per row, `(hi, lo)`
+    /// for positions `0..4 | 8..12` and for `4..8 | 12..16`.
+    type Split<const R: usize> = [[(__m256i, __m256i); 2]; R];
+
+    /// One column pair of `R` rows: `ul`/`uh` are the two strip rows
+    /// interleaved by `unpack{lo,hi}_epi16`, `wp[r]` row `r`'s two weights
+    /// as one broadcast i32 lane pattern; one `_mm256_madd_epi16` yields
+    /// `w0*x0[s] + w1*x1[s]` per position, split into the row's registers.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn madd_rows<const R: usize>(v: &mut Split<R>, ul: __m256i, uh: __m256i, wp: [__m256i; R]) {
+        for (vr, &wr) in v.iter_mut().zip(&wp) {
+            split_add(&mut vr[0].0, &mut vr[0].1, _mm256_madd_epi16(ul, wr));
+            split_add(&mut vr[1].0, &mut vr[1].1, _mm256_madd_epi16(uh, wr));
+        }
+    }
+
+    /// 16 positions of `R` rows across every segment: each segment's
+    /// column pairs, then its odd last column paired with a zero weight,
+    /// through [`madd_rows`]; the strip rows are unpacked once for all `R`
+    /// rows. The split sums are widened into `acc` ([`flush16`]) every
+    /// [`Q15_FLUSH_PAIRS`] pairs and once at the end.
+    ///
+    /// # Safety
+    ///
+    /// Requires avx2; `w` points at row 0 of the rows (row stride
+    /// `w_stride`), `x` at position 0 of the chunk in strip row 0 (row
+    /// stride `x_stride`), `acc` at the chunk in row 0 (row stride
+    /// `s_len`); every segment's 16 positions lie inside the strip.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn q15_chunk<const R: usize>(
+        w: *const i16,
+        w_stride: usize,
+        segs: &[Segment],
+        x: *const i16,
+        x_stride: usize,
+        acc: *mut i64,
+        s_len: usize,
+    ) {
+        let flush = |v: &mut Split<R>| {
+            for (r, vr) in v.iter_mut().enumerate() {
+                flush16(acc.add(r * s_len), vr);
+            }
+        };
+        let zero = _mm256_setzero_si256();
+        let mut v: Split<R> = [[(zero, zero); 2]; R];
+        let mut pairs = 0usize;
+        let mut count = |v: &mut Split<R>| {
+            pairs += 1;
+            if pairs == Q15_FLUSH_PAIRS {
+                flush(v);
+                pairs = 0;
+            }
+        };
+        let load = |p: *const i16| _mm256_loadu_si256(p as *const __m256i);
+        for g in segs {
+            // `wc` and `xc` walk the segment's columns two at a time
+            let (mut wc, mut xc) = (w.add(g.w), x.add(g.x * x_stride));
+            for _ in 0..g.cols / 2 {
+                let (xa, xb) = (load(xc), load(xc.add(x_stride)));
+                let wp = core::array::from_fn(|r| {
+                    _mm256_set1_epi32((wc.add(r * w_stride) as *const i32).read_unaligned())
+                });
+                madd_rows(&mut v, _mm256_unpacklo_epi16(xa, xb), _mm256_unpackhi_epi16(xa, xb), wp);
+                count(&mut v);
+                (wc, xc) = (wc.add(2), xc.add(2 * x_stride));
+            }
+            if g.cols % 2 == 1 {
+                let xa = load(xc);
+                let wp = core::array::from_fn(|r| {
+                    _mm256_set1_epi32(weight_pair(*wc.add(r * w_stride), 0))
+                });
+                madd_rows(&mut v, _mm256_unpacklo_epi16(xa, xa), _mm256_unpackhi_epi16(xa, xa), wp);
+                count(&mut v);
+            }
+        }
+        flush(&mut v);
+    }
+
+    /// Q15 block accumulate of a one-position tile whose weight rows are
+    /// two-column pairs (row stride 2): the pair `(w[2r], w[2r+1])` of
+    /// eight rows is one 256-bit load, so one `_mm256_madd_epi16` against
+    /// the broadcast activation pair `(x0, x1)` sums eight rows at once,
+    /// split into registers like [`q15_chunk`] and widened every
+    /// [`Q15_FLUSH_PAIRS`] segments and at the end. Rows go 16 at a time;
+    /// a masked load reads a short last group, and a one-column segment
+    /// pairs with a zero activation.
+    ///
+    /// # Safety
+    ///
+    /// Requires avx2; every segment's `2 * rows` weights from `w + g.w` and
+    /// its `cols` activations lie in bounds, and `acc` holds `rows` values.
+    #[target_feature(enable = "avx2")]
+    unsafe fn q15_fc(
+        w: *const i16,
+        segs: &[Segment],
+        x: *const i16,
+        x_stride: usize,
+        acc: *mut i64,
+        rows: usize,
+    ) {
+        let zero = _mm256_setzero_si256();
+        let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let flush = |r0: usize, n: usize, v: &mut (__m256i, __m256i)| {
+            let (mut hi, mut lo) = ([0i32; 8], [0i32; 8]);
+            _mm256_storeu_si256(hi.as_mut_ptr() as *mut __m256i, v.0);
+            _mm256_storeu_si256(lo.as_mut_ptr() as *mut __m256i, v.1);
+            for l in 0..n {
+                *acc.add(r0 + l) += (i64::from(hi[l]) << 16) + i64::from(lo[l]);
+            }
+            *v = (zero, zero);
+        };
+        for r0 in (0..rows).step_by(16) {
+            let n = [(rows - r0).min(8), (rows - r0).saturating_sub(8).min(8)];
+            let groups = if n[1] > 0 { 2 } else { 1 };
+            let mask = n.map(|k| _mm256_cmpgt_epi32(_mm256_set1_epi32(k as i32), lanes));
+            let mut v = [(zero, zero); 2];
+            let mut pairs = 0usize;
+            for g in segs.iter().filter(|g| g.cols > 0) {
+                let x0 = *x.add(g.x * x_stride);
+                let x1 = if g.cols > 1 { *x.add((g.x + 1) * x_stride) } else { 0 };
+                let xp = _mm256_set1_epi32(weight_pair(x0, x1));
+                for q in 0..groups {
+                    let wq = w.add(g.w + 2 * (r0 + 8 * q)) as *const i32;
+                    let p = _mm256_madd_epi16(_mm256_maskload_epi32(wq, mask[q]), xp);
+                    split_add(&mut v[q].0, &mut v[q].1, p);
                 }
-                *a.add(s) = t;
+                pairs += 1;
+                if pairs == Q15_FLUSH_PAIRS {
+                    for q in 0..groups {
+                        flush(r0 + 8 * q, n[q], &mut v[q]);
+                    }
+                    pairs = 0;
+                }
+            }
+            for q in 0..groups {
+                flush(r0 + 8 * q, n[q], &mut v[q]);
             }
         }
     }
@@ -652,70 +834,76 @@ pub(crate) mod avx2 {
     // Q8 integer GEMM body.
     // -----------------------------------------------------------------
     /// Q8 block accumulate, the i8 twin of [`q15_block_acc`]:
-    /// `acc[r*s_len + s] += Σ_{c<cols} block[r*bc + c] * x[c*s_len + s]` in
-    /// wrapping i32. Reduction columns go in pairs: the two `x` rows'
-    /// bytes are interleaved by `unpack{lo,hi}_epi8` and sign-extended to
-    /// `(x0[s], x1[s])` i16 pairs for 8 positions each, so one
-    /// `_mm256_madd_epi16` against the broadcast weight pair yields
-    /// `w0*x0[s] + w1*x1[s]` per position, in position order — exact (at
-    /// most 2·2¹⁴ in magnitude). The pair sums add into sixteen
-    /// register-resident wrapping i32 accumulators per row; an odd last
-    /// column pairs with a zero weight, an all-zero pair is skipped, and
-    /// positions past the last multiple of 16 take the scalar tail.
-    /// Exactly equal to `qgemm::q8_block_acc_scalar` for **all** inputs:
-    /// wrapping addition reassociates freely.
+    /// `acc[r*s_len + s] += Σ_g Σ_{c<g.cols} w[g.w + r*w_stride + c] *
+    /// x[(g.x + c)*x_stride + s]` in wrapping i32, one segment after the
+    /// other. Reduction columns go in pairs: the two `x` rows' bytes are
+    /// interleaved by `unpack{lo,hi}_epi8` and sign-extended to `(x0[s],
+    /// x1[s])` i16 pairs for 8 positions each, so one `_mm256_madd_epi16`
+    /// against the broadcast weight pair yields `w0*x0[s] + w1*x1[s]` per
+    /// position, in position order — exact (at most 2·2¹⁴ in magnitude). The
+    /// pair sums add into sixteen register-resident wrapping i32
+    /// accumulators per row; an odd last column pairs with a zero weight,
+    /// an all-zero pair is skipped, and positions past the last multiple
+    /// of 16 take the scalar tail. Exactly equal to
+    /// `qgemm::q8_block_acc_scalar` for **all** inputs: wrapping addition
+    /// reassociates freely.
     ///
     /// # Safety
     ///
-    /// Requires avx2; `block` must hold `(rows - 1) * bc + cols` elements,
-    /// `x` `cols * s_len`, and `acc` `rows * s_len`.
+    /// Requires avx2; every segment's weight rows must lie inside `w` and
+    /// its strip rows inside `x`, and `acc` must hold `rows * s_len`
+    /// accumulators (`qgemm::assert_segments`).
+    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2")]
     pub(crate) unsafe fn q8_block_acc(
-        block: *const i8,
-        x: *const i8,
-        acc: *mut i32,
+        w: &[i8],
+        w_stride: usize,
+        segs: &[Segment],
+        x: &[i8],
+        x_stride: usize,
+        acc: &mut [i32],
         rows: usize,
-        cols: usize,
         s_len: usize,
-        bc: usize,
     ) {
         let s16 = s_len & !15;
-        for r in 0..rows {
-            let w = block.add(r * bc);
-            let a = acc.add(r * s_len);
-            let pair = |c: usize| {
-                let c1 = if c + 1 < cols { c + 1 } else { c };
-                let w1 = if c + 1 < cols { *w.add(c + 1) } else { 0 };
-                (*w.add(c), w1, x.add(c * s_len), x.add(c1 * s_len))
-            };
-            for s in (0..s16).step_by(16) {
-                let mut v = [
-                    _mm256_loadu_si256(a.add(s) as *const __m256i),
-                    _mm256_loadu_si256(a.add(s + 8) as *const __m256i),
-                ];
-                for c in (0..cols).step_by(2) {
-                    let (w0, w1, x0, x1) = pair(c);
-                    if w0 == 0 && w1 == 0 {
-                        continue;
+        for g in segs {
+            let (wg, xg) = (w.as_ptr().add(g.w), x.as_ptr().add(g.x * x_stride));
+            for r in 0..rows {
+                let (wr, a) = (wg.add(r * w_stride), acc.as_mut_ptr().add(r * s_len));
+                let pair = |c: usize| {
+                    let c1 = if c + 1 < g.cols { c + 1 } else { c };
+                    let w1 = if c + 1 < g.cols { *wr.add(c + 1) } else { 0 };
+                    (*wr.add(c), w1, xg.add(c * x_stride), xg.add(c1 * x_stride))
+                };
+                for s in (0..s16).step_by(16) {
+                    let mut v = [
+                        _mm256_loadu_si256(a.add(s) as *const __m256i),
+                        _mm256_loadu_si256(a.add(s + 8) as *const __m256i),
+                    ];
+                    for c in (0..g.cols).step_by(2) {
+                        let (w0, w1, x0, x1) = pair(c);
+                        if w0 == 0 && w1 == 0 {
+                            continue;
+                        }
+                        let wp = _mm256_set1_epi32(weight_pair(w0 as i16, w1 as i16));
+                        let xa = _mm_loadu_si128(x0.add(s) as *const __m128i);
+                        let xb = _mm_loadu_si128(x1.add(s) as *const __m128i);
+                        // (x0[s], x1[s]) pairs for s0..7 and s8..15
+                        let lo = _mm256_cvtepi8_epi16(_mm_unpacklo_epi8(xa, xb));
+                        let hi = _mm256_cvtepi8_epi16(_mm_unpackhi_epi8(xa, xb));
+                        v[0] = _mm256_add_epi32(v[0], _mm256_madd_epi16(lo, wp));
+                        v[1] = _mm256_add_epi32(v[1], _mm256_madd_epi16(hi, wp));
                     }
-                    let wp = _mm256_set1_epi32(weight_pair(w0 as i16, w1 as i16));
-                    let xa = _mm_loadu_si128(x0.add(s) as *const __m128i);
-                    let xb = _mm_loadu_si128(x1.add(s) as *const __m128i);
-                    // (x0[s], x1[s]) pairs for s0..7 and s8..15
-                    let lo = _mm256_cvtepi8_epi16(_mm_unpacklo_epi8(xa, xb));
-                    let hi = _mm256_cvtepi8_epi16(_mm_unpackhi_epi8(xa, xb));
-                    v[0] = _mm256_add_epi32(v[0], _mm256_madd_epi16(lo, wp));
-                    v[1] = _mm256_add_epi32(v[1], _mm256_madd_epi16(hi, wp));
+                    _mm256_storeu_si256(a.add(s) as *mut __m256i, v[0]);
+                    _mm256_storeu_si256(a.add(s + 8) as *mut __m256i, v[1]);
                 }
-                _mm256_storeu_si256(a.add(s) as *mut __m256i, v[0]);
-                _mm256_storeu_si256(a.add(s + 8) as *mut __m256i, v[1]);
-            }
-            for s in s16..s_len {
-                let mut t = *a.add(s);
-                for c in 0..cols {
-                    t = t.wrapping_add(*w.add(c) as i32 * *x.add(c * s_len + s) as i32);
+                for s in s16..s_len {
+                    let mut t = *a.add(s);
+                    for c in 0..g.cols {
+                        t = t.wrapping_add(*wr.add(c) as i32 * *xg.add(c * x_stride + s) as i32);
+                    }
+                    *a.add(s) = t;
                 }
-                *a.add(s) = t;
             }
         }
     }

@@ -27,10 +27,11 @@
 //! each quantized layer builds one from its quantized weights' nonzeros
 //! at quantize time ([`SparseIndex::from_mask`] takes any element type),
 //! and each conv runs the block kernels ([`crate::qgemm::q15_block_acc`],
-//! [`crate::qgemm::q8_block_acc`]) once per alive strip of each block row
-//! ([`SparseIndex::strips_of`]), so all-zero blocks cost nothing there
-//! either. That path has no density threshold: an exact integer sum is
-//! the same however many blocks it skips.
+//! [`crate::qgemm::q8_block_acc`]) once per block row, with that row's
+//! alive strips ([`SparseIndex::strips_of`]) as its column segments, so
+//! all-zero blocks cost nothing there either. That path has no density
+//! threshold: an exact integer sum is the same however many blocks it
+//! skips.
 
 use crate::Tensor;
 use std::sync::atomic::{AtomicU8, Ordering};

@@ -30,6 +30,7 @@ use iprune_repro::tensor::pool::{
 use iprune_repro::tensor::qgemm::{
     q15_block_acc, q15_block_acc_scalar, q15_gemm, q15_requantize_relu, q15_requantize_relu_scalar,
     q8_block_acc, q8_block_acc_scalar, q8_gemm, q8_requantize_relu, q8_requantize_relu_scalar,
+    Segment,
 };
 use iprune_repro::tensor::simd::{avx2_supported, set_simd_level, simd_level, SimdLevel};
 use iprune_repro::tensor::sparse::SparseIndex;
@@ -550,138 +551,229 @@ fn q15_gemm_simd_is_bitwise_exact_vs_scalar() {
     }
 }
 
-#[test]
-fn q15_block_acc_simd_is_bitwise_exact_vs_scalar() {
-    let _g = hold_level();
-    let mut s = 0xb10c_u64;
+/// A block kernel: `(w, w_stride, segs, x, x_stride, acc, rows, s_len)`.
+type BlockKernel<T, A> = fn(&[T], usize, &[Segment], &[T], usize, &mut [A], usize, usize);
+
+/// One block-kernel call: weights and their row stride, the segment list,
+/// the strip and its row stride, and the tile's rows and positions.
+struct BlockCase<T> {
+    w: Vec<T>,
+    w_stride: usize,
+    segs: Vec<Segment>,
+    x: Vec<T>,
+    x_stride: usize,
+    rows: usize,
+    s_len: usize,
+    what: String,
+}
+
+/// The block-kernel cases both precisions run, with weights drawn by `wt`
+/// and activations by `act` from a random word:
+///
+/// * one segment, the kernel's former single-block shapes: rows 1..=16 ×
+///   cols 1..=4, a block width of `cols` or `cols + 1`, and `s_len` with a
+///   16-wide step and a scalar tail in the same row;
+/// * BSR block rows: `br ∈ {6, 8, 10, 16}`, `bc ∈ {1, 2, 3, 4}`, four
+///   alive blocks of five block columns (the last ragged when `bc > 1`),
+///   all `br` rows or a ragged last row block, `s_len ∈ {1, 15, 16, 17,
+///   64, 100}` (100 spans two runs of positions) read through a row stride
+///   five wider or packed `s_len` apart.
+fn block_cases<T: Copy>(
+    seed: u64,
+    wt: impl Fn(u64) -> T,
+    act: impl Fn(u64) -> T,
+    zero: T,
+) -> Vec<BlockCase<T>> {
+    let mut s = seed;
     let mut next = move || {
         s ^= s << 13;
         s ^= s >> 7;
         s ^= s << 17;
         s
     };
+    let mut cases = Vec::new();
     for rows in 1..=16usize {
         for cols in 1..=4usize {
-            // a wider stride leaves padding columns the kernel must skip
             let bc = cols + rows % 2;
-            // 25 runs one 16-wide step and a scalar tail in the same row
             for s_len in [1usize, 7, 8, 9, 16, 25, 64] {
-                // weights in [-i16::MAX, i16::MAX] (the for_max_abs
-                // guarantee), ~1/4 zeros, and an all-zero column pair in
-                // every other row
-                let mut block: Vec<i16> = (0..rows * bc)
-                    .map(|_| if next() % 4 == 0 { 0 } else { (next() as i16).max(-i16::MAX) })
-                    .collect();
+                let mut w: Vec<T> = (0..rows * bc).map(|_| wt(next())).collect();
+                // an all-zero column pair in every other row
                 for r in (0..rows).step_by(2) {
-                    block[r * bc..r * bc + cols.min(2)].fill(0);
+                    w[r * bc..r * bc + cols.min(2)].fill(zero);
                 }
-                // activations over the full i16 range, extremes included
-                let mut x: Vec<i16> = (0..cols * s_len).map(|_| next() as i16).collect();
-                x[0] = i16::MIN;
-                x[cols * s_len - 1] = i16::MAX;
-                let start: Vec<i64> = (0..rows * s_len).map(|_| (next() as i64) >> 16).collect();
-                let mut spec = start.clone();
-                q15_block_acc_scalar(&block, &x, &mut spec, rows, cols, s_len, bc);
-                for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
-                    if level == SimdLevel::Avx2 && !avx2_supported() {
-                        continue;
-                    }
-                    set_simd_level(level);
-                    let mut got = start.clone();
-                    q15_block_acc(&block, &x, &mut got, rows, cols, s_len, bc);
-                    assert_eq!(
-                        got, spec,
-                        "{level:?} rows {rows} cols {cols} bc {bc} s_len {s_len}"
-                    );
+                cases.push(BlockCase {
+                    w,
+                    w_stride: bc,
+                    segs: vec![Segment { w: 0, x: 0, cols }],
+                    x: (0..cols * s_len).map(|_| act(next())).collect(),
+                    x_stride: s_len,
+                    rows,
+                    s_len,
+                    what: format!("one block: rows {rows} cols {cols} bc {bc} s_len {s_len}"),
+                });
+            }
+        }
+    }
+    for br in [6usize, 8, 10, 16] {
+        for bc in 1..=4usize {
+            let ragged = usize::from(bc > 1);
+            let k = 5 * bc - ragged;
+            let lens = [1usize, 15, 16, 17, 64, 100];
+            for (s_len, pad) in lens.into_iter().flat_map(|n| [(n, 5), (n, 0)]) {
+                for rows in [br, br - 3] {
+                    // block column 1 is pruned; the stored blocks sit in
+                    // slot order, each `br × bc`
+                    let segs: Vec<Segment> = [0usize, 2, 3, 4]
+                        .iter()
+                        .enumerate()
+                        .map(|(slot, &cb)| Segment {
+                            w: slot * br * bc,
+                            x: cb * bc,
+                            cols: bc.min(k - cb * bc),
+                        })
+                        .collect();
+                    let x_stride = s_len + pad;
+                    cases.push(BlockCase {
+                        w: (0..4 * br * bc).map(|_| wt(next())).collect(),
+                        w_stride: bc,
+                        segs,
+                        x: (0..k * x_stride).map(|_| act(next())).collect(),
+                        x_stride,
+                        rows,
+                        s_len,
+                        what: format!(
+                            "bsr: br {br} rows {rows} bc {bc} k {k} s_len {s_len} x_stride {x_stride}"
+                        ),
+                    });
                 }
             }
         }
     }
-    // the pair-sum bound itself: |w0·x0 + w1·x1| = 2·32767·32768 < 2^31
-    for w in [i16::MAX, -i16::MAX] {
-        let block = vec![w; 4 * 4];
-        let x = vec![i16::MIN; 4 * 64];
-        let mut spec = vec![0i64; 4 * 64];
-        q15_block_acc_scalar(&block, &x, &mut spec, 4, 4, 64, 4);
-        assert_eq!(spec[0], 4 * w as i64 * i16::MIN as i64);
-        if avx2_supported() {
-            set_simd_level(SimdLevel::Avx2);
-            let mut got = vec![0i64; 4 * 64];
-            q15_block_acc(&block, &x, &mut got, 4, 4, 64, 4);
-            assert_eq!(got, spec, "extremes, w = {w}");
+    cases
+}
+
+/// Runs `case` through the scalar spec and through the dispatched kernel
+/// at both forced levels from the same start accumulators, and asserts the
+/// three agree bit for bit.
+fn check_block_case<T, A: Clone + PartialEq + std::fmt::Debug>(
+    case: &BlockCase<T>,
+    start: &[A],
+    spec: BlockKernel<T, A>,
+    dispatched: BlockKernel<T, A>,
+) {
+    let BlockCase { w, w_stride, segs, x, x_stride, rows, s_len, what } = case;
+    let mut want = start.to_vec();
+    spec(w, *w_stride, segs, x, *x_stride, &mut want, *rows, *s_len);
+    for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+        if level == SimdLevel::Avx2 && !avx2_supported() {
+            continue;
         }
+        set_simd_level(level);
+        let mut got = start.to_vec();
+        dispatched(w, *w_stride, segs, x, *x_stride, &mut got, *rows, *s_len);
+        assert_eq!(got, want, "{level:?} {what}");
+    }
+}
+
+/// The Q15 block kernel is *bitwise* exact across dispatch levels on one
+/// segment and on multi-segment BSR block rows, including the
+/// fully-connected tiles (`s_len = 1`, two-column blocks). Weights stay in
+/// `±i16::MAX` (the `for_max_abs` guarantee) with zeros and the extremes;
+/// activations cover the full range, `i16::MIN` included.
+#[test]
+fn q15_block_acc_simd_is_bitwise_exact_vs_scalar() {
+    let _g = hold_level();
+    let wt = |r: u64| match r % 8 {
+        0 | 1 => 0,
+        2 => i16::MAX,
+        3 => -i16::MAX,
+        _ => ((r >> 16) as i16).max(-i16::MAX),
+    };
+    let act = |r: u64| match r % 8 {
+        0 => i16::MIN,
+        1 => i16::MAX,
+        _ => (r >> 16) as i16,
+    };
+    for (i, case) in block_cases(0xb10c, wt, act, 0).iter().enumerate() {
+        let start: Vec<i64> = (0..case.rows * case.s_len)
+            .map(|j| ((i * 7919 + j * 104_729) as i64 % (1 << 40)) - (1 << 39))
+            .collect();
+        check_block_case(case, &start, q15_block_acc_scalar, q15_block_acc);
+    }
+    // the pair-sum bound itself, |w0·x0 + w1·x1| = 2·32767·32768 < 2^31,
+    // across segments
+    for w in [i16::MAX, -i16::MAX] {
+        for (s_len, bc) in [(64usize, 4usize), (1, 2)] {
+            let segs: Vec<Segment> =
+                (0..3).map(|b| Segment { w: b * 8 * bc, x: b * bc, cols: bc }).collect();
+            let case = BlockCase {
+                w: vec![w; 3 * 8 * bc],
+                w_stride: bc,
+                segs,
+                x: vec![i16::MIN; 3 * bc * s_len],
+                x_stride: s_len,
+                rows: 8,
+                s_len,
+                what: format!("extremes, w = {w}, s_len {s_len}"),
+            };
+            let mut spec = vec![0i64; 8 * s_len];
+            q15_block_acc_scalar(&case.w, bc, &case.segs, &case.x, s_len, &mut spec, 8, s_len);
+            assert_eq!(spec[0], 3 * bc as i64 * w as i64 * i16::MIN as i64);
+            check_block_case(&case, &vec![0i64; 8 * s_len], q15_block_acc_scalar, q15_block_acc);
+        }
+    }
+    // more than 32 768 pairs in one list, every low half 0xFFFE: the split
+    // sums must be flushed to i64 before the low halves overflow i32, on the
+    // position body (4-column blocks) and the fully-connected body (2-column
+    // blocks, one position)
+    for (bc, rows, s_len) in [(4usize, 3usize, 17usize), (2, 10, 1)] {
+        let n_segs = 34_000 * 2 / bc;
+        let segs: Vec<Segment> =
+            (0..n_segs).map(|b| Segment { w: b * rows * bc, x: b * bc, cols: bc }).collect();
+        let case = BlockCase {
+            w: vec![-1i16; n_segs * rows * bc],
+            w_stride: bc,
+            segs,
+            x: vec![1i16; n_segs * bc * s_len],
+            x_stride: s_len,
+            rows,
+            s_len,
+            what: format!("flush: {n_segs} segments of {bc} columns, s_len {s_len}"),
+        };
+        check_block_case(&case, &vec![5i64; rows * s_len], q15_block_acc_scalar, q15_block_acc);
     }
 }
 
 /// The Q8 block kernel is *bitwise* exact across dispatch levels for
-/// arbitrary i8 operands, `i8::MIN` included, on the shapes the Q15 block
-/// kernel's test walks: odd `cols`, `s_len % 16 != 0`, and `bc > cols`.
+/// arbitrary i8 operands, `i8::MIN` included, on the Q15 kernel's cases,
+/// from accumulators near the i32 edges so the wrap shows.
 #[test]
 fn q8_block_acc_simd_is_bitwise_exact_vs_scalar() {
     let _g = hold_level();
-    let mut s = 0xb18c_u64;
-    let mut next = move || {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        s
-    };
-    for rows in 1..=16usize {
-        for cols in 1..=4usize {
-            let bc = cols + rows % 2;
-            for s_len in [1usize, 7, 8, 9, 16, 25, 64] {
-                // full-range weights, ~1/4 zeros, an all-zero column pair in
-                // every other row, and i8::MIN in the last used weight
-                let mut block: Vec<i8> = (0..rows * bc)
-                    .map(|_| if next() % 4 == 0 { 0 } else { next() as i8 })
-                    .collect();
-                for r in (0..rows).step_by(2) {
-                    block[r * bc..r * bc + cols.min(2)].fill(0);
-                }
-                block[(rows - 1) * bc + cols - 1] = i8::MIN;
-                let mut x: Vec<i8> = (0..cols * s_len).map(|_| next() as i8).collect();
-                x[0] = i8::MIN;
-                x[cols * s_len - 1] = i8::MAX;
-                // accumulators near the i32 edges, so the wrap shows
-                let start: Vec<i32> =
-                    (0..rows * s_len)
-                        .map(|i| {
-                            if i % 3 == 0 {
-                                i32::MAX - (next() % 64) as i32
-                            } else {
-                                next() as i32
-                            }
-                        })
-                        .collect();
-                let mut spec = start.clone();
-                q8_block_acc_scalar(&block, &x, &mut spec, rows, cols, s_len, bc);
-                for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
-                    if level == SimdLevel::Avx2 && !avx2_supported() {
-                        continue;
-                    }
-                    set_simd_level(level);
-                    let mut got = start.clone();
-                    q8_block_acc(&block, &x, &mut got, rows, cols, s_len, bc);
-                    assert_eq!(
-                        got, spec,
-                        "{level:?} rows {rows} cols {cols} bc {bc} s_len {s_len}"
-                    );
-                }
-            }
-        }
+    let wt = |r: u64| if r.is_multiple_of(4) { 0 } else { (r >> 16) as i8 };
+    let act = |r: u64| if r.is_multiple_of(8) { i8::MIN } else { (r >> 16) as i8 };
+    for (i, case) in block_cases(0xb18c, wt, act, 0).iter().enumerate() {
+        let start: Vec<i32> = (0..case.rows * case.s_len)
+            .map(|j| if j % 3 == 0 { i32::MAX - (i + j) as i32 % 64 } else { (i * j) as i32 })
+            .collect();
+        check_block_case(case, &start, q8_block_acc_scalar, q8_block_acc);
     }
     // the extreme pair sum: 2 * (-128) * (-128) = 2^15, exact in the madd
-    let block = vec![i8::MIN; 4 * 4];
-    let x = vec![i8::MIN; 4 * 32];
+    let segs = [Segment { w: 0, x: 0, cols: 4 }, Segment { w: 16, x: 4, cols: 4 }];
+    let case = BlockCase {
+        w: vec![i8::MIN; 32],
+        w_stride: 4,
+        segs: segs.to_vec(),
+        x: vec![i8::MIN; 8 * 32],
+        x_stride: 32,
+        rows: 4,
+        s_len: 32,
+        what: "extremes".to_string(),
+    };
     let mut spec = vec![0i32; 4 * 32];
-    q8_block_acc_scalar(&block, &x, &mut spec, 4, 4, 32, 4);
-    assert_eq!(spec[0], 4 * 128 * 128);
-    if avx2_supported() {
-        set_simd_level(SimdLevel::Avx2);
-        let mut got = vec![0i32; 4 * 32];
-        q8_block_acc(&block, &x, &mut got, 4, 4, 32, 4);
-        assert_eq!(got, spec, "extremes");
-    }
+    q8_block_acc_scalar(&case.w, 4, &case.segs, &case.x, 32, &mut spec, 4, 32);
+    assert_eq!(spec[0], 8 * 128 * 128);
+    check_block_case(&case, &vec![0i32; 4 * 32], q8_block_acc_scalar, q8_block_acc);
 }
 
 /// The fracs of a net requantize shift `s` (`in + w − out = s`), with a
