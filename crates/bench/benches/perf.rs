@@ -9,8 +9,12 @@
 //! the row form over alive blocks (per zoo layer, one output checksum
 //! both forms reproduce), the device engine's continuous-mode inference
 //! per zoo app (µs per inference and per job, one logits checksum it
-//! shares with host Q15), end-to-end quantized inference at both dispatch
-//! levels, f32-vs-Q15/Q8 evaluation accuracy per zoo app, block-sparse vs
+//! shares with host Q15), the f32 reference walk that calibrates every
+//! quantizer (ms per walk per zoo app, with a hash of every buffer it
+//! writes), fleet replay of one recorded CKS inference per harvest profile
+//! (µs per device, with a hash of every device's outcome), end-to-end
+//! quantized inference at both dispatch levels, f32-vs-Q15/Q8 evaluation
+//! accuracy per zoo app, block-sparse vs
 //! dense kernels at 30/50/80 % block sparsity, and prune-pipeline
 //! wall-clock at 1/2/4/8 requested threads.
 //!
@@ -42,9 +46,11 @@ use iprune_bench::cache::workspace_root;
 use iprune_bench::run_app_pipelines;
 use iprune_bench::scale::SMOKE;
 use iprune_device::{DeviceSim, PowerStrength};
+use iprune_fleet::{record_workload, replay, PopulationSpec};
 use iprune_hawaii::deploy::deploy;
 use iprune_hawaii::exec::{infer, ExecMode};
 use iprune_models::arch::GraphOp;
+use iprune_models::graphref::run_graph;
 use iprune_models::qeval::{conv_rows, Quantized8Model, QuantizedModel};
 use iprune_models::train::{evaluate, train_sgd, TrainConfig};
 use iprune_models::zoo::App;
@@ -860,6 +866,126 @@ fn bench_engine() -> Vec<EngineRow> {
     rows
 }
 
+struct CalibrationRow {
+    app: &'static str,
+    samples: usize,
+    /// Median wall time of one walk.
+    wall_ms: f64,
+    /// Every buffer of every sample's walk, dense and at 500 000 ppm.
+    dense_checksum: u64,
+    masked_checksum: u64,
+}
+
+/// Times the f32 reference walk (`graphref::run_graph`) that calibrates
+/// every quantizer and the device deploy, per zoo app: ms per walk over a
+/// few deterministic samples, and a hash of every buffer it writes, on the
+/// dense model and under 50 % block pruning. The walk is serial and its
+/// one dispatched kernel, the f32 max-pool, is exact at every level, so
+/// the hashes hold at every dispatch level and thread count.
+fn bench_calibration() -> Vec<CalibrationRow> {
+    let (samples, reps) = (8, 5);
+    App::all()
+        .iter()
+        .map(|&app| {
+            let mut model = app.build();
+            let inputs = app.dataset(samples, 304);
+            let mut checksums = [0u64; 2];
+            let mut wall_ms = 0.0;
+            for (pass, keep) in [None, Some(500_000)].into_iter().enumerate() {
+                if let Some(keep) = keep {
+                    let masks = model.block_magnitude_masks(keep);
+                    model.set_masks(&masks);
+                }
+                let weights = model.extract_weights();
+                let walk_all = || {
+                    (0..samples)
+                        .map(|i| run_graph(&model.info, &weights, &inputs.sample(i)))
+                        .collect::<Vec<_>>()
+                };
+                if keep.is_none() {
+                    wall_ms = time_median(reps, || {
+                        black_box(walk_all());
+                    }) * 1e3
+                        / samples as f64;
+                }
+                let bits = walk_all().into_iter().flatten().flatten().flat_map(f32::to_le_bytes);
+                checksums[pass] = fnv64_bytes(bits);
+            }
+            CalibrationRow {
+                app: app.name(),
+                samples,
+                wall_ms,
+                dense_checksum: checksums[0],
+                masked_checksum: checksums[1],
+            }
+        })
+        .collect()
+}
+
+struct ReplayRow {
+    harvest: &'static str,
+    devices: u64,
+    /// Median wall time per replayed device.
+    wall_us: f64,
+    power_cycles: u64,
+    retries: u64,
+    /// Every device's latency, stall and statistics bits.
+    checksum: u64,
+}
+
+/// Times fleet replay of one recorded CKS inference (the fleet's own
+/// recording: untrained weights, 2 calibration samples) on nominal devices
+/// under every harvest profile of the default fleet: µs per device, from
+/// building its simulator to its outcome. The hash covers each device's
+/// latency, charging time, worst stall, power cycles, retries and
+/// committed jobs, and is a pure function of the simulator, so it holds at
+/// every dispatch level and thread count.
+fn bench_replay() -> Vec<ReplayRow> {
+    let (devices, reps) = (10u64, 5);
+    let app = App::Cks;
+    let mut model = app.build();
+    let ds = app.dataset(4, 305);
+    let dm = deploy(&mut model, &ds, 2);
+    let work = record_workload(&dm, &ds.sample(0));
+    let pop = PopulationSpec::default_fleet(devices, 306);
+    (0..pop.harvests.len())
+        .map(|h| {
+            let run = || {
+                (0..devices)
+                    .map(|d| {
+                        let mut sim = pop.sample(h as u64, h, 0, d).build_sim();
+                        replay(&work, &mut sim).expect("nominal CKS devices finish")
+                    })
+                    .collect::<Vec<_>>()
+            };
+            let wall = time_median(reps, || {
+                black_box(run());
+            });
+            let outs = run();
+            let bits = outs.iter().flat_map(|o| {
+                [
+                    o.latency_s.to_bits(),
+                    o.charging_s.to_bits(),
+                    o.max_stall_s.to_bits(),
+                    o.power_cycles,
+                    o.retries,
+                    o.stats.jobs_committed,
+                ]
+                .into_iter()
+                .flat_map(u64::to_le_bytes)
+            });
+            ReplayRow {
+                harvest: pop.harvests[h].label(),
+                devices,
+                wall_us: wall * 1e6 / devices as f64,
+                power_cycles: outs.iter().map(|o| o.power_cycles).sum(),
+                retries: outs.iter().map(|o| o.retries).sum(),
+                checksum: fnv64_bytes(bits),
+            }
+        })
+        .collect()
+}
+
 struct E2eRow {
     engine: &'static str,
     samples: usize,
@@ -1414,6 +1540,28 @@ fn main() {
         );
     }
 
+    // The f32 reference walk behind every calibration, per zoo app.
+    let calibration_rows = bench_calibration();
+    println!();
+    println!("f32 reference walk (calibration), per sample:");
+    for r in &calibration_rows {
+        println!(
+            "  {:<4} {:>8.3} ms/walk  dense {:#018x}  50% blocks {:#018x}",
+            r.app, r.wall_ms, r.dense_checksum, r.masked_checksum
+        );
+    }
+
+    // Fleet replay of one recorded CKS inference, per harvest profile.
+    let replay_rows = bench_replay();
+    println!();
+    println!("fleet replay, CKS on nominal devices, per device:");
+    for r in &replay_rows {
+        println!(
+            "  {:<14} {:>8.1} us/device  power cycles {:>5}  retries {:>4}  checksum {:#018x}",
+            r.harvest, r.wall_us, r.power_cycles, r.retries, r.checksum
+        );
+    }
+
     // f32 vs quantized accuracy per zoo app.
     let qeval_rows = bench_q15_eval();
     println!();
@@ -1832,6 +1980,53 @@ fn main() {
             r.app, r.samples, r.jobs, r.acc_outputs, r.checksum
         );
         json.push_str(if i + 1 < engine_rows.len() { ",\n" } else { "\n" });
+    }
+    json.push_str("  ],\n");
+    // Timing lines carry `wall_ms` / `wall_us`, so CI's grep and the
+    // history hash skip them.
+    json.push_str("  \"calibration\": [\n");
+    for (i, r) in calibration_rows.iter().enumerate() {
+        let _ = write!(
+            json,
+            "    {{\"app\": \"{}\", \"samples\": {}, \"wall_ms\": {:.4}}}",
+            r.app, r.samples, r.wall_ms
+        );
+        json.push_str(if i + 1 < calibration_rows.len() { ",\n" } else { "\n" });
+    }
+    json.push_str("  ],\n");
+    // Structural: every buffer the walk writes, which no dispatch level or
+    // thread count may change.
+    json.push_str("  \"calibration_checksums\": [\n");
+    for (i, r) in calibration_rows.iter().enumerate() {
+        let _ = write!(
+            json,
+            "    {{\"app\": \"{}\", \"samples\": {}, \"dense_checksum\": \"{:#018x}\", \
+             \"masked_checksum\": \"{:#018x}\"}}",
+            r.app, r.samples, r.dense_checksum, r.masked_checksum
+        );
+        json.push_str(if i + 1 < calibration_rows.len() { ",\n" } else { "\n" });
+    }
+    json.push_str("  ],\n");
+    json.push_str("  \"replay\": [\n");
+    for (i, r) in replay_rows.iter().enumerate() {
+        let _ = write!(
+            json,
+            "    {{\"harvest\": \"{}\", \"devices\": {}, \"wall_us\": {:.2}}}",
+            r.harvest, r.devices, r.wall_us
+        );
+        json.push_str(if i + 1 < replay_rows.len() { ",\n" } else { "\n" });
+    }
+    json.push_str("  ],\n");
+    // Structural: the replayed devices' outcomes.
+    json.push_str("  \"replay_checksums\": [\n");
+    for (i, r) in replay_rows.iter().enumerate() {
+        let _ = write!(
+            json,
+            "    {{\"harvest\": \"{}\", \"devices\": {}, \"power_cycles\": {}, \
+             \"retries\": {}, \"checksum\": \"{:#018x}\"}}",
+            r.harvest, r.devices, r.power_cycles, r.retries, r.checksum
+        );
+        json.push_str(if i + 1 < replay_rows.len() { ",\n" } else { "\n" });
     }
     json.push_str("  ],\n");
     // acc_f32 rides the float kernels, whose ULPs legitimately differ

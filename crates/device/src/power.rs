@@ -4,6 +4,12 @@
 //! device through a power switch: on when the capacitor reaches `V_on`,
 //! off when it falls to `V_off` (Section IV-A). The usable budget per power
 //! cycle is therefore `½·C·(V_on² − V_off²)` ≈ 104 µJ on the paper's board.
+//!
+//! [`Supply::power_at`] is the definition of the harvested input power.
+//! `Supply::span_at` returns the same value together with the half-open
+//! time span on which `power_at` keeps returning it, so the simulator can
+//! memoise its lookups exactly (`PowerTrace::span_at` says why the span is
+//! exact).
 
 use crate::spec::DeviceSpec;
 
@@ -53,7 +59,33 @@ impl PowerStrength {
 pub struct PowerTrace {
     samples: Vec<f64>,
     dt_s: f64,
+    /// Mean of `samples`, summed once here rather than per power failure.
+    mean_w: f64,
 }
+
+/// A supply's power on a half-open time span: `power_at(x)` returns `w`
+/// for every `x` in `[lo, hi)`. A span with `lo == hi` holds no time.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct PowerSpan {
+    /// First time of the span.
+    pub(crate) lo: f64,
+    /// First time past the span.
+    pub(crate) hi: f64,
+    /// The power (W) throughout the span.
+    pub(crate) w: f64,
+}
+
+impl PowerSpan {
+    /// Whether `t` lies in the span (never for NaN).
+    #[inline]
+    pub(crate) fn contains(&self, t: f64) -> bool {
+        self.lo <= t && t < self.hi
+    }
+}
+
+/// Cap on the one-ulp steps `PowerTrace::span_at` takes from its guessed
+/// span end to the exact one; the guess is off by a few ulps at most.
+const SPAN_ULP_STEPS: u32 = 64;
 
 impl PowerTrace {
     /// Creates a trace from samples (watts) spaced `dt_s` seconds apart.
@@ -67,7 +99,8 @@ impl PowerTrace {
         assert!(!samples.is_empty(), "trace needs at least one sample");
         assert!(dt_s > 0.0, "sample interval must be positive");
         assert!(samples.iter().all(|&w| w >= 0.0), "power cannot be negative");
-        Self { samples, dt_s }
+        let mean_w = samples.iter().sum::<f64>() / samples.len() as f64;
+        Self { samples, dt_s, mean_w }
     }
 
     /// A synthetic "solar" profile: a clipped sinusoid of period
@@ -154,15 +187,66 @@ impl PowerTrace {
 
     /// Power at absolute time `t` (periodic).
     pub fn power_at(&self, t: f64) -> f64 {
-        let period = self.samples.len() as f64 * self.dt_s;
+        self.samples[self.index(t)]
+    }
+
+    /// Length of one period (s).
+    fn period(&self) -> f64 {
+        self.samples.len() as f64 * self.dt_s
+    }
+
+    /// The sample [`Self::power_at`] reads at time `t`.
+    fn index(&self, t: f64) -> usize {
+        let tt = t.rem_euclid(self.period());
+        ((tt / self.dt_s) as usize).min(self.samples.len() - 1)
+    }
+
+    /// [`Self::power_at`]`(t)` and the span `[t, hi)` on which it holds.
+    ///
+    /// Exactness: for `x ≥ 0` in one period `[nP, (n+1)P)`,
+    /// `x.rem_euclid(P)` is exactly `x − nP` (fmod is exact), so the sample
+    /// index `min(⌊RN(tt/dt)⌋, L−1)` never decreases as `x` grows there.
+    /// From a guessed `hi`, one-ulp steps find the `hi > t` with
+    /// `index(hi) ≠ i` and `index(prev(hi)) == i`. If `prev(hi)` is in
+    /// `t`'s period, monotonicity puts every `x` of `[t, prev(hi)]` on
+    /// sample `i`; it is when `prev(hi) − t < P` and its offset into the
+    /// period is not below `t`'s. Anything else (negative or non-finite
+    /// `t`, the step cap, another period) gives the empty span `[t, t)`,
+    /// which is exact too. A one-sample trace holds everywhere.
+    pub(crate) fn span_at(&self, t: f64) -> PowerSpan {
+        let i = self.index(t);
+        let w = self.samples[i];
+        if self.samples.len() == 1 {
+            return PowerSpan { lo: f64::NEG_INFINITY, hi: f64::INFINITY, w };
+        }
+        let empty = PowerSpan { lo: t, hi: t, w };
+        // below zero `rem_euclid` rounds, and NaN or ±inf has no period
+        if !(0.0..f64::INFINITY).contains(&t) {
+            return empty;
+        }
+        let period = self.period();
         let tt = t.rem_euclid(period);
-        let idx = ((tt / self.dt_s) as usize).min(self.samples.len() - 1);
-        self.samples[idx]
+        let mut hi = ((t - tt) + (i + 1) as f64 * self.dt_s).max(t.next_up());
+        for _ in 0..SPAN_ULP_STEPS {
+            if self.index(hi) == i {
+                hi = hi.next_up();
+                continue;
+            }
+            // `last >= t`: the search only steps down while `last` is off `i`
+            let last = hi.next_down();
+            if self.index(last) != i {
+                hi = last;
+                continue;
+            }
+            let same_period = last - t < period && last.rem_euclid(period) >= tt;
+            return if same_period { PowerSpan { lo: t, hi, w } } else { empty };
+        }
+        empty
     }
 
     /// Mean power over one period.
     pub fn mean_w(&self) -> f64 {
-        self.samples.iter().sum::<f64>() / self.samples.len() as f64
+        self.mean_w
     }
 
     /// Sample interval in seconds.
@@ -187,6 +271,15 @@ impl Supply {
         match self {
             Supply::Constant(w) => *w,
             Supply::Trace(tr) => tr.power_at(t),
+        }
+    }
+
+    /// [`Self::power_at`]`(t)` with a span holding `t` on which it holds
+    /// (a constant supply's span is all of time).
+    pub(crate) fn span_at(&self, t: f64) -> PowerSpan {
+        match self {
+            Supply::Constant(w) => PowerSpan { lo: f64::NEG_INFINITY, hi: f64::INFINITY, w: *w },
+            Supply::Trace(tr) => tr.span_at(t),
         }
     }
 
@@ -460,6 +553,131 @@ mod tests {
                     let w = tr.power_at(i as f64 * tr.dt_s());
                     prop_assert!((0.0..=20.0e-3).contains(&w), "seed {} sample {} = {}", seed, i, w);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn mean_is_summed_once_in_the_same_order() {
+        let samples: Vec<f64> = (0..97).map(|i| (i as f64 * 0.37).sin().abs() * 1e-3).collect();
+        let tr = PowerTrace::new(samples.clone(), 0.01);
+        let resummed = samples.iter().sum::<f64>() / samples.len() as f64;
+        assert_eq!(tr.mean_w().to_bits(), resummed.to_bits());
+    }
+
+    #[test]
+    fn constant_and_one_sample_supplies_hold_for_all_time() {
+        let all = |s: PowerSpan| s.lo == f64::NEG_INFINITY && s.hi == f64::INFINITY;
+        assert!(all(Supply::Constant(4.0e-3).span_at(17.0)));
+        let one = PowerTrace::new(vec![3.0e-3], 0.5);
+        for t in [-1.0, 0.0, 0.25, 1.0e9] {
+            assert!(all(one.span_at(t)));
+            assert_eq!(one.span_at(t).w, 3.0e-3);
+        }
+        // a NaN time is never inside a span, so it is always recomputed
+        assert!(!Supply::Constant(4.0e-3).span_at(0.0).contains(f64::NAN));
+    }
+
+    #[test]
+    fn spans_outside_the_nonnegative_reals_are_empty() {
+        let tr = PowerTrace::new(vec![1.0, 2.0, 3.0], 0.5);
+        for t in [-0.1, -2.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let s = tr.span_at(t);
+            assert!(!s.contains(t), "t = {t}: {s:?}");
+            assert_eq!(s.w.to_bits(), tr.power_at(t).to_bits());
+        }
+    }
+
+    /// Checks the span at `t` against the definition: its value has
+    /// `power_at(t)`'s bits and, unless it is empty, every probed `x` of
+    /// `[t, hi)` reads `t`'s sample while `hi` reads another one.
+    fn check_span(tr: &PowerTrace, t: f64, mut probe: impl FnMut() -> u64) {
+        let s = tr.span_at(t);
+        assert_eq!(s.w.to_bits(), tr.power_at(t).to_bits(), "t = {t:e}");
+        if s.lo == s.hi {
+            return;
+        }
+        if tr.samples.len() == 1 {
+            assert!(s.lo == f64::NEG_INFINITY && s.hi == f64::INFINITY);
+            return;
+        }
+        assert_eq!(s.lo, t, "span must start at the looked-up time");
+        assert!(s.hi > t);
+        let i = tr.index(t);
+        let last = s.hi.next_down();
+        let mut xs = vec![t, t.next_up().min(last), last, last.next_down().max(t)];
+        for _ in 0..8 {
+            let f = (probe() >> 11) as f64 / (1u64 << 53) as f64;
+            xs.push((t + f * (s.hi - t)).clamp(t, last));
+        }
+        for x in xs {
+            assert_eq!(tr.index(x), i, "x = {x:e} in span [{t:e}, {:e}) of sample {i}", s.hi);
+            assert_eq!(tr.power_at(x).to_bits(), s.w.to_bits(), "x = {x:e}");
+        }
+        assert_ne!(tr.index(s.hi), i, "span end {:e} still reads sample {i} (t = {t:e})", s.hi);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        // The span function agrees with `power_at` on random traces, at the
+        // fleet's sample intervals and random ones, many periods out, and
+        // one ulp either side of every kind of boundary.
+        #[test]
+        fn spans_read_one_sample_and_end_where_it_ends(
+            n in 1usize..131,
+            seed in any::<u64>(),
+            dt_pick in 0usize..6,
+            dt_rand in 1.0e-4f64..0.7,
+            periods in 0u64..2_000_000,
+            frac in 0.0f64..1.0,
+            k_pick in any::<u64>(),
+        ) {
+            // few distinct levels, so neighbouring samples often repeat
+            let samples: Vec<f64> =
+                (0..n).map(|i| (PowerTrace::mix(seed, i as u64) % 4) as f64 * 1.0e-3).collect();
+            // the fleet's and the sweep's intervals, then random ones
+            let dt = [2.0 / 64.0, 1.0 / 64.0, 4.0 / 64.0, 0.1, dt_rand, dt_rand / 3.0][dt_pick];
+            let tr = PowerTrace::new(samples, dt);
+            let period = tr.period();
+            let k = (k_pick % n as u64) as f64;
+            let mut draws = seed;
+            let mut probe = || {
+                draws = PowerTrace::mix(draws, 1);
+                draws
+            };
+            let far = periods as f64 * period;
+            let boundaries = [
+                k * dt,
+                (k + 1.0) * dt,
+                far,
+                far + k * dt,
+                (periods + 1) as f64 * period,
+            ];
+            check_span(&tr, far + frac * period, &mut probe);
+            check_span(&tr, frac * period, &mut probe);
+            for b in boundaries {
+                for t in [b.next_down(), b, b.next_up()] {
+                    check_span(&tr, t, &mut probe);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn spans_are_found_for_nonnegative_times() {
+        // the ulp search must land, not fall back to empty spans: fleet
+        // traces over a long, jittered walk of times
+        for tr in [
+            PowerTrace::solar(8.0e-3, 2.0, 64, 9),
+            PowerTrace::rf_bursts(20.0e-3, 1.0e-3, 1.0, 64, 4, 9),
+            PowerTrace::thermal_drift(5.0e-3, 2.0e-3, 4.0, 64, 9),
+        ] {
+            let mut t = 0.0f64;
+            for step in 0..20_000u64 {
+                let s = tr.span_at(t);
+                assert!(s.lo < s.hi, "empty span at t = {t:e}");
+                t = if step % 3 == 0 { s.hi } else { t + (step % 7) as f64 * 1.3e-4 };
             }
         }
     }

@@ -9,10 +9,22 @@
 //! volatile state is lost, the capacitor recharges at the harvesting input
 //! power, the device reboots, and the caller must perform progress recovery
 //! before retrying the interrupted activity.
+//!
+//! Every job and blocking transfer reads the input power at least once. A
+//! harvest trace's `power_at` costs an `f64::rem_euclid` and a division,
+//! so the simulator memoises it: it keeps the last looked-up value with
+//! the span of time on which [`Supply::power_at`] returns it
+//! (`Supply::span_at`) and recomputes only when a lookup leaves that
+//! span. The memo is a pure function of the supply, so it is exact across
+//! [`DeviceSim::restore`], [`DeviceSim::fork`] and any rewind of time; only
+//! assigning a new supply resets it. Debug builds check every memo hit
+//! against `Supply::power_at`. The job path (`run_read`, `run_job`,
+//! `recover` and their helpers) is `#[inline]`, so an engine's commit loop
+//! compiles into one body.
 
 use crate::energy::EnergyModel;
 use crate::inject::{FailureDetail, FaultDecision, FaultHook, JobOutcome, JobView};
-use crate::power::{Capacitor, PowerStrength, Supply};
+use crate::power::{Capacitor, PowerSpan, PowerStrength, Supply};
 use crate::spec::DeviceSpec;
 use crate::timing::TimingModel;
 use crate::trace::SimStats;
@@ -79,6 +91,9 @@ pub struct DeviceSim {
     timing: TimingModel,
     energy: EnergyModel,
     supply: Supply,
+    /// Memo of `supply`'s power: the last looked-up value and the span on
+    /// which `supply.power_at` returns it.
+    power: PowerSpan,
     cap: Capacitor,
     /// Commit frontier: wall-clock time up to which all effects are durable.
     now: f64,
@@ -107,7 +122,10 @@ pub struct DeviceSim {
 ///
 /// The immutable models (spec/timing/energy) and the supply are *not*
 /// captured — a checkpoint must be restored into (or forked from) a
-/// simulator built with the same configuration. The trace sink is not
+/// simulator built with the same configuration. Neither is the memo of the
+/// supply's power: its span is valid for the supply at any time, so a
+/// restored or forked simulator keeps it, and a rewound lookup outside it
+/// recomputes. The trace sink is not
 /// captured either: forks install their own sinks, so checkpointing a
 /// traced simulator never aliases its event stream.
 ///
@@ -166,7 +184,7 @@ impl DeviceSim {
             PowerStrength::Continuous,
             seed,
         );
-        sim.supply = supply;
+        sim.set_supply(supply);
         sim
     }
 
@@ -181,7 +199,7 @@ impl DeviceSim {
         seed: u64,
     ) -> Self {
         let mut sim = Self::with_models(spec, timing, energy, PowerStrength::Continuous, seed);
-        sim.supply = supply;
+        sim.set_supply(supply);
         sim
     }
 
@@ -203,11 +221,13 @@ impl DeviceSim {
             let frac = (h % 1000) as f64 / 2000.0;
             cap.apply(-cap.span_j() * frac);
         }
+        let supply = Supply::from(strength);
         Self {
             spec,
             timing,
             energy,
-            supply: Supply::from(strength),
+            power: supply.span_at(0.0),
+            supply,
             cap,
             now: 0.0,
             lea_free: 0.0,
@@ -248,6 +268,29 @@ impl DeviceSim {
     /// The configured power supply.
     pub fn supply(&self) -> &Supply {
         &self.supply
+    }
+
+    /// Replaces the supply and the memo of its power together.
+    fn set_supply(&mut self, supply: Supply) {
+        self.power = supply.span_at(self.now);
+        self.supply = supply;
+    }
+
+    /// `supply.power_at(t)`, recomputed only when `t` leaves the memo's
+    /// span.
+    #[inline]
+    fn power_at(&mut self, t: f64) -> f64 {
+        if self.power.contains(t) {
+            debug_assert_eq!(
+                self.power.w.to_bits(),
+                self.supply.power_at(t).to_bits(),
+                "power memo {:?} disagrees with the supply at t = {t:e}",
+                self.power
+            );
+        } else {
+            self.power = self.supply.span_at(t);
+        }
+        self.power.w
     }
 
     /// Installs an adversarial fault injector. Every subsequent job attempt
@@ -339,6 +382,7 @@ impl DeviceSim {
             timing: self.timing.clone(),
             energy: self.energy.clone(),
             supply: self.supply.clone(),
+            power: self.power,
             cap: ckpt.cap.clone(),
             now: ckpt.now,
             lea_free: ckpt.lea_free,
@@ -381,6 +425,7 @@ impl DeviceSim {
     ///
     /// [`SimError::Nontermination`] if the job can never fit in one power
     /// cycle's energy budget.
+    #[inline]
     pub fn run_job(&mut self, cost: JobCost) -> Result<Commit, SimError> {
         let lea_busy = self.timing.lea_s(cost.lea_macs);
         let cpu_busy = self.timing.cpu_s(cost.cpu_cycles);
@@ -399,7 +444,8 @@ impl DeviceSim {
         let e = self.energy.p_base_w * wall
             + self.energy.p_lea_w * t_lea
             + self.energy.p_nvm_write_w * t_wr;
-        let net = e - self.supply.power_at(self.now) * wall;
+        let p_in = self.power_at(self.now);
+        let net = e - p_in * wall;
         if net >= self.cap.span_j() {
             return Err(SimError::Nontermination {
                 activity: format!("job {cost:?}"),
@@ -538,6 +584,7 @@ impl DeviceSim {
     ///
     /// [`SimError::Nontermination`] if the re-fetch itself cannot fit in one
     /// power cycle.
+    #[inline]
     pub fn recover(&mut self, refetch_bytes: usize) -> Result<(), SimError> {
         self.run_blocking_transfer(refetch_bytes, TransferClass::Recovery, "recovery read")?;
         Ok(())
@@ -552,6 +599,7 @@ impl DeviceSim {
     ///
     /// [`SimError::Nontermination`] if the transfer cannot fit in one power
     /// cycle. Split transfers into smaller DMA commands instead.
+    #[inline]
     pub fn run_read(&mut self, bytes: usize) -> Result<(), SimError> {
         self.run_blocking_transfer(bytes, TransferClass::Read, "nvm read")?;
         self.stats.nvm_read_bytes += bytes as u64;
@@ -628,6 +676,7 @@ impl DeviceSim {
         }
     }
 
+    #[inline]
     fn run_blocking_transfer(
         &mut self,
         bytes: usize,
@@ -674,6 +723,7 @@ impl DeviceSim {
 
     /// Advances all frontiers through a blocking activity of duration `t`
     /// drawing `p_draw` watts, retrying through power failures.
+    #[inline]
     fn advance_blocking(
         &mut self,
         t: f64,
@@ -684,9 +734,10 @@ impl DeviceSim {
         // idle gap before the activity: the device only harvests
         let idle = start - self.now;
         if idle > 0.0 {
-            self.cap.apply(self.supply.power_at(self.now) * idle);
+            let p_idle = self.power_at(self.now);
+            self.cap.apply(p_idle * idle);
         }
-        let net = (p_draw - self.supply.power_at(start)) * t;
+        let net = (p_draw - self.power_at(start)) * t;
         if net >= self.cap.span_j() {
             return Err(SimError::Nontermination {
                 activity: what.to_string(),
@@ -1044,59 +1095,80 @@ mod tests {
         assert!(s.check_invariants().unwrap_err().contains("injected_failures"));
     }
 
+    /// The weak constant level and two harvest traces: the supplies the
+    /// checkpoint tests run under, so they cover the power memo's spans
+    /// as well as its all-time constant span.
+    fn checkpoint_supplies() -> [(&'static str, Supply); 3] {
+        use crate::power::PowerTrace;
+        [
+            ("weak", Supply::from(PowerStrength::Weak)),
+            ("solar", Supply::Trace(PowerTrace::solar(8.0e-3, 2.0, 64, 3))),
+            ("rf bursts", Supply::Trace(PowerTrace::rf_bursts(20.0e-3, 1.0e-3, 1.0, 64, 4, 5))),
+        ]
+    }
+
     #[test]
     fn fork_resumes_bit_identically_to_the_original() {
-        // Drive a weak-power sim through a failure-rich workload, snapshot
+        // Drive a harvested sim through a failure-rich workload, snapshot
         // mid-way, then run fork and original forward in lockstep: every
         // observable must stay bit-identical.
         let cost = JobCost { lea_macs: 60, preserve_bytes: 34, cpu_cycles: 8 };
-        let mut sim = DeviceSim::new(PowerStrength::Weak, 3);
-        sim.set_fault_hook(Box::new(FailNth { attempt: 700, frac: 0.4, fired: false }));
-        let mut committed = 0;
-        while committed < 500 {
-            match sim.run_job(cost).unwrap() {
-                Commit::Committed => committed += 1,
-                Commit::PowerFailed => sim.recover(128).unwrap(),
+        for (label, supply) in checkpoint_supplies() {
+            let mut sim = DeviceSim::with_supply(supply, 3);
+            sim.set_fault_hook(Box::new(FailNth { attempt: 700, frac: 0.4, fired: false }));
+            let mut committed = 0;
+            while committed < 500 {
+                match sim.run_job(cost).unwrap() {
+                    Commit::Committed => committed += 1,
+                    Commit::PowerFailed => sim.recover(128).unwrap(),
+                }
             }
-        }
-        let ckpt = sim.checkpoint();
-        let mut fork = sim.fork(&ckpt);
-        assert_eq!(fork.now(), sim.now());
-        for _ in 0..2_000 {
-            let a = sim.run_job(cost).unwrap();
-            let b = fork.run_job(cost).unwrap();
-            assert_eq!(a, b);
-            if a == Commit::PowerFailed {
-                sim.recover(128).unwrap();
-                fork.recover(128).unwrap();
+            let ckpt = sim.checkpoint();
+            let mut fork = sim.fork(&ckpt);
+            assert_eq!(fork.now(), sim.now());
+            for _ in 0..2_000 {
+                let a = sim.run_job(cost).unwrap();
+                let b = fork.run_job(cost).unwrap();
+                assert_eq!(a, b, "{label}");
+                if a == Commit::PowerFailed {
+                    sim.recover(128).unwrap();
+                    fork.recover(128).unwrap();
+                }
             }
+            assert!(sim.stats().power_cycles > 1, "{label}: the supply must brown out");
+            assert_eq!(sim.now().to_bits(), fork.now().to_bits(), "{label}");
+            assert_eq!(sim.stats(), fork.stats(), "{label}");
+            // the injected failure at attempt 700 fired identically in both
+            assert_eq!(sim.stats().injected_failures, 1, "{label}");
         }
-        assert_eq!(sim.now().to_bits(), fork.now().to_bits());
-        assert_eq!(sim.stats(), fork.stats());
-        // the injected failure at attempt 700 fired identically in both
-        assert_eq!(sim.stats().injected_failures, 1);
     }
 
     #[test]
     fn restore_rewinds_in_place() {
         let cost = JobCost { lea_macs: 60, preserve_bytes: 34, cpu_cycles: 8 };
-        let mut sim = DeviceSim::new(PowerStrength::Weak, 0);
-        for _ in 0..200 {
-            if sim.run_job(cost).unwrap() == Commit::PowerFailed {
-                sim.recover(128).unwrap();
+        let run = |sim: &mut DeviceSim, jobs: usize| {
+            for _ in 0..jobs {
+                if sim.run_job(cost).unwrap() == Commit::PowerFailed {
+                    sim.recover(128).unwrap();
+                }
             }
+        };
+        for (label, supply) in checkpoint_supplies() {
+            let mut sim = DeviceSim::with_supply(supply, 0);
+            run(&mut sim, 200);
+            let ckpt = sim.checkpoint();
+            let mark = (sim.now(), sim.stats().clone());
+            run(&mut sim, 500);
+            assert_ne!(sim.now(), mark.0, "{label}");
+            let ahead = (sim.now(), sim.stats().clone());
+            sim.restore(&ckpt);
+            assert_eq!(sim.now().to_bits(), mark.0.to_bits(), "{label}");
+            assert_eq!(sim.stats(), &mark.1, "{label}");
+            // rewound time reads the supply again: the rerun repeats itself
+            run(&mut sim, 500);
+            assert_eq!(sim.now().to_bits(), ahead.0.to_bits(), "{label}");
+            assert_eq!(sim.stats(), &ahead.1, "{label}");
         }
-        let ckpt = sim.checkpoint();
-        let mark = (sim.now(), sim.stats().clone());
-        for _ in 0..500 {
-            if sim.run_job(cost).unwrap() == Commit::PowerFailed {
-                sim.recover(128).unwrap();
-            }
-        }
-        assert_ne!(sim.now(), mark.0);
-        sim.restore(&ckpt);
-        assert_eq!(sim.now().to_bits(), mark.0.to_bits());
-        assert_eq!(sim.stats(), &mark.1);
     }
 
     #[test]

@@ -8,7 +8,16 @@
 //! and the Q15 and Q8 engines of [`crate::qeval`]. The f32 reference
 //! calibrates quantization (per-buffer ranges) and is the semantic
 //! reference the quantized engines are tested against; it must agree with
-//! the trainable network's own forward pass. The device engine in
+//! the trainable network's own forward pass.
+//!
+//! The f32 backend computes eight output channels per lane block: a
+//! block's weights are packed lane-major, `[tap][8]`, into one buffer per
+//! layer loaned from the walk's [`ExecCtx`], and lane `l` of block `b`
+//! sums output channel `8b + l` in the order of the direct
+//! one-output-at-a-time loop (bias, then `w·x` over input channels and
+//! the inside taps), one multiply and one add per term. Every buffer
+//! therefore has the direct loop's bits; that loop survives as the test
+//! module's oracle. The device engine in
 //! `iprune-hawaii` runs its shape ops through [`max_pool`],
 //! [`global_avg_pool`] and [`flatten`], so host and device pool alike.
 
@@ -187,7 +196,18 @@ fn split_bufs<T>(bufs: &mut [Vec<T>], src: usize, dst: usize) -> (&[T], &mut [T]
     }
 }
 
-/// The plain-f32 backend: direct loops, no packing.
+/// Output channels per lane block of the f32 reference walk.
+const LANES: usize = 8;
+
+/// The plain-f32 backend. It computes [`LANES`] output channels (or FC
+/// outputs) per lane block: lane `l` of block `b` is channel `LANES·b + l`.
+/// Each lane starts from its bias and adds `w·x` over the input channels,
+/// then the inside taps `dy`, then `dx`, one multiply and one add per term
+/// (Rust never contracts them into an FMA), which is the order of the
+/// direct loop — so every output has the direct loop's bits. All lanes at
+/// one output position share their taps, so borders, strides and padding
+/// need no special case. The last block's padded lanes run over zero
+/// weights and are never stored.
 struct F32<'a> {
     info: &'a ModelInfo,
     weights: &'a [LayerWeights],
@@ -200,55 +220,73 @@ impl Numerics for F32<'_> {
         dst.copy_from_slice(input);
     }
 
-    fn layer(&self, op: &LayerOp, src_buf: &[f32], dst_buf: &mut [f32], _ctx: &mut ExecCtx) {
+    fn layer(&self, op: &LayerOp, src_buf: &[f32], dst_buf: &mut [f32], ctx: &mut ExecCtx) {
         let lw = &self.weights[op.layer_id];
         let (w, b) = (lw.w.data(), lw.b.data());
         let p = &self.info.prunables[op.layer_id];
-        match p.kind {
-            PrunableKind::Conv { cin, cout, kh, kw, stride, pad_h, pad_w, in_h, in_w } => {
-                let (oh, ow) = p.out_hw();
-                let dst_dims = &self.info.buffers[op.dst].dims;
-                let (dst_h, dst_w) = (dst_dims[1], dst_dims[2]);
-                for m in 0..cout {
+        let taps = p.k_len();
+        let relu = |a: f32| if op.relu && a < 0.0 { 0.0 } else { a };
+        // one block's weights, lane-major `[tap][LANES]`
+        let mut packed = ctx.take(taps * LANES);
+        for (blk, rows) in w.chunks(taps * LANES).enumerate() {
+            let wb = packed.as_chunks_mut::<LANES>().0;
+            let live = rows.len() / taps;
+            for (l, row) in rows.chunks_exact(taps).enumerate() {
+                for (lanes, &wv) in wb.iter_mut().zip(row) {
+                    lanes[l] = wv;
+                }
+            }
+            for lanes in wb.iter_mut() {
+                lanes[live..].fill(0.0);
+            }
+            let wb: &[[f32; LANES]] = wb;
+            let mut bias = [0.0f32; LANES];
+            bias[..live].copy_from_slice(&b[blk * LANES..][..live]);
+            match p.kind {
+                PrunableKind::Conv { cin, kh, kw, stride, pad_h, pad_w, in_h, in_w, .. } => {
+                    let (oh, ow) = p.out_hw();
+                    let dst_dims = &self.info.buffers[op.dst].dims;
+                    let (dst_h, dst_w) = (dst_dims[1], dst_dims[2]);
                     for oy in 0..oh {
                         let (ky0, iy0, ny) =
                             inside_taps((oy * stride) as isize - pad_h as isize, kh, in_h);
                         for ox in 0..ow {
                             let (kx0, ix0, nx) =
                                 inside_taps((ox * stride) as isize - pad_w as isize, kw, in_w);
-                            let mut acc = b[m];
+                            let mut acc = bias;
                             for c in 0..cin {
                                 for dy in 0..ny {
-                                    let wr = ((m * cin + c) * kh + ky0 + dy) * kw + kx0;
+                                    let t0 = (c * kh + ky0 + dy) * kw + kx0;
                                     let xr = (c * in_h + iy0 + dy) * in_w + ix0;
-                                    let (ws, xs) = (&w[wr..wr + nx], &src_buf[xr..xr + nx]);
-                                    for (wv, xv) in ws.iter().zip(xs) {
-                                        acc += wv * xv;
+                                    let (ws, xs) = (&wb[t0..t0 + nx], &src_buf[xr..xr + nx]);
+                                    for (wt, &x) in ws.iter().zip(xs) {
+                                        for (a, &wv) in acc.iter_mut().zip(wt) {
+                                            *a += wv * x;
+                                        }
                                     }
                                 }
                             }
-                            if op.relu && acc < 0.0 {
-                                acc = 0.0;
+                            for (l, &a) in acc[..live].iter().enumerate() {
+                                let m = op.dst_c_off + blk * LANES + l;
+                                dst_buf[(m * dst_h + oy) * dst_w + ox] = relu(a);
                             }
-                            dst_buf[((op.dst_c_off + m) * dst_h + oy) * dst_w + ox] = acc;
                         }
                     }
                 }
-            }
-            PrunableKind::Fc { din, dout } => {
-                for (o, out) in dst_buf.iter_mut().take(dout).enumerate() {
-                    let mut acc = b[o];
-                    let row = &w[o * din..(o + 1) * din];
-                    for (wv, xv) in row.iter().zip(src_buf.iter()) {
-                        acc += wv * xv;
+                PrunableKind::Fc { .. } => {
+                    let mut acc = bias;
+                    for (wt, &x) in wb.iter().zip(src_buf) {
+                        for (a, &wv) in acc.iter_mut().zip(wt) {
+                            *a += wv * x;
+                        }
                     }
-                    if op.relu && acc < 0.0 {
-                        acc = 0.0;
+                    for (d, &a) in dst_buf[blk * LANES..][..live].iter_mut().zip(&acc) {
+                        *d = relu(a);
                     }
-                    *out = acc;
                 }
             }
         }
+        ctx.put(packed);
     }
 }
 
@@ -286,8 +324,172 @@ pub fn run_graph_logits(info: &ModelInfo, weights: &[LayerWeights], input: &Tens
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::NetBuilder;
     use crate::zoo::App;
     use iprune_tensor::layer::Layer;
+
+    /// The oracle of the f32 backend: direct loops, one output at a time,
+    /// bias first, then `w·x` over `c`, `dy`, `dx`.
+    struct Direct<'a> {
+        info: &'a ModelInfo,
+        weights: &'a [LayerWeights],
+    }
+
+    impl Numerics for Direct<'_> {
+        type Elem = f32;
+
+        fn load_input(&self, input: &[f32], dst: &mut [f32]) {
+            dst.copy_from_slice(input);
+        }
+
+        fn layer(&self, op: &LayerOp, src_buf: &[f32], dst_buf: &mut [f32], _ctx: &mut ExecCtx) {
+            let lw = &self.weights[op.layer_id];
+            let (w, b) = (lw.w.data(), lw.b.data());
+            let p = &self.info.prunables[op.layer_id];
+            match p.kind {
+                PrunableKind::Conv { cin, cout, kh, kw, stride, pad_h, pad_w, in_h, in_w } => {
+                    let (oh, ow) = p.out_hw();
+                    let dst_dims = &self.info.buffers[op.dst].dims;
+                    let (dst_h, dst_w) = (dst_dims[1], dst_dims[2]);
+                    for m in 0..cout {
+                        for oy in 0..oh {
+                            let (ky0, iy0, ny) =
+                                inside_taps((oy * stride) as isize - pad_h as isize, kh, in_h);
+                            for ox in 0..ow {
+                                let (kx0, ix0, nx) =
+                                    inside_taps((ox * stride) as isize - pad_w as isize, kw, in_w);
+                                let mut acc = b[m];
+                                for c in 0..cin {
+                                    for dy in 0..ny {
+                                        let wr = ((m * cin + c) * kh + ky0 + dy) * kw + kx0;
+                                        let xr = (c * in_h + iy0 + dy) * in_w + ix0;
+                                        let (ws, xs) = (&w[wr..wr + nx], &src_buf[xr..xr + nx]);
+                                        for (wv, xv) in ws.iter().zip(xs) {
+                                            acc += wv * xv;
+                                        }
+                                    }
+                                }
+                                if op.relu && acc < 0.0 {
+                                    acc = 0.0;
+                                }
+                                dst_buf[((op.dst_c_off + m) * dst_h + oy) * dst_w + ox] = acc;
+                            }
+                        }
+                    }
+                }
+                PrunableKind::Fc { din, dout } => {
+                    for (o, out) in dst_buf.iter_mut().take(dout).enumerate() {
+                        let mut acc = b[o];
+                        let row = &w[o * din..(o + 1) * din];
+                        for (wv, xv) in row.iter().zip(src_buf.iter()) {
+                            acc += wv * xv;
+                        }
+                        if op.relu && acc < 0.0 {
+                            acc = 0.0;
+                        }
+                        *out = acc;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Asserts that `run_graph` writes the oracle's bits into every buffer.
+    fn assert_equals_direct(info: &ModelInfo, weights: &[LayerWeights], x: &Tensor, what: &str) {
+        let want = walk(info, &Direct { info, weights }, x, &mut ExecCtx::new());
+        let got = run_graph(info, weights, x);
+        assert_eq!(want.len(), got.len());
+        for (k, (a, b)) in want.iter().zip(&got).enumerate() {
+            let (a, b): (Vec<u32>, Vec<u32>) =
+                (a.iter().map(|v| v.to_bits()).collect(), b.iter().map(|v| v.to_bits()).collect());
+            assert_eq!(a, b, "{what}: buffer {k}");
+        }
+    }
+
+    #[test]
+    fn lane_blocks_equal_the_direct_loops_on_the_zoo() {
+        for app in App::all() {
+            let mut model = app.build();
+            let ds = app.dataset(2, 17);
+            for keep in [None, Some(500_000)] {
+                if let Some(keep) = keep {
+                    let masks = model.block_magnitude_masks(keep);
+                    model.set_masks(&masks);
+                }
+                let weights = model.extract_weights();
+                for i in 0..ds.len() {
+                    let what = format!("{} keep {keep:?} sample {i}", app.name());
+                    assert_equals_direct(&model.info, &weights, &ds.sample(i), &what);
+                }
+            }
+        }
+    }
+
+    /// Ragged lane blocks (`cout` and `dout` around multiples of 8),
+    /// stride 2, concatenated fire outputs, kernels wider than their input,
+    /// and inputs holding −0.0, NaN and ±inf.
+    #[test]
+    fn lane_blocks_equal_the_direct_loops_on_ragged_nets_and_special_values() {
+        for cout in [1, 7, 8, 9, 17] {
+            for dout in [1, 6, 10] {
+                let nets = [
+                    NetBuilder::new("ragged", [3, 9, 7], dout)
+                        .conv(cout, 3, 1, true)
+                        .conv_shaped(9, 3, 3, 2, 1, 1, false)
+                        .fire(3, cout, 5)
+                        .maxpool(2, 1)
+                        .flatten()
+                        .fc(dout + 3, true)
+                        .fc(dout, false)
+                        .build(),
+                    // 5×6 kernels over a 1×2 input: every window reaches
+                    // into the padding on both sides
+                    NetBuilder::new("wide", [2, 1, 2], dout)
+                        .conv_shaped(cout, 5, 6, 1, 2, 3, true)
+                        .conv_shaped(4, 3, 3, 2, 1, 1, true)
+                        .conv(9, 1, 1, false)
+                        .global_avg_pool()
+                        .fc(dout, false)
+                        .build(),
+                ];
+                for mut model in nets {
+                    let mut weights = model.extract_weights();
+                    // signed, nonzero and negative-zero biases
+                    for lw in &mut weights {
+                        let id = lw.layer_id;
+                        for (j, v) in lw.b.data_mut().iter_mut().enumerate() {
+                            *v = if j % 3 == 0 {
+                                -0.0
+                            } else {
+                                ((j * 7 + id) as f32 * 0.37).sin() * 0.3
+                            };
+                        }
+                    }
+                    let dims = model.info.buffers[0].dims.clone();
+                    let n: usize = dims.iter().product();
+                    let base: Vec<f32> = (0..n).map(|i| (i as f32 * 0.61).sin()).collect();
+                    let with = |i: usize, v: f32| {
+                        let mut x = base.clone();
+                        x[i % n] = v;
+                        x
+                    };
+                    let inputs = [
+                        ("plain", base.clone()),
+                        ("all -0.0", vec![-0.0; n]),
+                        ("NaN", with(n / 2, f32::NAN)),
+                        ("+inf", with(1, f32::INFINITY)),
+                        ("-inf", with(n - 1, f32::NEG_INFINITY)),
+                    ];
+                    for (label, x) in inputs {
+                        let what =
+                            format!("{} cout {cout} dout {dout} input {label}", model.info.name);
+                        let x = Tensor::from_vec(&dims, x);
+                        assert_equals_direct(&model.info, &weights, &x, &what);
+                    }
+                }
+            }
+        }
+    }
 
     /// The float graph executor must agree with the trainable network.
     #[test]

@@ -39,7 +39,10 @@
 //! Calibration takes per-buffer ranges from the float reference executor
 //! ([`crate::graphref::run_graph`]) over a handful of samples, pins
 //! shape-preserving ops to their input format, and sets each bias format
-//! by the precision's bias rule ([`Precision::bias`]).
+//! by the precision's bias rule ([`Precision::bias`]). That walk computes
+//! eight output channels per lane block with the bits of the direct
+//! one-output-at-a-time loop, so the calibrated formats do not depend on
+//! how it is vectorised.
 //!
 //! Both engines accept an [`ExecCtx`] (`forward_q15_with` /
 //! `forward_q8_with`) so hot paths — the serving loop, repeated

@@ -22,9 +22,10 @@ use std::fmt::Write as _;
 /// Markers of host-measurement lines excluded from the structural hash.
 /// Mirrors (and supersets) the `grep -v` filters CI's byte-compares use:
 /// a line containing any of these is not structural.
-pub const NONSTRUCTURAL_MARKERS: [&str; 13] = [
+pub const NONSTRUCTURAL_MARKERS: [&str; 14] = [
     "wall_s", // includes sweep_wall_s
     "wall_ms",
+    "wall_us",
     "gflops",
     "gops",
     "gmacs", // integer-GEMM throughput (GMAC/s)
